@@ -2,13 +2,21 @@
 # Standard targets; everything is plain `go` underneath.
 
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: all build vet test race ci cover bench bench-smoke bench-baseline scale-smoke chaos-smoke sensor-smoke serve-smoke obs-smoke crash-smoke failover-smoke bakeoff-smoke experiments report fuzz examples clean
+.PHONY: all build fmt vet test race ci perfbench-test cover bench bench-smoke bench-baseline scale-smoke chaos-smoke sensor-smoke serve-smoke obs-smoke crash-smoke failover-smoke bakeoff-smoke experiments report fuzz examples clean
 
 all: build test
 
 build:
 	$(GO) build ./...
+
+# Formatting gate: fails, listing the files, when gofmt would rewrite any
+# tracked Go file.
+fmt:
+	@files=$$(git ls-files '*.go') && [ -n "$$files" ] || { echo "fmt: no tracked Go files"; exit 1; }; \
+	out=$$($(GOFMT) -l $$files) || exit 1; \
+	if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -19,11 +27,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Full verification gate: build + vet, the plain test pass, the race
-# pass, the allocation gate, and the chaos gate. The parallel experiment
-# engine (exp.RunMany) makes the race run load-bearing — it exercises
-# every experiment under concurrent execution — bench-smoke keeps the
-# telemetry layer's zero-overhead-when-disabled promise honest, and
+# Full verification gate: build, the gofmt gate and vet, the plain test
+# pass, the race pass, the perfbench helper tests, the allocation gate,
+# and the chaos gate. The parallel experiment engine (exp.RunMany) makes
+# the race run load-bearing — it exercises every experiment under
+# concurrent execution — bench-smoke keeps the telemetry layer's
+# zero-overhead-when-disabled promise honest, and
 # chaos-smoke pins the failure-tolerance acceptance scenario,
 # sensor-smoke the sensing-robustness one, and serve-smoke boots the
 # live control-plane daemon under -race and hammers it with the load
@@ -42,7 +51,12 @@ race:
 # controller, the bake-off table deterministic across worker counts
 # with the robust policies holding the true-temperature cap, and the
 # policy-dispatch benchmark through the allocation guard.
-ci: build vet test race bench-smoke scale-smoke chaos-smoke sensor-smoke serve-smoke obs-smoke crash-smoke failover-smoke bakeoff-smoke
+ci: build fmt vet test race perfbench-test bench-smoke scale-smoke chaos-smoke sensor-smoke serve-smoke obs-smoke crash-smoke failover-smoke bakeoff-smoke
+
+# The benchmark's helpers (perfbench/, its own module): window
+# statistics and the metric tables, checked against BENCHMARK.json.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 cover:
 	$(GO) test -coverprofile=cover.out ./internal/...
@@ -62,10 +76,14 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench '^Benchmark(ServerTick|EventsFanout)$$' -benchtime 1x -benchmem ./internal/server >> bench_smoke.txt
 	$(GO) run ./internal/tools/benchguard -input bench_smoke.txt -baseline docs/bench_baseline.txt
 
-# Rewrite the baseline after an intentional allocation change.
+# Rewrite the baseline after an intentional allocation change: re-run
+# every benchmark the bench-smoke, scale-smoke and bakeoff-smoke gates
+# check, and merge the rows into the baseline (-update keeps rows the
+# input lacks, so a partial run never drops another gate's rows).
 bench-baseline:
 	$(GO) test -run '^$$' -bench '^BenchmarkAllSequential(Events)?$$' -benchtime 1x -benchmem . > bench_smoke.txt
 	$(GO) test -run '^$$' -bench '^Benchmark(ServerTick|EventsFanout)$$' -benchtime 1x -benchmem ./internal/server >> bench_smoke.txt
+	$(GO) test -run '^$$' -bench '^BenchmarkFleetTick(Policy)?$$' -benchtime 10x -benchmem ./internal/cluster >> bench_smoke.txt
 	$(GO) run ./internal/tools/benchguard -input bench_smoke.txt -baseline docs/bench_baseline.txt -update
 
 # Fleet-scale gate: shard-count invariance (byte-identical streams for

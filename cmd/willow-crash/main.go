@@ -108,10 +108,10 @@ type harness struct {
 	seed    uint64
 	client  *http.Client
 
-	base  string       // current incarnation's base URL
-	cmd   *exec.Cmd    // current incarnation's process
-	acked []ackedMut   // every mutation acknowledged, in order
-	frags []frag       // per-incarnation event-stream fragments
+	base  string     // current incarnation's base URL
+	cmd   *exec.Cmd  // current incarnation's process
+	acked []ackedMut // every mutation acknowledged, in order
+	frags []frag     // per-incarnation event-stream fragments
 }
 
 // ackedMut is one mutation the API acknowledged, with the tick the ack

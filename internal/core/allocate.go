@@ -26,6 +26,7 @@ func (c *Controller) allocateSupply(t int) {
 		c.allocateResilient(t, false)
 		return
 	}
+	c.sumSubtrees()
 	rootID := c.Tree.Root.ID
 	total := c.Supply.At(t / c.Cfg.Eta1)
 	prev := c.pmuTP[rootID]
@@ -74,11 +75,11 @@ func (c *Controller) computeChildAllocations(node *topo.Node, budget float64) []
 	var floorSum float64
 	for i, ch := range children {
 		demands[i] = c.demandOf(ch)
-		caps[i] = c.subtreeCap(ch)
-		f := c.subtreeFloor(ch)
-		if f > caps[i] {
-			f = caps[i]
+		cap, f := c.capFloor(ch)
+		if f > cap {
+			f = cap
 		}
+		caps[i] = cap
 		floors[i] = f
 		floorSum += f
 	}
@@ -186,37 +187,41 @@ func (c *Controller) assignChildBudgets(children []*topo.Node, alloc []float64) 
 	}
 }
 
-// subtreeFloor returns the summed static power of awake servers beneath
-// n — the minimum budget the subtree burns while its servers stay on.
-func (c *Controller) subtreeFloor(n *topo.Node) float64 {
-	if n.IsLeaf() {
-		s := c.Servers[n.ServerIndex]
-		if s.Asleep() {
-			return 0
+// sumSubtrees refreshes every internal node's subtree hard cap and
+// static floor in one bottom-up pass, run once per allocation pass
+// before any budget is divided. Each node sums its children in child
+// order from zero — the order a recursive descent adds them in, and the
+// order aggregate() uses for demand — so every sum is bit-identical to
+// recursing through the subtree at each level, at a single visit per
+// node. Nothing an allocation pass does (budgets, reduced flags, lease
+// state) moves a hard cap or a sleep flag, so the sums hold for the
+// whole pass.
+func (c *Controller) sumSubtrees() {
+	for level := 1; level <= c.Tree.Height; level++ {
+		for _, n := range c.levels[level] {
+			var cap, floor float64
+			for _, ch := range n.Children {
+				chCap, chFloor := c.capFloor(ch)
+				cap += chCap
+				floor += chFloor
+			}
+			c.subCap[n.ID], c.subFloor[n.ID] = cap, floor
 		}
-		return s.Power.Static
 	}
-	var sum float64
-	for _, ch := range n.Children {
-		sum += c.subtreeFloor(ch)
-	}
-	return sum
 }
 
-// subtreeCap returns the hard constraint of a subtree: the sum of the
-// leaf hard caps beneath it (sleeping servers contribute nothing — they
-// cannot spend budget).
-func (c *Controller) subtreeCap(n *topo.Node) float64 {
-	if n.IsLeaf() {
-		s := c.Servers[n.ServerIndex]
-		if s.Asleep() {
-			return 0
-		}
-		return s.HardCap(c.Cfg.ThermalWindow)
+// capFloor returns a node's hard constraint and static floor as its
+// parent divides budget: for a server its hard cap and static power, for
+// a PMU the sums over its subtree from the current sumSubtrees pass.
+// Sleeping servers contribute nothing — they cannot spend budget and
+// burn no static power.
+func (c *Controller) capFloor(n *topo.Node) (cap, floor float64) {
+	if !n.IsLeaf() {
+		return c.subCap[n.ID], c.subFloor[n.ID]
 	}
-	var sum float64
-	for _, ch := range n.Children {
-		sum += c.subtreeCap(ch)
+	if c.hot.asleep[n.ServerIndex] {
+		return 0, 0
 	}
-	return sum
+	s := c.Servers[n.ServerIndex]
+	return s.HardCap(c.Cfg.ThermalWindow), s.Power.Static
 }

@@ -180,8 +180,18 @@ type Controller struct {
 	// levels caches the internal nodes per level (index = level) so the
 	// per-tick aggregation does not rescan the whole tree; scratch holds
 	// each internal node's preallocated allocation buffers (by node ID).
-	levels  [][]*topo.Node
-	scratch []*allocScratch
+	// subCap/subFloor hold each internal node's subtree hard cap and
+	// static floor for the current allocation pass (allocate.go), over
+	// the internal-node prefix of the node IDs.
+	levels           [][]*topo.Node
+	scratch          []*allocScratch
+	subCap, subFloor []float64
+
+	// prioDemand/prioServed accumulate per-priority QoS watt-ticks
+	// (qos.go), indexed by App.Priority; prioSeen marks the priorities
+	// recorded so far. Step copies them into Stats once per tick.
+	prioDemand, prioServed []float64
+	prioSeen               []bool
 
 	// transfers, inFlight and reserved implement non-instantaneous VM
 	// migration (see transfer.go). pendingSleep marks drained servers
@@ -309,12 +319,24 @@ func New(tree *topo.Tree, specs []ServerSpec, supply power.Supply, cfg Config, s
 			c.scratch[n.ID] = newAllocScratch(len(n.Children))
 		}
 	}
+	internal := numNodes - numServers
+	sums := make([]float64, 2*internal)
+	c.subCap, c.subFloor = sums[:internal], sums[internal:]
+	priorities := 0
 	for i, spec := range specs {
 		if err := spec.Power.Validate(); err != nil {
 			return nil, fmt.Errorf("core: server %d: %w", i, err)
 		}
 		if err := spec.Thermal.Validate(); err != nil {
 			return nil, fmt.Errorf("core: server %d: %w", i, err)
+		}
+		for _, a := range spec.Apps {
+			if a.Priority < 0 {
+				return nil, fmt.Errorf("core: server %d: app %d has negative priority %d (0 is the most critical)", i, a.ID, a.Priority)
+			}
+			if a.Priority >= priorities {
+				priorities = a.Priority + 1
+			}
 		}
 		sm, err := workload.NewSmoother(cfg.Alpha)
 		if err != nil {
@@ -352,6 +374,9 @@ func New(tree *topo.Tree, specs []ServerSpec, supply power.Supply, cfg Config, s
 		}
 		c.Servers = append(c.Servers, srv)
 	}
+	c.prioDemand = make([]float64, priorities)
+	c.prioServed = make([]float64, priorities)
+	c.prioSeen = make([]bool, priorities)
 	c.shardPlan = planShards(tree, cfg.Shards, numServers)
 	c.energy = newEnergyAcc(c)
 	if cfg.Policy != nil {
@@ -415,6 +440,7 @@ func (c *Controller) Step() {
 		c.observePhase("consume", mark)
 	}
 	c.accountEnergy(t)
+	c.flushServiceStats()
 
 	up := c.tickUp
 	if !c.asyncEnabled() {

@@ -172,6 +172,7 @@ func (c *Controller) allocateResilient(t int, window bool) {
 	} else {
 		clear(c.delivered)
 	}
+	c.sumSubtrees()
 
 	root := c.Tree.Root
 	if !c.failedPMU[root.ID] {
@@ -395,10 +396,10 @@ func (c *Controller) serverFloor(s *Server) float64 {
 
 // pmuFloor is serverFloor lifted to a subtree: summed static floors plus
 // the node's fair share of the last-known parent budget, capped by the
-// subtree's summed hard caps.
+// subtree's summed hard caps (both from the current sumSubtrees pass).
 func (c *Controller) pmuFloor(n *topo.Node) float64 {
-	floor := c.subtreeFloor(n) + c.fairShare(n, c.pmuLastParentTP[n.ID])
-	if cap := c.subtreeCap(n); cap < floor {
+	floor := c.subFloor[n.ID] + c.fairShare(n, c.pmuLastParentTP[n.ID])
+	if cap := c.subCap[n.ID]; cap < floor {
 		floor = cap
 	}
 	return floor

@@ -38,8 +38,8 @@ func TestResilientPathMatchesSynchronous(t *testing.T) {
 		c.Run(60)
 		return buf.Events
 	}
-	sync := run(0)        // resilience disabled: legacy path
-	res := run(1 << 20)   // resilient path, lease never expires
+	sync := run(0)      // resilience disabled: legacy path
+	res := run(1 << 20) // resilient path, lease never expires
 	if len(sync) == 0 {
 		t.Fatal("no events")
 	}
@@ -256,6 +256,7 @@ func TestMidTreePMUKillSafety(t *testing.T) {
 	// Decay never takes a budget below its floor — though a budget that
 	// already sat below the floor when the lease expired simply holds
 	// (degradation never raises).
+	c.sumSubtrees() // pmuFloor reads the subtree sums of the current state
 	for _, id := range l1 {
 		bound := c.pmuFloor(c.Tree.Nodes[id])
 		if held := heldTP[id]; held < bound {

@@ -122,14 +122,34 @@ func (c *Controller) publishQoS(s *Server, appID int, cause string, served, dema
 	})
 }
 
-// recordService accumulates per-priority demand/served watt-ticks.
+// recordService accumulates per-priority demand/served watt-ticks into
+// the controller's per-priority slices — called once per application
+// per tick, allocation- and hash-free.
 func (c *Controller) recordService(priority int, demand, served float64) {
-	if c.Stats.DemandByPriority == nil {
-		c.Stats.DemandByPriority = map[int]float64{}
-		c.Stats.ServedByPriority = map[int]float64{}
+	c.prioDemand[priority] += demand
+	c.prioServed[priority] += served
+	c.prioSeen[priority] = true
+}
+
+// flushServiceStats publishes the per-priority running totals into
+// Stats.DemandByPriority/ServedByPriority at the end of a Step. The maps
+// stay nil until a first application is recorded and carry exactly the
+// priorities recorded so far; each value is the slice's running sum,
+// accumulated in the same order as summing into the map directly, so
+// the bits are the same.
+func (c *Controller) flushServiceStats() {
+	st := &c.Stats
+	for p, seen := range c.prioSeen {
+		if !seen {
+			continue
+		}
+		if st.DemandByPriority == nil {
+			st.DemandByPriority = map[int]float64{}
+			st.ServedByPriority = map[int]float64{}
+		}
+		st.DemandByPriority[p] = c.prioDemand[p]
+		st.ServedByPriority[p] = c.prioServed[p]
 	}
-	c.Stats.DemandByPriority[priority] += demand
-	c.Stats.ServedByPriority[priority] += served
 }
 
 // ServiceLevel returns the fraction of priority-p demand served so far

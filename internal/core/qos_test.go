@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"willow/internal/power"
+	"willow/internal/topo"
 	"willow/internal/workload"
 )
 
@@ -118,5 +119,32 @@ func TestServiceLevelUnknownClass(t *testing.T) {
 	var st Stats
 	if got := st.ServiceLevel(7); got != 1 {
 		t.Errorf("unknown class service level %v, want 1", got)
+	}
+}
+
+// TestNewRejectsNegativePriority: priorities index the per-priority QoS
+// accumulators and 0 is documented as the most critical, so a negative
+// priority is a construction error, not a silent extra class.
+func TestNewRejectsNegativePriority(t *testing.T) {
+	tree, err := topo.Build([]int{2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := uniqueIDs([]ServerSpec{serverSpec(50, 250, 0, 10), serverSpec(50, 250, 0, 10, 20)})
+	specs[1].Apps[1].Priority = -1
+	if _, err := New(tree, specs, power.Constant(500), quietCfg(), nil); err == nil {
+		t.Fatal("negative priority accepted")
+	}
+	specs[1].Apps[1].Priority = 2
+	c, err := New(tree, specs, power.Constant(500), quietCfg(), nil)
+	if err != nil {
+		t.Fatalf("priority 2 rejected: %v", err)
+	}
+	c.Step()
+	if _, ok := c.Stats.DemandByPriority[1]; ok {
+		t.Error("priority 1 recorded with no priority-1 application")
+	}
+	if got := c.Stats.DemandByPriority[2]; got != 20 {
+		t.Errorf("priority 2 demand = %v, want 20", got)
 	}
 }

@@ -58,20 +58,25 @@ func DefaultConfig() Config {
 }
 
 // Network accumulates per-switch traffic and energy over a run.
+//
+// Per-switch state lives in slices indexed by switch node ID. topo's BFS
+// numbering puts every internal node before every server, so the
+// switches are exactly the node-ID prefix [0, switches); the hot
+// per-server traffic loop then costs plain slice stores, never a hash.
 type Network struct {
 	cfg  Config
 	tree *topo.Tree
 
 	// Per-tick accumulators, reset by EndTick.
-	tickBase map[int]float64
-	tickMig  map[int]float64
+	tickBase []float64
+	tickMig  []float64
 
 	// Run totals.
 	ticks       int
-	totalMig    map[int]float64 // migration traffic per switch
-	totalBase   map[int]float64
-	energy      map[int]float64 // watt-ticks per switch
-	migTraffic  float64         // total migration traffic, all switches
+	totalMig    []float64 // migration traffic per switch
+	totalBase   []float64
+	energy      []float64 // watt-ticks per switch
+	migTraffic  float64   // total migration traffic, all switches
 	baseTraffic float64
 	flowHops    int // switch hops accumulated over all flow observations
 	flowSamples int // flow observations (one per flow per tick)
@@ -88,14 +93,16 @@ func New(tree *topo.Tree, cfg Config) (*Network, error) {
 	if cfg.NorthFraction < 0 || cfg.NorthFraction > 1 {
 		return nil, fmt.Errorf("netsim: north fraction %v outside [0, 1]", cfg.NorthFraction)
 	}
+	switches := len(tree.Nodes) - len(tree.Servers)
+	buf := make([]float64, 5*switches)
 	return &Network{
 		cfg:       cfg,
 		tree:      tree,
-		tickBase:  map[int]float64{},
-		tickMig:   map[int]float64{},
-		totalMig:  map[int]float64{},
-		totalBase: map[int]float64{},
-		energy:    map[int]float64{},
+		tickBase:  buf[0*switches : 1*switches],
+		tickMig:   buf[1*switches : 2*switches],
+		totalMig:  buf[2*switches : 3*switches],
+		totalBase: buf[3*switches : 4*switches],
+		energy:    buf[4*switches : 5*switches],
 	}, nil
 }
 
@@ -177,30 +184,26 @@ func (n *Network) RecordMigration(fromServer, toServer int, migrationBytes float
 // totals, and clears the per-tick state.
 func (n *Network) EndTick() {
 	n.ticks++
-	for _, node := range n.tree.Nodes {
-		if node.IsLeaf() {
-			continue
-		}
-		base := n.tickBase[node.ID]
-		mig := n.tickMig[node.ID]
+	for id, base := range n.tickBase {
+		mig := n.tickMig[id]
 		perSwitch := (base + mig) / float64(n.cfg.Redundancy)
-		n.energy[node.ID] += n.cfg.Switch.Power(perSwitch)
-		n.totalBase[node.ID] += base
-		n.totalMig[node.ID] += mig
+		n.energy[id] += n.cfg.Switch.Power(perSwitch)
+		n.totalBase[id] += base
+		n.totalMig[id] += mig
 		n.baseTraffic += base
 		n.migTraffic += mig
 	}
-	n.tickBase = map[int]float64{}
-	n.tickMig = map[int]float64{}
+	clear(n.tickBase)
+	clear(n.tickMig)
 }
 
 // Ticks returns the number of settled ticks.
 func (n *Network) Ticks() int { return n.ticks }
 
 // MeanSwitchPower returns the average power of the switch at the given
-// internal node over the run.
+// internal node over the run (0 for a server or an unknown node ID).
 func (n *Network) MeanSwitchPower(nodeID int) float64 {
-	if n.ticks == 0 {
+	if n.ticks == 0 || nodeID < 0 || nodeID >= len(n.energy) {
 		return 0
 	}
 	return n.energy[nodeID] / float64(n.ticks)
@@ -239,13 +242,7 @@ func (n *Network) MigrationTrafficShare() float64 {
 	if n.ticks == 0 {
 		return 0
 	}
-	switches := 0
-	for _, node := range n.tree.Nodes {
-		if !node.IsLeaf() {
-			switches++
-		}
-	}
-	capacity := n.cfg.Switch.MaxTraffic * float64(switches) * float64(n.ticks) * float64(n.cfg.Redundancy)
+	capacity := n.cfg.Switch.MaxTraffic * float64(len(n.energy)) * float64(n.ticks) * float64(n.cfg.Redundancy)
 	if capacity <= 0 {
 		return 0
 	}

@@ -23,6 +23,18 @@ func testConfig() Config {
 	return cfg
 }
 
+// carrying counts the switches a per-switch accumulator (tickBase,
+// tickMig, ...) records traffic on.
+func carrying(acc []float64) int {
+	n := 0
+	for _, v := range acc {
+		if v != 0 {
+			n++
+		}
+	}
+	return n
+}
+
 func TestNewValidation(t *testing.T) {
 	tr := testTree(t)
 	bad := testConfig()
@@ -73,7 +85,7 @@ func TestZeroUtilizationNoTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.RecordServerTraffic(0, 0)
-	if len(n.tickBase) != 0 {
+	if carrying(n.tickBase) != 0 {
 		t.Error("zero utilization generated traffic")
 	}
 }
@@ -95,11 +107,11 @@ func TestMigrationTrafficOnPath(t *testing.T) {
 	// Cross-root: 5 switches each get the transfer.
 	n2, _ := New(tr, cfg)
 	n2.RecordMigration(0, 17, 5)
-	if got := len(n2.tickMig); got != 5 {
+	if got := carrying(n2.tickMig); got != 5 {
 		t.Errorf("cross-root migration touched %d switches, want 5", got)
 	}
 	for id, v := range n2.tickMig {
-		if math.Abs(v-10) > 1e-9 {
+		if v != 0 && math.Abs(v-10) > 1e-9 {
 			t.Errorf("switch %d carries %v, want 10", id, v)
 		}
 	}
@@ -109,7 +121,7 @@ func TestMigrationToSelfIgnored(t *testing.T) {
 	tr := testTree(t)
 	n, _ := New(tr, testConfig())
 	n.RecordMigration(3, 3, 5)
-	if len(n.tickMig) != 0 {
+	if carrying(n.tickMig) != 0 {
 		t.Error("self-migration generated traffic")
 	}
 }
@@ -139,8 +151,15 @@ func TestEndTickAccumulatesEnergy(t *testing.T) {
 		t.Errorf("ticks = %d", n.Ticks())
 	}
 	// Per-tick state cleared.
-	if len(n.tickBase) != 0 || len(n.tickMig) != 0 {
+	if carrying(n.tickBase) != 0 || carrying(n.tickMig) != 0 {
 		t.Error("tick accumulators not cleared")
+	}
+	// Only switches burn power: a server's node ID and IDs outside the
+	// tree read as zero.
+	for _, id := range []int{tr.Servers[0].ID, tr.Servers[17].ID, len(tr.Nodes), -1} {
+		if got := n.MeanSwitchPower(id); got != 0 {
+			t.Errorf("MeanSwitchPower(%d) = %v, want 0 (not a switch)", id, got)
+		}
 	}
 }
 
@@ -253,7 +272,7 @@ func TestRecordFlowsColocatedIsFree(t *testing.T) {
 	n, _ := New(tr, testConfig())
 	loc := map[int]int{1: 3, 2: 3}
 	n.RecordFlows([]Flow{{AppA: 1, AppB: 2, Rate: 10}}, loc)
-	if len(n.tickBase) != 0 {
+	if carrying(n.tickBase) != 0 {
 		t.Error("co-located flow generated switch traffic")
 	}
 	if got := n.MeanFlowHops(); got != 0 {
@@ -266,11 +285,11 @@ func TestRecordFlowsSeparatedLoadsPath(t *testing.T) {
 	n, _ := New(tr, testConfig())
 	loc := map[int]int{1: 0, 2: 17}
 	n.RecordFlows([]Flow{{AppA: 1, AppB: 2, Rate: 10}}, loc)
-	if got := len(n.tickBase); got != 5 {
+	if got := carrying(n.tickBase); got != 5 {
 		t.Fatalf("flow loaded %d switches, want 5 (cross-root path)", got)
 	}
 	for _, v := range n.tickBase {
-		if v != 10 {
+		if v != 0 && v != 10 {
 			t.Errorf("switch carries %v, want 10", v)
 		}
 	}
@@ -286,7 +305,7 @@ func TestRecordFlowsSkipsUnlocatedAndZeroRate(t *testing.T) {
 		{AppA: 1, AppB: 2, Rate: 10}, // app 2 unlocated
 		{AppA: 1, AppB: 3, Rate: 0},  // zero rate
 	}, map[int]int{1: 0, 3: 5})
-	if len(n.tickBase) != 0 {
+	if carrying(n.tickBase) != 0 {
 		t.Error("invalid flows generated traffic")
 	}
 }

@@ -151,9 +151,10 @@ func NewRegistry() *Registry {
 	return &Registry{families: map[string]*family{}}
 }
 
+// lookup returns (registering on first use) the series for name and
+// labels. r.mu must be held: the callers fill in the series value under
+// the same lock, so concurrent first registrations agree on one value.
 func (r *Registry) lookup(name, help, typ string, labels []Label) *metric {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	f := r.families[name]
 	if f == nil {
 		f = &family{name: name, help: help, typ: typ, metrics: map[string]*metric{}}
@@ -179,6 +180,8 @@ func (r *Registry) lookup(name, help, typ string, labels []Label) *metric {
 // again with the same name and labels returns the same counter; a name
 // collision across metric types panics (a programming error).
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	m := r.lookup(name, help, "counter", labels)
 	if m.c == nil {
 		m.c = &Counter{}
@@ -188,6 +191,8 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 
 // Gauge returns (registering on first use) the named gauge.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	m := r.lookup(name, help, "gauge", labels)
 	if m.g == nil {
 		m.g = &Gauge{}
@@ -199,6 +204,8 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 // the given ascending upper bounds (+Inf is implicit). Bounds are fixed
 // at first registration; later calls reuse the existing series.
 func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	m := r.lookup(name, help, "histogram", labels)
 	if m.h == nil {
 		m.h = &Histogram{

@@ -161,3 +161,36 @@ func TestConcurrentUpdates(t *testing.T) {
 		t.Errorf("histogram count = %d, want 8000", h.Count())
 	}
 }
+
+// TestConcurrentRegistration: goroutines registering the same series for
+// the first time at once (a promoted standby builds its handler on the
+// HTTP goroutine while willowd's main goroutine builds another) must all
+// receive one series, with no write lost to a duplicate.
+func TestConcurrentRegistration(t *testing.T) {
+	r := NewRegistry()
+	const workers = 8
+	var wg sync.WaitGroup
+	gauges := make([]*Gauge, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			r.Counter("willow_race_total", "c").Inc()
+			r.Histogram("willow_race_h", "h", []float64{1}).Observe(0.5)
+			gauges[w] = r.Gauge("willow_race_g", "g")
+			gauges[w].Set(1)
+		}(w)
+	}
+	wg.Wait()
+	if got := r.Counter("willow_race_total", "c").Value(); got != workers {
+		t.Errorf("counter = %v, want %d", got, workers)
+	}
+	if got := r.Histogram("willow_race_h", "h", []float64{1}).Count(); got != workers {
+		t.Errorf("histogram count = %d, want %d", got, workers)
+	}
+	for w, g := range gauges {
+		if g != gauges[0] {
+			t.Fatalf("worker %d got a different gauge series", w)
+		}
+	}
+}

@@ -11,13 +11,18 @@
 //	go run ./internal/tools/benchguard -input bench_smoke.txt -baseline docs/bench_baseline.txt -update
 //
 // The baseline file holds `<benchmark> <allocs/op>` lines (# comments
-// allowed); -update rewrites it from the current input.
+// allowed). -update merges the input into it: rows for benchmarks in the
+// input are rewritten, rows absent from the input are kept, so updating
+// from one gate's benchmarks never drops another gate's rows.
 package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
 	"sort"
 	"strconv"
@@ -51,10 +56,15 @@ func main() {
 	}
 
 	if *update {
-		if err := writeBaseline(*baseline, got); err != nil {
+		merged, err := mergeBaseline(*baseline, got)
+		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("benchguard: wrote %d baseline entries to %s\n", len(got), *baseline)
+		if err := writeBaseline(*baseline, merged); err != nil {
+			fatal(err)
+		}
+		fmt.Printf("benchguard: wrote %d baseline entries to %s (%d from the input, %d kept)\n",
+			len(merged), *baseline, len(got), len(merged)-len(got))
 		return
 	}
 
@@ -62,29 +72,52 @@ func main() {
 	if err != nil {
 		fatal(fmt.Errorf("%w (run with -update to create the baseline)", err))
 	}
-	failed := false
+	if !check(os.Stdout, base, got, *maxRegress) {
+		os.Exit(1)
+	}
+}
+
+// check compares every benchmark in got against its baseline row,
+// printing one verdict line each, and reports whether all passed. A
+// benchmark fails when it has no baseline row or its allocs/op exceed
+// the baseline by more than maxRegress.
+func check(w io.Writer, base, got map[string]int64, maxRegress float64) bool {
+	ok := true
 	for _, name := range sortedKeys(got) {
-		want, ok := base[name]
-		if !ok {
-			fmt.Printf("benchguard: %s: no baseline entry — add one with -update\n", name)
-			failed = true
+		want, found := base[name]
+		if !found {
+			fmt.Fprintf(w, "benchguard: %s: no baseline entry — add one with -update\n", name)
+			ok = false
 			continue
 		}
 		cur := got[name]
-		limit := float64(want) * (1 + *maxRegress)
+		limit := float64(want) * (1 + maxRegress)
 		switch {
 		case float64(cur) > limit:
-			fmt.Printf("benchguard: FAIL %s: %d allocs/op vs baseline %d (+%.1f%% > %.0f%% allowed)\n",
-				name, cur, want, pct(cur, want), *maxRegress*100)
-			failed = true
+			fmt.Fprintf(w, "benchguard: FAIL %s: %d allocs/op vs baseline %d (+%.1f%% > %.0f%% allowed)\n",
+				name, cur, want, pct(cur, want), maxRegress*100)
+			ok = false
 		default:
-			fmt.Printf("benchguard: ok   %s: %d allocs/op vs baseline %d (%+.1f%%)\n",
+			fmt.Fprintf(w, "benchguard: ok   %s: %d allocs/op vs baseline %d (%+.1f%%)\n",
 				name, cur, want, pct(cur, want))
 		}
 	}
-	if failed {
-		os.Exit(1)
+	return ok
+}
+
+// mergeBaseline overlays got onto the baseline at path (a missing file
+// counts as empty) and returns the merged rows.
+func mergeBaseline(path string, got map[string]int64) (map[string]int64, error) {
+	base, err := readBaseline(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		base = map[string]int64{}
+	} else if err != nil {
+		return nil, err
 	}
+	for name, v := range got {
+		base[name] = v
+	}
+	return base, nil
 }
 
 func pct(cur, base int64) float64 {
@@ -97,9 +130,9 @@ func pct(cur, base int64) float64 {
 // parseBenchOutput extracts `<benchmark> <allocs/op>` pairs from `go
 // test -bench -benchmem` output. The trailing -<GOMAXPROCS> suffix is
 // stripped so baselines transfer across machines.
-func parseBenchOutput(f *os.File) (map[string]int64, error) {
+func parseBenchOutput(r io.Reader) (map[string]int64, error) {
 	out := map[string]int64{}
-	sc := bufio.NewScanner(f)
+	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
 		if len(fields) < 3 || !strings.HasPrefix(fields[0], "Benchmark") {

@@ -42,7 +42,13 @@ func (k Kind) String() string {
 
 // Node is one vertex of the hierarchy.
 type Node struct {
-	ID       int   // dense index over all nodes, BFS order from the root
+	// ID is the dense index over all nodes, in BFS order from the root.
+	// Every server sits at the deepest level, so every internal node's
+	// ID is below every server's: the internal nodes are exactly the
+	// prefix [0, len(Nodes)-len(Servers)), and a server's ID is that
+	// count plus its ServerIndex. Per-switch state can therefore live in
+	// a slice over the ID prefix.
+	ID       int
 	Kind     Kind  // PMU (internal) or server (leaf)
 	Level    int   // 0 for servers, increasing toward the root
 	Parent   *Node // nil for the root

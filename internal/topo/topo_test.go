@@ -350,3 +350,31 @@ func TestBuildMatchesIrregularEquivalent(t *testing.T) {
 		t.Error("Build and BuildIrregular disagree on equivalent specs")
 	}
 }
+
+// TestInternalNodesPrecedeServers pins the ID layout Node.ID documents:
+// internal nodes take the ID prefix and a server's ID is the internal
+// count plus its ServerIndex, for regular and irregular trees alike.
+func TestInternalNodesPrecedeServers(t *testing.T) {
+	regular, err := Build([]int{2, 3, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	irregular, err := BuildIrregular([][]int{{3}, {1, 4, 2}, {2, 1, 1, 3, 1, 2, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range []*Tree{regular, irregular} {
+		internal := len(tr.Nodes) - len(tr.Servers)
+		for _, n := range tr.Nodes {
+			if n.IsLeaf() != (n.ID >= internal) {
+				t.Errorf("node %s (ID %d, leaf %v) on the wrong side of the %d-node internal prefix",
+					n.Name(), n.ID, n.IsLeaf(), internal)
+			}
+		}
+		for i, s := range tr.Servers {
+			if s.ID != internal+i {
+				t.Errorf("server %d has ID %d, want %d", i, s.ID, internal+i)
+			}
+		}
+	}
+}
