@@ -34,22 +34,39 @@ func fleetConfig(fanout []int, supplyFrac float64) Config {
 // order. The quiet variant (noise off) shards both the demand and the
 // consumption phase of the 10,000-server tick; the noisy variant keeps
 // demand observation serial (it consumes a shared random stream) and
-// shards consumption only.
+// shards consumption only. The sensed variants run the medium sensor
+// chaos plan, with the naive instruments and with the robust estimator
+// armed: a sensed server settles in the sequential merge phase, while
+// the demand phase stays sharded.
 func TestShardInvariance(t *testing.T) {
 	cases := []struct {
 		name   string
 		fanout []int
 		noise  float64
+		sensor string // ApplySensorChaos preset; empty attaches no sensors
+		window int    // Core.SensorWindow; non-zero arms the estimator
 	}{
-		{"10k-quiet", []int{10, 10, 10, 10}, -1},
-		{"1k-noisy", []int{10, 10, 10}, 25},
+		{"10k-quiet", []int{10, 10, 10, 10}, -1, "", 0},
+		{"1k-noisy", []int{10, 10, 10}, 25, "", 0},
+		{"1k-sensed", []int{10, 10, 10}, -1, "medium", 0},
+		{"1k-sensed-estimator", []int{10, 10, 10}, -1, "medium", 5},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			base := fleetConfig(tc.fanout, 0.85)
 			base.Core.NoiseLambda = tc.noise
+			base.Core.SensorWindow = tc.window
 			base.Warmup = 8
 			base.Ticks = 24
+			if tc.sensor != "" {
+				plan, err := ApplySensorChaos(&base, tc.sensor, 42)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(plan.SensorFaults) == 0 {
+					t.Fatal("sensor chaos plan injects no faults")
+				}
+			}
 			run := func(shards int) goldenScenario {
 				cfg := base
 				cfg.Core.Shards = shards
@@ -66,26 +83,6 @@ func TestShardInvariance(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestFullAggregationOracle pins the incremental dirty-subtree demand
-// aggregation against the paper's naive full recompute on a sharded
-// 10,000-server fleet: identical streams and Results, tick for tick.
-func TestFullAggregationOracle(t *testing.T) {
-	cfg := fleetConfig([]int{10, 10, 10, 10}, 0.85)
-	cfg.Core.NoiseLambda = -1
-	cfg.Core.Shards = 4
-	cfg.Warmup = 8
-	cfg.Ticks = 24
-	inc := captureScenario(t, cfg)
-	cfg.Core.FullAggregation = true
-	full := captureScenario(t, cfg)
-	if inc.Events != full.Events {
-		t.Error("incremental aggregation event stream diverged from full-recompute oracle")
-	}
-	if inc.Result != full.Result {
-		t.Error("incremental aggregation Result diverged from full-recompute oracle")
 	}
 }
 
@@ -227,7 +224,7 @@ func TestScaleDemandWithProfile(t *testing.T) {
 // a fleet, reported as ns per server-tick. Noise is disabled so the
 // demand phase shards and the smoother's fixed-point fast path engages,
 // matching the fleet-scale deployment profile.
-func benchFleet(b *testing.B, fanout []int, shards int, full bool) {
+func benchFleet(b *testing.B, fanout []int, shards int) {
 	n := 1
 	for _, f := range fanout {
 		n *= f
@@ -235,7 +232,6 @@ func benchFleet(b *testing.B, fanout []int, shards int, full bool) {
 	cfg := fleetConfig(fanout, 1)
 	cfg.Core.NoiseLambda = -1
 	cfg.Core.Shards = shards
-	cfg.Core.FullAggregation = full
 	cfg.Warmup = 1
 	cfg.Ticks = 1 << 30
 	m, err := NewMachine(cfg)
@@ -256,13 +252,7 @@ func benchFleet(b *testing.B, fanout []int, shards int, full bool) {
 }
 
 func BenchmarkFleetTick(b *testing.B) {
-	b.Run("1k", func(b *testing.B) { benchFleet(b, []int{10, 10, 10}, 8, false) })
-	b.Run("10k", func(b *testing.B) { benchFleet(b, []int{10, 10, 10, 10}, 8, false) })
-	b.Run("100k", func(b *testing.B) { benchFleet(b, []int{4, 5, 5, 10, 100}, 8, false) })
-}
-
-// BenchmarkFleetTickFullAgg is the naive-aggregation baseline for the
-// incremental path, same fleet as BenchmarkFleetTick/10k.
-func BenchmarkFleetTickFullAgg(b *testing.B) {
-	b.Run("10k", func(b *testing.B) { benchFleet(b, []int{10, 10, 10, 10}, 8, true) })
+	b.Run("1k", func(b *testing.B) { benchFleet(b, []int{10, 10, 10}, 8) })
+	b.Run("10k", func(b *testing.B) { benchFleet(b, []int{10, 10, 10, 10}, 8) })
+	b.Run("100k", func(b *testing.B) { benchFleet(b, []int{4, 5, 5, 10, 100}, 8) })
 }

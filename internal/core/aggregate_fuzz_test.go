@@ -10,17 +10,22 @@ import (
 )
 
 // FuzzIncrementalAggregation drives a random topology through a random
-// sequence of demand writes, PMU failures/repairs, and aggregation
-// passes, and checks the incremental dirty-subtree aggregator against
-// the full-recompute oracle bit-for-bit at every synchronization point.
-// Two controllers share the op sequence; only Config.FullAggregation
-// differs, so any divergence is an aggregation bug by construction.
+// sequence of demand writes, PMU failures/repairs, report-loss windows
+// and aggregation passes, and checks the incremental dirty-subtree
+// aggregator against the full-recompute oracle bit-for-bit at every
+// synchronization point. Two controllers share the op sequence; the
+// oracle marks every PMU dirty before each pass — which makes the pass
+// the paper's full per-Δ_D recompute — so any divergence is an
+// aggregation bug by construction.
 func FuzzIncrementalAggregation(f *testing.F) {
-	f.Add([]byte{2, 3, 0, 1, 2, 3, 4, 5, 6, 7})
-	f.Add([]byte{4, 2, 3, 3, 0, 9, 1, 0, 3, 0, 2, 0, 3, 0})
+	f.Add([]byte{2, 3, 0, 1, 2, 3, 0, 5, 2, 7})
+	f.Add([]byte{4, 2, 3, 3, 0, 1, 1, 0, 3, 0, 2, 0, 3, 0})
 	f.Add([]byte{3, 3, 1, 200, 2, 200, 3, 0, 0, 50, 3, 0})
+	// A loss window left the PMU CPs on pipe-derived values; closing it
+	// must re-sum the whole tree (SetLinkLoss).
+	f.Add([]byte{0, 0, 4, 3, 3, 0, 0, 1, 3, 0, 0, 3, 3, 0, 4, 0, 3, 0})
 
-	build := func(fanout []int, full bool) *Controller {
+	build := func(fanout []int) *Controller {
 		tree, err := topo.Build(fanout)
 		if err != nil {
 			return nil
@@ -29,9 +34,7 @@ func FuzzIncrementalAggregation(f *testing.F) {
 		for i := range specs {
 			specs[i] = serverSpec(50, 250, 0, 10, 20)
 		}
-		cfg := quietCfg()
-		cfg.FullAggregation = full
-		c, err := New(tree, uniqueIDs(specs), power.Constant(1e6), cfg, dist.NewSource(7))
+		c, err := New(tree, uniqueIDs(specs), power.Constant(1e6), quietCfg(), dist.NewSource(7))
 		if err != nil {
 			return nil
 		}
@@ -51,8 +54,8 @@ func FuzzIncrementalAggregation(f *testing.F) {
 		for i := range fanout {
 			fanout[i] = 2 + int(data[1+i])%3
 		}
-		inc := build(fanout, false)
-		full := build(fanout, true)
+		inc := build(fanout)
+		full := build(fanout)
 		if inc == nil || full == nil {
 			return
 		}
@@ -65,6 +68,7 @@ func FuzzIncrementalAggregation(f *testing.F) {
 
 		check := func(step int) {
 			inc.aggregate()
+			full.markAllDirty()
 			full.aggregate()
 			for _, id := range pmus {
 				a, b := inc.pmuCP[id], full.pmuCP[id]
@@ -76,7 +80,7 @@ func FuzzIncrementalAggregation(f *testing.F) {
 
 		ops := data[1+levels:]
 		for i := 0; i+1 < len(ops); i += 2 {
-			op, arg := ops[i]%4, int(ops[i+1])
+			op, arg := ops[i]%5, int(ops[i+1])
 			switch op {
 			case 0: // write a server's smoothed demand
 				s := inc.Servers[arg%len(inc.Servers)]
@@ -93,6 +97,13 @@ func FuzzIncrementalAggregation(f *testing.F) {
 				full.RepairPMU(id)
 			case 3: // synchronize and compare against the oracle
 				check(i)
+			case 4: // open or close a report-loss window on both sides
+				loss := 0.0
+				if !inc.asyncEnabled() {
+					loss = float64(1+arg%4) / 5
+				}
+				inc.SetLinkLoss(loss, 0)
+				full.SetLinkLoss(loss, 0)
 			}
 		}
 		// Repair everything so the final pass exercises the post-repair

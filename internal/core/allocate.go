@@ -5,42 +5,156 @@ import (
 	"willow/internal/topo"
 )
 
-// allocateSupply implements the supply-side adaptation of Section IV-D:
-// every Δ_S the available budget is divided top-down, at each node
+// allocateResilient implements the supply-side adaptation of Section
+// IV-D: the available budget is divided top-down, at each node
 // proportionally to the children's smoothed demands, subject to each
 // child's hard constraints (thermal + circuit caps). Budget that capped
 // children cannot absorb is redistributed to their siblings (waterfill);
 // leftover beyond all demands is allocated proportionally to demand as
 // well ("if surplus is still available ... the surplus budget is
 // allocated to its children nodes proportional to their demand").
+// Supply traces are indexed by supply epoch (t / η1), so a 30-entry trace
+// spans 30 supply windows regardless of η1.
 //
 // Each node's reduced flag records whether this event lowered its budget;
 // the demand side uses it to enforce the unidirectional rule.
-// Supply traces are indexed by supply epoch (t / η1), so a 30-entry trace
-// spans 30 supply windows regardless of η1.
-func (c *Controller) allocateSupply(t int) {
-	if c.resilienceEnabled() {
-		// Mid-tick re-derivation under the resilient control plane:
-		// refresh budgets directly within the live span, without
-		// advancing pipes or touching lease state (degraded.go).
-		c.allocateResilient(t, false)
+//
+// It is the only allocation pass, and it divides budget down the live
+// portion of the tree. window turns on the lease bookkeeping of a real
+// supply window (Δ_S, degraded.go): directives pass through the budget
+// pipes, draw loss, refresh leases, and the nodes that heard nothing
+// age and decay. Step sets it only while the resilient control plane is
+// armed (resilienceEnabled); mid-tick re-derivations (drain-to-sleep,
+// consolidation, transfer landing) always pass false, delivering
+// directly and leaving every lease untouched. With window false and no
+// PMU failed, every node hears its directive and the pass is the
+// paper's fail-free division.
+//
+// The pass runs in three stages, top-down:
+//
+//  1. If the root is alive it takes the fresh supply and recurses
+//     through alive PMUs, delivering directives along the way.
+//  2. Alive internal nodes that heard nothing — parent dead, or their
+//     directive lost or still in a pipe — age their lease (entering
+//     degraded mode and decaying toward their floor when it expires)
+//     and then allocate their held budget to their children
+//     autonomously. Levels are visited root-down so an autonomous
+//     node's own directives land before its children are examined.
+//  3. Awake servers that heard nothing age their leases the same way.
+func (c *Controller) allocateResilient(t int, window bool) {
+	clear(c.delivered)
+	c.sumSubtrees()
+
+	if root := c.Tree.Root; !c.failedPMU[root.ID] {
+		// The root draws straight from the supply feed; its lease is
+		// perpetually fresh and it can never be degraded.
+		c.grantPMU(root, c.Supply.At(t/c.Cfg.Eta1), 0, t, window)
+	}
+
+	for level := c.Tree.Height; level >= 1; level-- {
+		for _, n := range c.levels[level] {
+			if c.delivered[n.ID] || c.failedPMU[n.ID] {
+				continue
+			}
+			if window {
+				c.agePMULease(n, t)
+			}
+			c.allocateChildren(n, t, window)
+		}
+	}
+
+	if !window {
 		return
 	}
-	c.sumSubtrees()
-	rootID := c.Tree.Root.ID
-	total := c.Supply.At(t / c.Cfg.Eta1)
-	prev := c.pmuTP[rootID]
-	c.pmuReduced[rootID] = c.isReduced(total, prev, c.pmuCP[rootID])
-	c.pmuTP[rootID] = total
+	for _, s := range c.Servers {
+		if !c.delivered[s.Node.ID] && !s.Asleep() {
+			c.ageServerLease(s, t)
+		}
+	}
+}
+
+// allocateChildren divides node's held budget among its children and
+// delivers the shares as directives.
+func (c *Controller) allocateChildren(node *topo.Node, t int, window bool) {
+	if node.IsLeaf() {
+		return
+	}
+	budget := c.pmuTP[node.ID]
+	alloc := c.computeChildAllocations(node, budget)
+	for i, ch := range node.Children {
+		c.deliverBudget(ch, alloc[i], budget, t, window)
+	}
+}
+
+// deliverBudget sends one downward budget directive over the link to ch,
+// through the budget pipe (latency, loss) on lease-bookkeeping windows.
+// A delivered directive applies the budget and publishes the
+// BudgetChange event; on a window it also refreshes the child's lease
+// and clears degradation. An undelivered one leaves the child to the
+// autonomous stages of allocateResilient. Directives to dead PMUs go
+// nowhere.
+func (c *Controller) deliverBudget(ch *topo.Node, v, parentTP float64, t int, window bool) {
+	if !ch.IsLeaf() && c.failedPMU[ch.ID] {
+		return // a dead PMU hears nothing; its span rides its leases
+	}
+	c.countDown(ch)
+	msg := budgetMsg{tp: v, parentTP: parentTP, ok: true}
+	if window && (c.Cfg.BudgetLatency > 0 || c.Cfg.BudgetLoss > 0) {
+		if c.Cfg.BudgetLoss > 0 && c.src.Float64() < c.Cfg.BudgetLoss {
+			msg.ok = false
+		}
+		msg = c.budgetPipeFor(ch).push(msg)
+	}
+	if !msg.ok {
+		return // lost in transit: the child's lease ages
+	}
+	if !ch.IsLeaf() {
+		c.grantPMU(ch, msg.tp, msg.parentTP, t, window)
+		return
+	}
+	c.delivered[ch.ID] = true
+	s := c.Servers[ch.ServerIndex]
+	prev := s.TP()
+	s.reduced = c.isReduced(msg.tp, prev, s.CP())
+	s.setTP(msg.tp)
+	if window {
+		s.leaseTick = t
+		s.lastParentTP = msg.parentTP
+		c.clearServerDegraded(s, t)
+	}
 	if c.Sink != nil {
 		c.publish(telemetry.Event{
 			Tick: t, Kind: telemetry.KindBudgetChange,
-			Node: rootID, Level: c.Tree.Root.Level,
-			Watts: total, Prev: prev, Demand: c.pmuCP[rootID],
-			Reduced: c.pmuReduced[rootID],
+			Node: ch.ID, Level: ch.Level, Server: ch.ServerIndex,
+			Watts: msg.tp, Prev: prev, Demand: s.CP(),
+			Reduced: s.reduced,
 		})
 	}
-	c.allocateNode(c.Tree.Root, total)
+}
+
+// grantPMU applies a budget heard by the live PMU n — the supply for
+// the root, a delivered directive for any other — and divides it among
+// n's children. parentTP is the parent's budget the directive carried.
+func (c *Controller) grantPMU(n *topo.Node, tp, parentTP float64, t int, window bool) {
+	id := n.ID
+	c.delivered[id] = true
+	prev := c.pmuTP[id]
+	c.pmuReduced[id] = c.isReduced(tp, prev, c.pmuCP[id])
+	c.pmuTP[id] = tp
+	if window {
+		c.pmuLeaseTick[id] = t
+		c.pmuLastParentTP[id] = parentTP
+		c.clearPMUDegraded(n, t)
+	}
+	if c.Sink != nil {
+		c.publish(telemetry.Event{
+			Tick: t, Kind: telemetry.KindBudgetChange,
+			Node: id, Level: n.Level,
+			Watts: tp, Prev: prev, Demand: c.pmuCP[id],
+			Reduced: c.pmuReduced[id],
+		})
+	}
+	c.allocateChildren(n, t, window)
 }
 
 // isReduced implements the unidirectional rule's trigger: a node counts
@@ -54,20 +168,11 @@ func (c *Controller) isReduced(newTP, oldTP, cp float64) bool {
 	return newTP < oldTP-tolerance && newTP < cp+c.Cfg.PMin-tolerance
 }
 
-// allocateNode divides budget among node's children and recurses.
-func (c *Controller) allocateNode(node *topo.Node, budget float64) {
-	if node.IsLeaf() {
-		return
-	}
-	c.assignChildBudgets(node.Children, c.computeChildAllocations(node, budget))
-}
-
 // computeChildAllocations runs the three allocation rounds for one
 // internal node and returns the per-child budgets (backed by the node's
-// scratch buffer — valid until the next call for the same node). Both
-// the synchronous path (allocateNode) and the resilient path
-// (allocateNodeR, degraded.go) divide budget through here, so degraded
-// autonomous allocation is arithmetically identical to the paper's.
+// scratch buffer — valid until the next call for the same node). Fresh
+// directives and degraded autonomous allocation both divide budget
+// through here, so the two are arithmetically identical.
 func (c *Controller) computeChildAllocations(node *topo.Node, budget float64) []float64 {
 	children := node.Children
 	sc := c.scratch[node.ID]
@@ -149,42 +254,6 @@ func (c *Controller) computeChildAllocations(node *topo.Node, budget float64) []
 	}
 
 	return alloc
-}
-
-// assignChildBudgets stores the computed budgets, maintains reduced
-// flags, counts the downward directive messages, publishes the
-// per-node BudgetChange events, and recurses.
-func (c *Controller) assignChildBudgets(children []*topo.Node, alloc []float64) {
-	for i, ch := range children {
-		c.countDown(ch) // parent -> child budget directive
-		if ch.IsLeaf() {
-			s := c.Servers[ch.ServerIndex]
-			prev := s.TP()
-			s.reduced = c.isReduced(alloc[i], prev, s.CP())
-			s.setTP(alloc[i])
-			if c.Sink != nil {
-				c.publish(telemetry.Event{
-					Tick: c.tick, Kind: telemetry.KindBudgetChange,
-					Node: ch.ID, Level: ch.Level, Server: ch.ServerIndex,
-					Watts: alloc[i], Prev: prev, Demand: s.CP(),
-					Reduced: s.reduced,
-				})
-			}
-			continue
-		}
-		prev := c.pmuTP[ch.ID]
-		c.pmuReduced[ch.ID] = c.isReduced(alloc[i], prev, c.pmuCP[ch.ID])
-		c.pmuTP[ch.ID] = alloc[i]
-		if c.Sink != nil {
-			c.publish(telemetry.Event{
-				Tick: c.tick, Kind: telemetry.KindBudgetChange,
-				Node: ch.ID, Level: ch.Level,
-				Watts: alloc[i], Prev: prev, Demand: c.pmuCP[ch.ID],
-				Reduced: c.pmuReduced[ch.ID],
-			})
-		}
-		c.allocateNode(ch, alloc[i])
-	}
 }
 
 // sumSubtrees refreshes every internal node's subtree hard cap and

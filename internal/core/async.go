@@ -19,8 +19,9 @@ import "willow/internal/topo"
 //     congestion" is the paper's assumption; this removes it). A lost
 //     report leaves the parent acting on the previous value.
 //
-// With both zero the controller is exactly synchronous and none of this
-// code runs.
+// With both zero reporting is prompt: the one aggregation pass
+// (aggregate, state.go) reads every child directly — the no-pipe limit
+// of a delayed link — and no pipe is created or drawn from.
 
 // reportPipe delays values by a fixed number of ticks and repeats the
 // last delivered value across losses.
@@ -74,37 +75,22 @@ func (c *Controller) pipeFor(n *topo.Node) *reportPipe {
 	return p
 }
 
-// propagateReports pushes this tick's values through every link pipe,
-// bottom-up, and stores each PMU's delayed aggregate in its CP. Called
-// in place of the synchronous aggregation when async is enabled.
-func (c *Controller) propagateReports() {
-	for level := 1; level <= c.Tree.Height; level++ {
-		for _, n := range c.levels[level] {
-			if c.failedPMU[n.ID] {
-				// A dead PMU aggregates nothing; its CP stays frozen and
-				// the pipes of its child links do not advance (they are
-				// dropped and re-primed on repair).
-				continue
-			}
-			sum := 0.0
-			for _, child := range n.Children {
-				var current float64
-				if child.IsLeaf() {
-					current = c.Servers[child.ServerIndex].CP()
-				} else {
-					current = c.pmuCP[child.ID]
-				}
-				deadChild := !child.IsLeaf() && c.failedPMU[child.ID]
-				lost := deadChild ||
-					(c.Cfg.ReportLoss > 0 && c.src.Float64() < c.Cfg.ReportLoss)
-				sum += c.pipeFor(child).push(current, lost)
-				if !deadChild {
-					c.countUp(child)
-				}
-			}
-			c.pmuCP[n.ID] = sum
-		}
+// pushReport sends child's current demand over the link to its parent
+// and returns the value the parent receives: delayed by the link's pipe,
+// or the previous value when the report is lost. A dead PMU's link is
+// silent — its report counts as lost and draws nothing from the loss
+// stream. aggregate calls it for every child of every live PMU, level by
+// level in child order, while the asynchronous control plane is on.
+func (c *Controller) pushReport(child *topo.Node) float64 {
+	var current float64
+	dead := false
+	if child.IsLeaf() {
+		current = c.hot.cp[child.ServerIndex]
+	} else {
+		current, dead = c.pmuCP[child.ID], c.failedPMU[child.ID]
 	}
+	lost := dead || (c.Cfg.ReportLoss > 0 && c.src.Float64() < c.Cfg.ReportLoss)
+	return c.pipeFor(child).push(current, lost)
 }
 
 // viewCP returns the server's demand as seen by its parent PMU — the

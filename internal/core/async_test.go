@@ -203,3 +203,37 @@ func TestReportLossDeterministic(t *testing.T) {
 		t.Errorf("lossy runs diverged: %v vs %v", a, b)
 	}
 }
+
+// TestLossWindowRestartsReportPipes: a closed report-loss window leaves
+// no stale value in the pipes. Here a 2-server rack reports 300 W
+// through a first window, demand rises to 450 W under synchronous
+// reporting, and a second window opens: its first lost reports must
+// repeat what the parent last heard (450 W), not the value the first
+// window left in the pipes (300 W).
+func TestLossWindowRestartsReportPipes(t *testing.T) {
+	specs := uniqueIDs([]ServerSpec{
+		serverSpec(50, 300, 0, 100),
+		serverSpec(50, 300, 0, 100),
+	})
+	c := buildController(t, []int{2}, specs, power.Constant(1000), quietCfg())
+	root := c.Tree.Root.ID
+	c.Run(2)
+	c.SetLinkLoss(1, 0) // clamped just below 1: every report after the first is lost
+	c.Run(3)
+	if got := c.pmuCP[root]; got != 300 {
+		t.Fatalf("root CP %v in the first window, want 300", got)
+	}
+	c.SetLinkLoss(0, 0)
+	for _, s := range c.Servers {
+		s.Apps.Apps[0].Mean = 175
+	}
+	c.Run(3)
+	if got := c.pmuCP[root]; got != 450 {
+		t.Fatalf("root CP %v under synchronous reporting, want 450", got)
+	}
+	c.SetLinkLoss(1, 0)
+	c.Step()
+	if got := c.pmuCP[root]; got != 450 {
+		t.Errorf("root CP %v on the second window's first tick, want 450 (a stale report replayed)", got)
+	}
+}

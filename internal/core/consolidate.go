@@ -102,6 +102,6 @@ func (c *Controller) consolidate(t int) {
 	if slept > 0 {
 		// One budget re-derivation after the pass (not per victim):
 		// sleeping servers freed their static floors for everyone else.
-		c.allocateSupply(t)
+		c.allocateResilient(t, false)
 	}
 }

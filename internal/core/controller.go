@@ -150,16 +150,15 @@ type Controller struct {
 	// pass so they do not receive migrations mid-drain.
 	draining map[int]bool
 
-	// Link-message accounting (state.go): upStamp/downStamp are
-	// tick-stamped by child node ID; tickUp/tickDown count distinct
-	// links that carried a report/directive this step; bothDir records
-	// that some link carried both directions; liveUpLinks caches the
-	// synchronous-mode structural report count.
-	upStamp, downStamp []int
-	stamp              int
-	tickUp, tickDown   int
-	bothDir            bool
-	liveUpLinks        int
+	// Link-message accounting (state.go): downStamp is tick-stamped by
+	// child node ID; tickDown counts distinct links that carried a
+	// directive this step; bothDir records that some link carried both
+	// directions; liveUpLinks caches the structural report count.
+	downStamp   []int
+	stamp       int
+	tickDown    int
+	bothDir     bool
+	liveUpLinks int
 
 	// pipes delay upward reports per link when the asynchronous control
 	// plane is enabled (see async.go); budgetPipes do the same for the
@@ -171,8 +170,8 @@ type Controller struct {
 	// failedPMU marks crashed internal nodes (FailPMU): they neither
 	// aggregate reports nor issue budgets, and migrations never cross
 	// their span. All-false in the paper's fail-free regime. delivered
-	// is the resilient allocation pass's per-window scratch, marking
-	// which nodes heard a budget directive (degraded.go).
+	// is the allocation pass's scratch, marking which nodes heard a
+	// budget directive (allocate.go).
 	failedPMU      []bool
 	failedPMUCount int
 	delivered      []bool
@@ -205,27 +204,18 @@ type Controller struct {
 	// (see failure.go).
 	orphans []orphan
 
-	// wasAsync records that the previous tick aggregated through the
-	// report pipes, so a switch back to synchronous mode (a loss window
-	// closing) re-sums the whole tree once.
-	wasAsync bool
-
 	// noisyDemand is set when any application draws Poisson demand
 	// noise: the per-server demand loop then consumes the shared random
-	// stream in server order and must stay sequential. sensorsArmed is
-	// set when any server carries an instrument or estimator, forcing
-	// the sequential consume path (sensing mutates shared counters).
-	noisyDemand  bool
-	sensorsArmed bool
+	// stream in server order and must stay sequential.
+	noisyDemand bool
 
 	// shardPlan is the rack-aligned partition of the fleet the parallel
-	// tick phases run over (state.go); evBuf/effBuf/needSlow are the
-	// per-server scratch the sharded consume phase writes race-free and
-	// the sequential merge phase drains in server order.
+	// tick phases run over (state.go); evBuf/deferred are the per-server
+	// scratch the parallel consume phase writes race-free and the
+	// sequential merge phase drains in server order.
 	shardPlan []shardRange
 	evBuf     [][]telemetry.Event
-	effBuf    []float64
-	needSlow  []bool
+	deferred  []bool
 
 	// inStep gates telemetry batching; eventBuf is the step's pending
 	// batch (state.go).
@@ -293,25 +283,23 @@ func New(tree *topo.Tree, specs []ServerSpec, supply power.Supply, cfg Config, s
 		src:             src,
 		pmuCP:           make([]float64, numNodes),
 		pmuTP:           make([]float64, numNodes),
-		pmuReduced:      make([]bool, numNodes),
-		pmuDegraded:     make([]bool, numNodes),
 		pmuLeaseTick:    make([]int, numNodes),
 		pmuLastParentTP: make([]float64, numNodes),
 		lastLeft:        map[int]leftRecord{},
 		draining:        map[int]bool{},
-		upStamp:         make([]int, numNodes),
 		downStamp:       make([]int, numNodes),
 		pipes:           make([]*reportPipe, numNodes),
 		budgetPipes:     make([]*budgetPipe, numNodes),
-		failedPMU:       make([]bool, numNodes),
 		scratch:         make([]*allocScratch, numNodes),
 		inFlight:        map[int]bool{},
 		reserved:        map[int]float64{},
 		pendingSleep:    map[int]bool{},
 		evBuf:           make([][]telemetry.Event, numServers),
-		effBuf:          make([]float64, numServers),
-		needSlow:        make([]bool, numServers),
+		deferred:        make([]bool, numServers),
 	}
+	flags := make([]bool, 4*numNodes)
+	c.pmuReduced, c.pmuDegraded = flags[:numNodes], flags[numNodes:2*numNodes]
+	c.failedPMU, c.delivered = flags[2*numNodes:3*numNodes], flags[3*numNodes:]
 	c.levels = make([][]*topo.Node, tree.Height+1)
 	for _, n := range tree.Nodes {
 		if !n.IsLeaf() {
@@ -361,7 +349,6 @@ func New(tree *topo.Tree, specs []ServerSpec, supply power.Supply, cfg Config, s
 		srv.setTObs(srv.Thermal.T)
 		if cfg.sensingEnabled() {
 			srv.est = newEstimator(cfg.SensorWindow, srv.Thermal.T)
-			c.sensorsArmed = true
 		}
 		for _, a := range spec.Apps {
 			if a.NoiseLambda == 0 {
@@ -404,7 +391,7 @@ func (c *Controller) Tick() int { return c.tick }
 func (c *Controller) Step() {
 	t := c.tick
 	c.stamp++
-	c.tickUp, c.tickDown, c.bothDir = 0, 0, false
+	c.tickDown, c.bothDir = 0, false
 	c.inStep = true
 
 	c.wakeServers(t)
@@ -422,7 +409,7 @@ func (c *Controller) Step() {
 		mark = c.observePhase("observe", mark)
 	}
 	if t%c.Cfg.Eta1 == 0 {
-		c.allocateSupplyWindow(t)
+		c.allocateResilient(t, c.resilienceEnabled())
 		if timed {
 			c.observePhase("allocate", mark)
 		}
@@ -442,13 +429,10 @@ func (c *Controller) Step() {
 	c.accountEnergy(t)
 	c.flushServiceStats()
 
-	up := c.tickUp
-	if !c.asyncEnabled() {
-		// Synchronous reporting is structural: every live parent hears
-		// every live child, every tick (the cached count is maintained
-		// across PMU failures/repairs).
-		up = c.liveUpLinks
-	}
+	// Reporting is structural: every live parent hears every live child,
+	// every tick (the cached count is maintained across PMU
+	// failures/repairs).
+	up := c.liveUpLinks
 	c.Stats.MessagesUp += int64(up)
 	c.Stats.MessagesDown += int64(c.tickDown)
 	if c.bothDir {
@@ -528,41 +512,28 @@ func (c *Controller) publishMigration(m Migration) {
 // smoothing, and aggregates subtree demands up the tree. Each tree link
 // carries exactly one upward report per tick.
 func (c *Controller) observeDemand(int) {
-	if len(c.shardPlan) > 1 && !c.noisyDemand {
+	if c.noisyDemand {
+		// Noisy demand draws from the shared random stream, which must
+		// be consumed in server order.
+		c.observeShard(0, len(c.Servers))
+	} else {
 		// Noise-free demand draws nothing from the shared random stream,
 		// so the per-server phase parallelizes over rack-aligned shards.
-		c.forEachShard(func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				c.observeServer(i)
-			}
-		})
-	} else {
-		for i := range c.Servers {
-			c.observeServer(i)
-		}
+		c.forEachShard((*Controller).observeShard)
 	}
-	if c.asyncEnabled() {
-		c.wasAsync = true
-		c.propagateReports()
-		return
-	}
-	if c.wasAsync {
-		// A loss window just closed: the PMU CPs hold pipe-derived
-		// values the dirty bits know nothing about. Re-sum everything.
-		c.markAllDirty()
-		c.wasAsync = false
-	}
-	// Synchronous aggregation: bottom-up, level by level, visiting only
-	// subtrees whose demand actually changed (state.go). A dead PMU
-	// neither aggregates (its CP freezes at the last value it computed)
-	// nor reports upward — its parent keeps acting on that frozen view,
-	// the same "act on the previous value" semantics as a lost report.
 	c.aggregate()
 }
 
+// observeShard observes the servers [lo, hi) in order.
+func (c *Controller) observeShard(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		c.observeServer(i)
+	}
+}
+
 // observeServer updates one server's demand observation: the per-server
-// body of observeDemand, shared by the sequential and sharded paths. It
-// touches only per-server state (plus the parent rack's dirty bit).
+// body of observeDemand. It touches only per-server state (plus the
+// parent rack's dirty bit).
 func (c *Controller) observeServer(i int) {
 	s := c.Servers[i]
 	h := c.hot
@@ -602,19 +573,73 @@ func (c *Controller) demandOf(n *topo.Node) float64 {
 // consumeAndHeat settles each server's consumed power against its
 // effective budget, accounts dropped demand, integrates temperature,
 // and refreshes the observed temperature from the sensor (sensing.go).
+// A parallel phase over rack-aligned shards (settleShard) settles every
+// server whose outcome touches only its own state; a sequential merge
+// phase then publishes events and folds statistics in server order,
+// running consumeServer for every server the parallel phase deferred —
+// so the bits are the same for any shard count.
 func (c *Controller) consumeAndHeat() {
-	if len(c.shardPlan) > 1 && !c.sensorsArmed {
-		c.consumeAndHeatSharded()
-		return
-	}
-	for _, s := range c.Servers {
-		c.consumeServer(s)
+	c.forEachShard((*Controller).settleShard)
+	h := c.hot
+	for i, s := range c.Servers {
+		if c.deferred[i] {
+			c.consumeServer(s)
+			continue
+		}
+		if len(c.evBuf[i]) > 0 {
+			for _, e := range c.evBuf[i] {
+				c.publish(e)
+			}
+			c.evBuf[i] = c.evBuf[i][:0]
+		}
+		if h.asleep[i] {
+			continue
+		}
+		// The rest of consumeServer for a server served in full. Dropped
+		// is exactly zero, so the shed-demand accumulator is untouched —
+		// adding zero is the identity.
+		c.recordFullService(s)
+		if h.degraded[i] {
+			c.Stats.DegradedTicks++
+		}
 	}
 }
 
-// consumeServer is the sequential per-server consume/heat body — the
-// seed's semantics, kept for instrumented fleets and the single-shard
-// path.
+// settleShard is consumeAndHeat's parallel phase over servers [lo, hi).
+// It settles a server that carries no sensor or estimator and is either
+// asleep or served in full — consumption, thermal integration and TObs,
+// with its throttle event buffered for the merge phase. Every other
+// server is deferred to the merge phase: sensing and QoS shedding
+// publish events and accumulate shared counters.
+func (c *Controller) settleShard(lo, hi int) {
+	h := c.hot
+	window, dt := c.Cfg.ThermalWindow, c.Cfg.ThermalDt
+	for i := lo; i < hi; i++ {
+		s := c.Servers[i]
+		c.deferred[i] = true
+		if s.sensor != nil || s.est != nil {
+			continue
+		}
+		consumed := 0.0
+		if !h.asleep[i] {
+			eff := s.EffectiveBudget(window)
+			if h.rawDemand[i] > eff {
+				continue
+			}
+			if c.throttled(s, eff) {
+				c.evBuf[i] = append(c.evBuf[i], c.throttleEvent(s, eff))
+			}
+			consumed = h.rawDemand[i]
+		}
+		h.consumed[i] = consumed
+		h.dropped[i] = 0
+		s.Thermal.Advance(consumed, dt)
+		c.sense(s, consumed)
+		c.deferred[i] = false
+	}
+}
+
+// consumeServer is the sequential per-server consume/heat body.
 func (c *Controller) consumeServer(s *Server) {
 	h, i := c.hot, s.idx
 	if h.asleep[i] {
@@ -625,18 +650,8 @@ func (c *Controller) consumeServer(s *Server) {
 		return
 	}
 	eff := s.EffectiveBudget(c.Cfg.ThermalWindow)
-	if c.Sink != nil && eff < h.tp[i]-tolerance {
-		// The hard constraint clamped the granted budget; report it
-		// as a thermal throttle when Eq. 3 — computed, like every
-		// control decision, from the observed temperature — is the
-		// binding limit (rather than the circuit or rated-peak cap).
-		if h.thermLim[i] <= eff+tolerance {
-			c.publish(telemetry.Event{
-				Tick: c.tick, Kind: telemetry.KindThermalThrottle,
-				Server: s.Node.ServerIndex,
-				Watts:  eff, Prev: h.tp[i], Demand: h.rawDemand[i],
-			})
-		}
+	if c.throttled(s, eff) {
+		c.publish(c.throttleEvent(s, eff))
 	}
 	consumed := c.settleQoS(s, eff)
 	h.consumed[i] = consumed
@@ -653,91 +668,24 @@ func (c *Controller) consumeServer(s *Server) {
 	c.sense(s, consumed)
 }
 
-// consumeAndHeatSharded is the fleet-scale consume/heat path: a parallel
-// phase computes every per-server outcome (consumption, thermal
-// integration, deferred events) over rack-aligned shards, then a
-// sequential merge phase folds statistics and publishes events in
-// server order — so the bits match the sequential path exactly for any
-// shard count. Servers whose demand exceeds their budget (the QoS slow
-// path, which publishes and accumulates globally) are deferred entirely
-// to the merge phase.
-func (c *Controller) consumeAndHeatSharded() {
-	h := c.hot
-	window, dt := c.Cfg.ThermalWindow, c.Cfg.ThermalDt
-	t, sink := c.tick, c.Sink != nil
-	c.forEachShard(func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			s := c.Servers[i]
-			c.needSlow[i] = false
-			if h.asleep[i] {
-				h.consumed[i] = 0
-				h.dropped[i] = 0
-				s.Thermal.Advance(0, dt)
-				if v := s.Thermal.T; isFinite(v) {
-					s.setTObs(v)
-				}
-				continue
-			}
-			eff := s.EffectiveBudget(window)
-			if sink && eff < h.tp[i]-tolerance && h.thermLim[i] <= eff+tolerance {
-				c.evBuf[i] = append(c.evBuf[i], telemetry.Event{
-					Tick: t, Kind: telemetry.KindThermalThrottle,
-					Server: s.Node.ServerIndex,
-					Watts:  eff, Prev: h.tp[i], Demand: h.rawDemand[i],
-				})
-			}
-			if h.rawDemand[i] <= eff {
-				// QoS fast path: every app is served in full.
-				h.consumed[i] = h.rawDemand[i]
-				h.dropped[i] = 0
-				s.Thermal.Advance(h.rawDemand[i], dt)
-				if v := s.Thermal.T; isFinite(v) {
-					s.setTObs(v)
-				}
-			} else {
-				c.needSlow[i] = true
-				c.effBuf[i] = eff
-			}
-		}
-	})
-	for i, s := range c.Servers {
-		if len(c.evBuf[i]) > 0 {
-			for _, e := range c.evBuf[i] {
-				c.publish(e)
-			}
-			c.evBuf[i] = c.evBuf[i][:0]
-		}
-		if h.asleep[i] {
-			continue
-		}
-		if c.needSlow[i] {
-			consumed := c.settleQoS(s, c.effBuf[i])
-			h.consumed[i] = consumed
-			dropped := h.rawDemand[i] - consumed
-			if dropped < 0 {
-				dropped = 0
-			}
-			h.dropped[i] = dropped
-			c.Stats.DroppedWattTicks += dropped
-			if h.degraded[i] {
-				c.Stats.DegradedTicks++
-			}
-			s.Thermal.Advance(consumed, dt)
-			if v := s.Thermal.T; isFinite(v) {
-				s.setTObs(v)
-			}
-			continue
-		}
-		// Fast-path bookkeeping (the body of settleQoS's served-in-full
-		// branch). Dropped is exactly zero, so the shed-demand
-		// accumulator is untouched — adding zero is the identity.
-		for _, a := range s.Apps.Apps {
-			c.recordService(a.Priority, a.LastDemand, a.LastDemand)
-			c.recordClassService(a.ID, a.LastDemand)
-		}
-		if h.degraded[i] {
-			c.Stats.DegradedTicks++
-		}
+// throttled reports whether an awake server settling at effective
+// budget eff publishes a thermal throttle: a sink is attached, the hard
+// constraint clamped the granted budget, and Eq. 3 — computed, like
+// every control decision, from the observed temperature — is the
+// binding limit (rather than the circuit or rated-peak cap). It reads
+// only the server's own state.
+func (c *Controller) throttled(s *Server, eff float64) bool {
+	h, i := c.hot, s.idx
+	return c.Sink != nil && eff < h.tp[i]-tolerance && h.thermLim[i] <= eff+tolerance
+}
+
+// throttleEvent is the event a throttled server publishes.
+func (c *Controller) throttleEvent(s *Server, eff float64) telemetry.Event {
+	h, i := c.hot, s.idx
+	return telemetry.Event{
+		Tick: c.tick, Kind: telemetry.KindThermalThrottle,
+		Server: s.Node.ServerIndex,
+		Watts:  eff, Prev: h.tp[i], Demand: h.rawDemand[i],
 	}
 }
 

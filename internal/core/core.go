@@ -157,11 +157,6 @@ type Config struct {
 	// and every cross-server accumulation runs sequentially in server
 	// order. 0 or 1 runs the tick single-threaded.
 	Shards int
-	// FullAggregation disables the incremental dirty-subtree demand
-	// aggregation and re-sums the whole PMU tree every tick — the
-	// paper's naive per-Δ_D full recompute, kept as the testing oracle
-	// (and perf baseline) for the incremental path.
-	FullAggregation bool
 	// Policy plugs an alternative controller into the three control
 	// seams (see the Policy interface in policy.go). nil — the default
 	// — runs the paper's built-in proportional scheme bit for bit, as

@@ -36,8 +36,10 @@ import (
 // deeper descendants stay fresh under local, autonomous control.
 //
 // With BudgetLeaseTicks, BudgetLatency and BudgetLoss all zero and no
-// PMU failed, none of this code runs: allocation takes the synchronous
-// path in allocate.go, byte-identical to the fail-free control plane.
+// PMU failed, the one allocation pass (allocateResilient, allocate.go)
+// runs with its lease bookkeeping off: every directive is delivered
+// directly, no lease is written or aged, and the division is the
+// paper's fail-free one.
 
 // budgetMsg is one downward budget directive in flight.
 type budgetMsg struct {
@@ -87,10 +89,20 @@ func (c *Controller) budgetPipeFor(n *topo.Node) *budgetPipe {
 
 // SetLinkLoss adjusts the per-link control-plane loss probabilities at
 // runtime — the chaos engine's link-loss windows drive it. Values are
-// clamped into [0, 1).
+// clamped into [0, 1). It is the only runtime switch from asynchronous
+// back to synchronous reporting. When it turns the report pipes off,
+// every PMU is marked dirty, because the PMU CPs hold pipe-derived
+// values the dirty bits know nothing about, and the pipes are dropped,
+// as RepairPMU drops its span's: the next window re-primes them from
+// current demand instead of replaying the values this one left behind.
 func (c *Controller) SetLinkLoss(report, budget float64) {
+	async := c.asyncEnabled()
 	c.Cfg.ReportLoss = clampLoss(report)
 	c.Cfg.BudgetLoss = clampLoss(budget)
+	if async && !c.asyncEnabled() {
+		clear(c.pipes)
+		c.markAllDirty()
+	}
 }
 
 func clampLoss(v float64) float64 {
@@ -103,9 +115,10 @@ func clampLoss(v float64) float64 {
 	return v
 }
 
-// resilienceEnabled reports whether the resilient allocation path must
-// run. False means the fail-free synchronous path, byte-identical to
-// the pre-lease controller.
+// resilienceEnabled reports whether supply windows run allocateResilient
+// with its lease bookkeeping on. False keeps every lease field unwritten
+// on a fail-free control plane — which is observable: the integral
+// policy's anti-windup floor (LeaseFloor) reads lastParentTP.
 func (c *Controller) resilienceEnabled() bool {
 	return c.Cfg.BudgetLeaseTicks > 0 || c.Cfg.BudgetLatency > 0 ||
 		c.Cfg.BudgetLoss > 0 || c.failedPMUCount > 0
@@ -135,165 +148,6 @@ func (c *Controller) reachLimit(n *topo.Node) int {
 		limit = a.Level
 	}
 	return limit
-}
-
-// allocateSupplyWindow is the Δ_S-cadence entry point called from Step.
-// The mid-tick re-derivations (drain-to-sleep, consolidation) go through
-// allocateSupply instead: they refresh budgets synchronously within the
-// live span without advancing pipes, drawing loss, or aging leases.
-func (c *Controller) allocateSupplyWindow(t int) {
-	if !c.resilienceEnabled() {
-		c.allocateSupply(t)
-		return
-	}
-	c.allocateResilient(t, true)
-}
-
-// allocateResilient divides budget down the live portion of the tree.
-// window marks a real supply window (Δ_S): only then do directives pass
-// through the budget pipes, draw loss, refresh leases and age/decay the
-// nodes that heard nothing. Mid-tick re-derivations (window = false)
-// deliver directly and leave all lease state untouched.
-//
-// The pass runs in three stages, top-down:
-//
-//  1. If the root is alive it takes the fresh supply and recurses
-//     through alive PMUs, delivering leases along the way.
-//  2. Alive internal nodes that heard nothing this window — parent dead,
-//     or their directive lost or still in a pipe — age their lease
-//     (entering degraded mode and decaying toward their floor when it
-//     expires) and then allocate their held budget to their children
-//     autonomously. Levels are visited root-down so an autonomous
-//     node's own directives land before its children are examined.
-//  3. Awake servers that heard nothing age their leases the same way.
-func (c *Controller) allocateResilient(t int, window bool) {
-	if len(c.delivered) < len(c.Tree.Nodes) {
-		c.delivered = make([]bool, len(c.Tree.Nodes))
-	} else {
-		clear(c.delivered)
-	}
-	c.sumSubtrees()
-
-	root := c.Tree.Root
-	if !c.failedPMU[root.ID] {
-		id := root.ID
-		total := c.Supply.At(t / c.Cfg.Eta1)
-		prev := c.pmuTP[id]
-		c.pmuReduced[id] = c.isReduced(total, prev, c.pmuCP[id])
-		c.pmuTP[id] = total
-		if window {
-			// The root draws straight from the supply feed; its lease is
-			// perpetually fresh and it can never be degraded.
-			c.pmuLeaseTick[id] = t
-			c.clearPMUDegraded(root, t)
-		}
-		c.delivered[id] = true
-		if c.Sink != nil {
-			c.publish(telemetry.Event{
-				Tick: t, Kind: telemetry.KindBudgetChange,
-				Node: id, Level: root.Level,
-				Watts: total, Prev: prev, Demand: c.pmuCP[id],
-				Reduced: c.pmuReduced[id],
-			})
-		}
-		c.allocateNodeR(root, total, t, window)
-	}
-
-	for level := c.Tree.Height; level >= 1; level-- {
-		for _, n := range c.levels[level] {
-			if c.delivered[n.ID] || c.failedPMU[n.ID] {
-				continue
-			}
-			if window {
-				c.agePMULease(n, t)
-			}
-			c.allocateNodeR(n, c.pmuTP[n.ID], t, window)
-		}
-	}
-
-	for _, s := range c.Servers {
-		if c.delivered[s.Node.ID] || s.Asleep() {
-			continue
-		}
-		if window {
-			c.ageServerLease(s, t)
-		}
-	}
-}
-
-// allocateNodeR computes node's child allocations (identically to the
-// synchronous path) and delivers them as leases.
-func (c *Controller) allocateNodeR(node *topo.Node, budget float64, t int, window bool) {
-	if node.IsLeaf() {
-		return
-	}
-	alloc := c.computeChildAllocations(node, budget)
-	parentTP := c.pmuTP[node.ID]
-	for i, ch := range node.Children {
-		c.deliverBudget(ch, alloc[i], parentTP, t, window)
-	}
-}
-
-// deliverBudget sends one downward budget directive over the link to ch,
-// through the budget pipe (latency, loss) on real supply windows. A
-// delivered directive applies the budget, refreshes the child's lease
-// and clears degradation; an undelivered one leaves the child to the
-// autonomous pass. Directives to dead PMUs go nowhere.
-func (c *Controller) deliverBudget(ch *topo.Node, v, parentTP float64, t int, window bool) {
-	if !ch.IsLeaf() && c.failedPMU[ch.ID] {
-		return // a dead PMU hears nothing; its span rides its leases
-	}
-	c.countDown(ch)
-	msg := budgetMsg{tp: v, parentTP: parentTP, ok: true}
-	if window && (c.Cfg.BudgetLatency > 0 || c.Cfg.BudgetLoss > 0) {
-		if c.Cfg.BudgetLoss > 0 && c.src.Float64() < c.Cfg.BudgetLoss {
-			msg.ok = false
-		}
-		msg = c.budgetPipeFor(ch).push(msg)
-	}
-	if !msg.ok {
-		return // lost in transit: the child's lease ages
-	}
-	c.delivered[ch.ID] = true
-
-	if ch.IsLeaf() {
-		s := c.Servers[ch.ServerIndex]
-		prev := s.TP()
-		s.reduced = c.isReduced(msg.tp, prev, s.CP())
-		s.setTP(msg.tp)
-		if window {
-			s.leaseTick = t
-			s.lastParentTP = msg.parentTP
-			c.clearServerDegraded(s, t)
-		}
-		if c.Sink != nil {
-			c.publish(telemetry.Event{
-				Tick: t, Kind: telemetry.KindBudgetChange,
-				Node: ch.ID, Level: ch.Level, Server: ch.ServerIndex,
-				Watts: msg.tp, Prev: prev, Demand: s.CP(),
-				Reduced: s.reduced,
-			})
-		}
-		return
-	}
-	id := ch.ID
-	prev := c.pmuTP[id]
-	c.pmuReduced[id] = c.isReduced(msg.tp, prev, c.pmuCP[id])
-	c.pmuTP[id] = msg.tp
-	if window {
-		c.pmuLeaseTick[id] = t
-		c.pmuLastParentTP[id] = msg.parentTP
-		c.clearPMUDegraded(ch, t)
-	}
-	if c.Sink != nil {
-		c.publish(telemetry.Event{
-			Tick: t, Kind: telemetry.KindBudgetChange,
-			Node: id, Level: ch.Level,
-			Watts: msg.tp, Prev: prev, Demand: c.pmuCP[id],
-			Reduced: c.pmuReduced[id],
-		})
-	}
-	c.allocateNodeR(ch, msg.tp, t, window)
 }
 
 // ageServerLease checks an undelivered server's lease at a supply window

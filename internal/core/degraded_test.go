@@ -22,11 +22,12 @@ func leaseScenario(t *testing.T, cfg Config) *Controller {
 	return buildController(t, []int{2}, specs, power.Constant(300), cfg)
 }
 
-// TestResilientPathMatchesSynchronous: with leases armed but never
-// expiring (and no latency, loss, or failures) the resilient allocation
-// path must publish the exact event stream of the synchronous one — the
-// arithmetic is shared (computeChildAllocations), only the delivery
-// bookkeeping differs.
+// TestResilientPathMatchesSynchronous pins that lease bookkeeping alone
+// is invisible: with a lease armed but never expiring (and no latency,
+// loss, or failures) the allocation pass runs with its bookkeeping on —
+// writing lease ticks and parent budgets every supply window — and must
+// publish the exact event stream of the lease-free run, whose
+// bookkeeping is off.
 func TestResilientPathMatchesSynchronous(t *testing.T) {
 	run := func(lease int) []telemetry.Event {
 		cfg := quietCfg()
@@ -38,8 +39,8 @@ func TestResilientPathMatchesSynchronous(t *testing.T) {
 		c.Run(60)
 		return buf.Events
 	}
-	sync := run(0)      // resilience disabled: legacy path
-	res := run(1 << 20) // resilient path, lease never expires
+	sync := run(0)      // lease bookkeeping off
+	res := run(1 << 20) // bookkeeping on, lease never expires
 	if len(sync) == 0 {
 		t.Fatal("no events")
 	}

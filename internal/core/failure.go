@@ -234,7 +234,7 @@ func (c *Controller) RepairPMU(nodeID int) {
 	c.failedPMUCount--
 	c.recountLiveUpLinks()
 	// The repaired PMU's aggregate froze at failure time; force it to
-	// re-sum at the next synchronous aggregation (ancestors follow via
+	// re-sum at the next aggregation (ancestors follow via
 	// normal dirty propagation if the sum actually changed).
 	c.hot.dirty[nodeID] = true
 	c.Stats.PMURepairs++

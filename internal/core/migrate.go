@@ -391,7 +391,7 @@ func (c *Controller) drainToSleep(unplaced []item, t int) []item {
 	if len(drained) == 0 {
 		return unplaced
 	}
-	c.allocateSupply(t) // re-derive budgets with the freed static power
+	c.allocateResilient(t, false) // re-derive budgets with the freed static power
 
 	// The original unplaced items may now fit: retry against fresh
 	// budget surpluses.

@@ -29,6 +29,15 @@ type appService struct {
 	served   float64
 }
 
+// recordFullService books every application of s as served in full
+// this window — settleQoS's fast path.
+func (c *Controller) recordFullService(s *Server) {
+	for _, a := range s.Apps.Apps {
+		c.recordService(a.Priority, a.LastDemand, a.LastDemand)
+		c.recordClassService(a.ID, a.LastDemand)
+	}
+}
+
 // settleQoS divides the effective budget over the server's demand,
 // shedding lowest-priority applications first. It returns the power
 // consumed and records per-priority accounting into the controller
@@ -37,10 +46,7 @@ func (c *Controller) settleQoS(s *Server, eff float64) float64 {
 	// Fast path: everything fits.
 	raw := s.RawDemand()
 	if raw <= eff {
-		for _, a := range s.Apps.Apps {
-			c.recordService(a.Priority, a.LastDemand, a.LastDemand)
-			c.recordClassService(a.ID, a.LastDemand)
-		}
+		c.recordFullService(s)
 		return raw
 	}
 

@@ -1,10 +1,11 @@
 package core
 
-// Per-node scratch buffers for the supply allocation. allocateNode needs
-// several float slices sized to the node's child count on every supply
-// epoch; since the tree shape is fixed at construction, each internal
-// node gets its buffers once and the hot path allocates nothing. The
-// controller is single-threaded by design, so reuse is safe.
+// Per-node scratch buffers for the supply allocation. Dividing a node's
+// budget (computeChildAllocations) needs several float slices sized to
+// the node's child count on every pass; since the tree shape is fixed at
+// construction, each internal node gets its buffers once and the hot
+// path allocates nothing. The allocation pass is sequential, so reuse is
+// safe.
 type allocScratch struct {
 	demands, caps, floors, wants, alloc, head, extra []float64
 	active                                           []bool

@@ -95,7 +95,6 @@ func (e *estimator) median() float64 {
 // the harness gives each a private random stream (cluster.Run).
 func (c *Controller) AttachSensor(idx int, sn *sensor.Sensor) {
 	c.Servers[idx].sensor = sn
-	c.sensorsArmed = true
 }
 
 // SetSensorFault arms a fault on server idx's sensor (attaching a
@@ -105,7 +104,6 @@ func (c *Controller) SetSensorFault(idx int, f sensor.Fault) {
 	if s.sensor == nil {
 		s.sensor = sensor.New(nil)
 	}
-	c.sensorsArmed = true
 	s.sensor.Set(f, c.tick)
 	c.Stats.SensorFaults++
 	if c.Sink != nil {

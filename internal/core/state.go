@@ -55,8 +55,8 @@ type fleetHot struct {
 	settled []bool
 
 	// dirty is indexed by tree node ID: a PMU marked dirty must re-sum
-	// its direct children at the next synchronous aggregation. Leaf
-	// slots are unused.
+	// its direct children at the next aggregation. Leaf slots are
+	// unused.
 	dirty []bool
 
 	// pol mirrors Controller.pol for the throttle seam: refreshHardCap
@@ -205,10 +205,11 @@ func (s *Server) Index() int { return s.idx }
 
 // --- Incremental supply/demand aggregation ----------------------------
 
-// markAllDirty forces the next synchronous aggregation to re-sum every
-// PMU — used at construction and when the control plane switches from
-// asynchronous back to synchronous reporting (the PMU CPs then hold
-// pipe-derived values the dirty bits know nothing about).
+// markAllDirty forces the next aggregation to re-sum every live PMU —
+// the paper's per-Δ_D full recompute, which the incremental pass must
+// match bit for bit. Used at construction and when a loss window closes
+// and reporting turns synchronous again (SetLinkLoss): the PMU CPs then
+// hold pipe-derived values the dirty bits know nothing about.
 func (c *Controller) markAllDirty() {
 	for _, n := range c.Tree.Nodes {
 		if !n.IsLeaf() {
@@ -217,28 +218,33 @@ func (c *Controller) markAllDirty() {
 	}
 }
 
-// aggregate recomputes PMU subtree demands bottom-up, visiting only
-// PMUs whose direct children changed since the last pass (dirty-subtree
-// propagation). A dirty PMU re-sums all its children in child order from
-// zero, so the bits match aggregateFull exactly; the full recompute is
-// kept as the testing oracle behind Config.FullAggregation. A dead PMU
-// is skipped and stays dirty, freezing its CP until repair — the same
-// "act on the previous value" semantics as the full pass.
+// aggregate recomputes PMU subtree demands bottom-up, level by level. A
+// visited PMU re-sums all its children in child order from zero, so an
+// incremental pass and a full recompute agree to the bit. Under
+// synchronous reporting only PMUs whose direct children changed since
+// the last pass are visited (dirty-subtree propagation), each child read
+// directly — a prompt link is the no-pipe case. Under the asynchronous
+// control plane every live PMU is visited and each child's report comes
+// through its link pipe (pushReport, async.go), drawing loss in that
+// same order. A dead PMU is skipped and stays dirty: its CP freezes
+// until repair and its parent keeps acting on that frozen view, the same
+// "act on the previous value" semantics as a lost report.
 func (c *Controller) aggregate() {
-	if c.Cfg.FullAggregation {
-		c.aggregateFull()
-		return
-	}
+	async := c.asyncEnabled()
 	dirty := c.hot.dirty
 	for level := 1; level <= c.Tree.Height; level++ {
 		for _, n := range c.levels[level] {
-			if !dirty[n.ID] || c.failedPMU[n.ID] {
+			if c.failedPMU[n.ID] || !(async || dirty[n.ID]) {
 				continue
 			}
 			dirty[n.ID] = false
 			sum := 0.0
 			for _, child := range n.Children {
-				sum += c.demandOf(child)
+				if async {
+					sum += c.pushReport(child)
+				} else {
+					sum += c.demandOf(child)
+				}
 			}
 			if sum != c.pmuCP[n.ID] {
 				c.pmuCP[n.ID] = sum
@@ -250,53 +256,20 @@ func (c *Controller) aggregate() {
 	}
 }
 
-// aggregateFull is the naive oracle: every live PMU re-sums its children
-// every tick, exactly the paper's per-Δ_D full-tree aggregation.
-func (c *Controller) aggregateFull() {
-	dirty := c.hot.dirty
-	for level := 1; level <= c.Tree.Height; level++ {
-		for _, n := range c.levels[level] {
-			if c.failedPMU[n.ID] {
-				continue
-			}
-			dirty[n.ID] = false
-			sum := 0.0
-			for _, child := range n.Children {
-				sum += c.demandOf(child)
-			}
-			c.pmuCP[n.ID] = sum
-		}
-	}
-}
-
 // --- Link-message accounting ------------------------------------------
 
 // The paper's Property 3 bounds control traffic at two messages per link
 // per Δ_D. The seed tracked it with two per-tick maps keyed by child
 // node ID; at fleet scale the maps were most of the aggregation cost, so
-// they become tick-stamped arrays plus counters. In synchronous mode the
-// upward report count is purely structural — every live parent hears
-// every live child, every tick — so it is a cached integer recounted
-// only when a PMU fails or repairs.
-
-// countUp records an upward report on the link between n and its parent
-// (asynchronous reporting path; the synchronous path counts reports
-// analytically via liveUpLinks).
-func (c *Controller) countUp(n *topo.Node) {
-	if n.Parent == nil {
-		return
-	}
-	if c.upStamp[n.ID] != c.stamp {
-		c.upStamp[n.ID] = c.stamp
-		c.tickUp++
-		if c.downStamp[n.ID] == c.stamp {
-			c.bothDir = true
-		}
-	}
-}
+// they become tick-stamped arrays plus counters. The upward report count
+// is purely structural in both reporting modes — every live parent hears
+// from every live child, every tick, whether the report arrives promptly
+// or through a pipe — so it is a cached integer recounted only when a
+// PMU fails or repairs.
 
 // countDown records a downward directive on the link between n and its
-// parent. Directives within a tick batch into a single message.
+// parent. Directives within a tick batch into a single message; a link
+// that also carries this tick's upward report carries both directions.
 func (c *Controller) countDown(n *topo.Node) {
 	if n.Parent == nil {
 		return
@@ -304,20 +277,20 @@ func (c *Controller) countDown(n *topo.Node) {
 	if c.downStamp[n.ID] != c.stamp {
 		c.downStamp[n.ID] = c.stamp
 		c.tickDown++
-		if c.upStamp[n.ID] == c.stamp || (!c.asyncEnabled() && c.upLinkLive(n)) {
+		if c.upLinkLive(n) {
 			c.bothDir = true
 		}
 	}
 }
 
 // upLinkLive reports whether the link from n to its parent carries an
-// upward report in synchronous mode this tick: the parent must be alive
-// and the child must be a server or a live PMU.
+// upward report this tick: the parent must be alive and the child must
+// be a server or a live PMU.
 func (c *Controller) upLinkLive(n *topo.Node) bool {
 	return !c.failedPMU[n.Parent.ID] && (n.IsLeaf() || !c.failedPMU[n.ID])
 }
 
-// recountLiveUpLinks recaches the synchronous-mode upward report count.
+// recountLiveUpLinks recaches the per-tick upward report count.
 // Called at construction and on every PMU failure/repair.
 func (c *Controller) recountLiveUpLinks() {
 	count := 0
@@ -419,18 +392,20 @@ func planShards(tree *topo.Tree, shards, servers int) []shardRange {
 	return out
 }
 
-// forEachShard runs fn over every shard range, in parallel on a bounded
-// worker pool when more than one shard is planned, inline otherwise. fn
-// must only touch per-server state within its range (plus per-server
-// slots of shared slabs) — the race detector enforces this in the
-// shard-invariance tests.
-func (c *Controller) forEachShard(fn func(lo, hi int)) {
+// forEachShard runs phase over every shard range, in parallel on a
+// bounded worker pool when more than one shard is planned, inline
+// otherwise. phase is a method expression such as
+// (*Controller).observeShard, so the single-shard path allocates no
+// closure. It must only touch per-server state within its range (plus
+// per-server slots of shared slabs) — the race detector enforces this in
+// the shard-invariance tests.
+func (c *Controller) forEachShard(phase func(c *Controller, lo, hi int)) {
 	if len(c.shardPlan) == 1 {
-		fn(c.shardPlan[0].lo, c.shardPlan[0].hi)
+		phase(c, c.shardPlan[0].lo, c.shardPlan[0].hi)
 		return
 	}
 	_ = parallel.ForEach(context.Background(), len(c.shardPlan), len(c.shardPlan), func(_ context.Context, i int) error {
-		fn(c.shardPlan[i].lo, c.shardPlan[i].hi)
+		phase(c, c.shardPlan[i].lo, c.shardPlan[i].hi)
 		return nil
 	})
 }

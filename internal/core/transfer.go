@@ -110,7 +110,7 @@ func (c *Controller) completeTransfers(t int) {
 		slept = true
 	}
 	if slept {
-		c.allocateSupply(t) // the freed static floors re-derive budgets
+		c.allocateResilient(t, false) // the freed static floors re-derive budgets
 	}
 }
 
