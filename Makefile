@@ -46,11 +46,13 @@ race:
 # seeded points mid-run and requires recovery to be byte-identical to
 # an uninterrupted run. failover-smoke promotes a hot standby through
 # seeded kill/partition cycles and a scripted live migration, again
-# requiring byte-identity with the unmoved run. bakeoff-smoke pins the
-# controller-policy seam: willow byte-identical to the default
-# controller, the bake-off table deterministic across worker counts
-# with the robust policies holding the true-temperature cap, and the
-# policy-dispatch benchmark through the allocation guard.
+# requiring byte-identity with the unmoved run; both drive the one
+# fault harness, cmd/willow-crash, in its crash, failover and migrate
+# modes. bakeoff-smoke pins the controller-policy seam: willow
+# byte-identical to the default controller, the bake-off table
+# deterministic across worker counts with the robust policies holding
+# the true-temperature cap, and the policy-dispatch benchmark through
+# the allocation guard.
 ci: build fmt vet test race perfbench-test bench-smoke scale-smoke chaos-smoke sensor-smoke serve-smoke obs-smoke crash-smoke failover-smoke bakeoff-smoke
 
 # The benchmark's helpers (perfbench/, its own module): window
@@ -129,25 +131,39 @@ obs-smoke:
 	$(GO) test -count=1 -run 'TestEnergyShardInvariance|TestExpositionRoundTrip|TestMetricsEndpoint|TestEfficiencyEndpoint|TestEnergySnapshotRestoreIdentity' ./internal/cluster ./internal/obs ./internal/server
 	./scripts/obs_smoke.sh
 
+# The process-level gates below run one race-instrumented fault
+# harness, cmd/willow-crash, against a race-instrumented willowd. A
+# failing case exits non-zero and prints its kept work directory.
+RACE_HARNESS = bin/race/willow-crash -willowd bin/race/willowd
+
 # Crash-safety gate: the WAL framing, torn-tail, and recovery pins
-# under -race (corrupt-input tables included), then the real harness —
-# a race-instrumented willowd SIGKILLed five times mid-run at seeded
-# points and restarted, with the final state, stats, journal, and
-# assembled event stream required byte-identical to an uninterrupted
-# replay of the same mutation history.
+# under -race (corrupt-input tables included), then the harness in
+# crash mode — willowd SIGKILLed five times mid-run at seeded points
+# and restarted, with the final state, stats, journal, and assembled
+# event stream required byte-identical to an uninterrupted replay of
+# the same mutation history. Both seeds ack 11 mutations; seed 1's mix
+# holds 2 live chaos injections and seed 4's holds 1, so chaos-mutation
+# recovery is always exercised.
 crash-smoke:
 	$(GO) test -race -count=1 -run 'TestWAL|TestRecover|TestAdmission|TestCorrupt' ./internal/server
-	./scripts/crash_smoke.sh
+	$(GO) build -race -o bin/race/ ./cmd/willowd ./cmd/willow-crash
+	$(RACE_HARNESS) -mode crash -cycles 5 -seed 1
+	$(RACE_HARNESS) -mode crash -cycles 5 -seed 4
 
 # Hot-standby gate: the replication, promotion, drain-ordering, and
-# Retry-After contract pins under -race, then the real harness — a
-# race-instrumented primary killed at seeded ticks across repeated
-# promote cycles while the replication link is partitioned and stalled,
-# plus a scripted live migration; both must reproduce the uninterrupted
-# run byte for byte.
+# Retry-After contract pins under -race, then the harness in failover
+# mode — a primary killed at seeded ticks across three promote cycles
+# while the replication link is partitioned and stalled (seed 2 runs
+# five disruption rounds per cycle) — and in migrate mode, a scripted
+# live migration; each must reproduce the uninterrupted run byte for
+# byte. Seed 1 acks 8 mutations, none a chaos injection; seed 2 acks 7
+# with 1 chaos injection, and the migration 5 with 1.
 failover-smoke:
 	$(GO) test -race -count=1 -run 'TestReplicat|TestFollower|TestPromote|TestMigration|TestDrain|TestRetryAfter|TestEventsFrom|TestEventRing' ./internal/server
-	./scripts/failover_smoke.sh
+	$(GO) build -race -o bin/race/ ./cmd/willowd ./cmd/willow-crash
+	$(RACE_HARNESS) -mode failover -cycles 3 -seed 1
+	$(RACE_HARNESS) -mode failover -cycles 3 -seed 2 -disruptions 5
+	$(RACE_HARNESS) -mode migrate -seed 3
 
 # Policy gate: the willow byte-identity pin and shard invariance of the
 # stateful policies at 1k-server scale, the bake-off smoke (robust
@@ -192,3 +208,4 @@ examples:
 
 clean:
 	rm -f cover.out test_output.txt bench_output.txt bench_smoke.txt scale_smoke.txt bakeoff_smoke.txt
+	rm -rf bin/race

@@ -1,31 +1,45 @@
-// Command willow-crash is the seeded crash-injection harness behind the
-// WAL's durability claim. It boots a real willowd with a write-ahead
-// journal armed, injects a seeded schedule of live mutations over the
-// API, and SIGKILLs the daemon at seeded points mid-run — then restarts
-// it and lets recovery replay the journal. After N kill/restart cycles
-// the final incarnation runs the simulation to completion, and the
-// harness asserts the crashed run is byte-identical to a run that never
-// died:
+// Command willow-crash is the seeded process-level fault harness behind
+// willowd's durability and failover claims. It boots real willowd
+// processes with write-ahead journals armed, injects a seeded schedule
+// of live mutations over the API, and interrupts the run in one of
+// three ways (-mode):
 //
-//   - /v1/state of the final incarnation matches the state an
-//     uninterrupted replay (server.Replay) of the same mutation history
-//     computes, byte for byte;
+//   - crash: SIGKILL the daemon at seeded ticks and restart it on the
+//     same WAL, letting recovery replay the journal;
+//   - failover: boot a hot-standby follower whose replication link runs
+//     through an in-process TCP disruption proxy, partition and stall
+//     that link on a seeded schedule, SIGKILL the primary the instant
+//     the follower has caught up, and promote the follower — which is
+//     the primary of the next cycle;
+//   - migrate: a scripted live migration (server.RunMigration) mid-run,
+//     with mutations on both sides of the cutover.
+//
+// The surviving daemon then completes the run, and the harness asserts
+// the interrupted run is byte-identical to one that never was:
+//
+//   - /v1/state matches the state an uninterrupted replay
+//     (server.Replay) of the same mutation history computes, byte for
+//     byte;
 //   - /v1/stats matches too, with only wall-clock and subscriber
 //     bookkeeping (uptime, hub counters) excluded;
 //   - the snapshot journal equals exactly the mutations the harness got
 //     acks for — nothing acknowledged was lost, nothing extra appeared;
 //   - the telemetry event stream, assembled from each incarnation's
-//     surviving file fragment, is byte-identical to the stream the
-//     uninterrupted replay publishes.
+//     event file cut at its successor's resume boundary, is
+//     byte-identical to the stream the uninterrupted replay publishes.
 //
-// The kill protocol matters: the harness only SIGKILLs while no mutation
-// is in flight (every POST has been acknowledged), so the WAL must hold
-// exactly the acknowledged set — killing mid-POST would leave the
+// The kill protocol matters: a daemon is only SIGKILLed while no
+// mutation is in flight (every POST has been acknowledged) and, in
+// failover mode, once every acknowledged mutation is durable on the
+// follower — so the surviving journal must hold exactly the
+// acknowledged set. Killing mid-POST would leave the
 // fsync'd-but-unacknowledged window legitimately ambiguous. Ticks, by
-// contrast, are killed mid-flight on purpose: they are deterministic and
-// recovery re-executes them bit for bit.
+// contrast, are killed mid-flight on purpose: they are deterministic
+// and the successor re-executes them bit for bit.
 //
-//	willow-crash -willowd ./bin/willowd -cycles 5 -seed 1
+//	willow-crash -willowd ./bin/willowd -mode crash -cycles 5 -seed 1
+//	willow-crash -willowd ./bin/willowd -mode failover -cycles 3 -seed 2 -disruptions 5
+//	willow-crash -willowd ./bin/willowd -mode migrate -seed 3
 package main
 
 import (
@@ -40,7 +54,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
-	"sort"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -60,36 +74,45 @@ func main() {
 func run() error {
 	var (
 		willowd = flag.String("willowd", "willowd", "path to the willowd binary under test")
-		cycles  = flag.Int("cycles", 5, "SIGKILL/restart cycles before the run completes")
-		seed    = flag.Uint64("seed", 1, "seed for the kill schedule and mutation mix")
+		mode    = flag.String("mode", "crash", "crash (SIGKILL/restart cycles), failover (kill/promote cycles) or migrate (scripted live cutover)")
+		cycles  = flag.Int("cycles", 3, "kill cycles before the run completes (crash and failover modes)")
+		seed    = flag.Uint64("seed", 1, "seed for the kill targets, mutation mix and disruption schedule")
 		ticks   = flag.Int("ticks", 400, "run length in ticks")
-		tick    = flag.Duration("tick", 2*time.Millisecond, "willowd tick pace (small: the harness kills mid-run)")
-		timeout = flag.Duration("timeout", 3*time.Minute, "overall harness deadline")
+		tick    = flag.Duration("tick", 5*time.Millisecond, "willowd tick pace (small: the harness kills mid-run)")
+		disrupt = flag.Int("disruptions", 3, "partition/stall rounds per cycle on the replication link (failover mode)")
+		timeout = flag.Duration("timeout", 4*time.Minute, "overall harness deadline")
 		dir     = flag.String("dir", "", "work directory (default: a fresh temp dir, removed on success)")
 		keep    = flag.Bool("keep", false, "keep the work directory even on success")
 	)
 	flag.Parse()
+	if *mode != "crash" && *mode != "failover" && *mode != "migrate" {
+		return fmt.Errorf("unknown -mode %q (want crash, failover or migrate)", *mode)
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 
 	workDir := *dir
+	var err error
 	if workDir == "" {
-		var err error
-		if workDir, err = os.MkdirTemp("", "willow-crash-"); err != nil {
-			return err
-		}
+		workDir, err = os.MkdirTemp("", "willow-crash-")
+	} else {
+		err = os.MkdirAll(workDir, 0o755)
+	}
+	if err != nil {
+		return err
 	}
 	h := &harness{
-		ctx:     ctx,
-		willowd: *willowd,
-		dir:     workDir,
-		ticks:   *ticks,
-		tick:    *tick,
-		seed:    *seed,
-		client:  &http.Client{Timeout: 10 * time.Second},
+		ctx:         ctx,
+		willowd:     *willowd,
+		dir:         workDir,
+		ticks:       *ticks,
+		tick:        *tick,
+		seed:        *seed,
+		disruptions: *disrupt,
+		client:      &http.Client{Timeout: 10 * time.Second},
 	}
-	err := h.run(*cycles)
+	err = h.run(*mode, *cycles)
 	if err == nil && !*keep && *dir == "" {
 		os.RemoveAll(workDir)
 	} else {
@@ -98,272 +121,390 @@ func run() error {
 	return err
 }
 
-// harness drives one crash-recovery experiment end to end.
+// harness drives one fault experiment end to end.
 type harness struct {
-	ctx     context.Context
-	willowd string
-	dir     string
-	ticks   int
-	tick    time.Duration
-	seed    uint64
-	client  *http.Client
+	ctx         context.Context
+	willowd     string
+	dir         string
+	ticks       int
+	tick        time.Duration
+	seed        uint64
+	disruptions int
+	client      *http.Client
 
-	base  string     // current incarnation's base URL
-	cmd   *exec.Cmd  // current incarnation's process
-	acked []ackedMut // every mutation acknowledged, in order
-	frags []frag     // per-incarnation event-stream fragments
+	procs []*proc           // every incarnation spawned, reaped by run
+	acked []server.Mutation // every mutation acknowledged, in order
+	frags []frag            // per-incarnation event-stream fragments
 }
 
-// ackedMut is one mutation the API acknowledged, with the tick the ack
-// reported — the boundary the WAL must prove it landed on.
-type ackedMut struct {
-	mut  server.Mutation
-	tick int
+// proc is one running willowd incarnation.
+type proc struct {
+	cmd    *exec.Cmd
+	base   string        // API base URL, set once the daemon serves
+	exited chan struct{} // closed once the process is reaped
 }
 
-// frag is one incarnation's event file plus the recovery boundary of the
-// incarnation that followed it: only events strictly before that
-// boundary are this fragment's contribution (later ticks re-executed
-// after the kill and republished). end < 0 means "contributes
-// everything" (the final, gracefully stopped incarnation).
+// kill SIGKILLs p (a no-op once it exited) and waits until it is reaped.
+func (p *proc) kill() {
+	p.cmd.Process.Kill()
+	<-p.exited
+}
+
+// stop SIGTERMs p and requires a clean exit: the graceful drain
+// flushes and closes its events file, so its fragment is complete.
+func (p *proc) stop() error {
+	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		return err
+	}
+	<-p.exited
+	if !p.cmd.ProcessState.Success() {
+		return fmt.Errorf("willowd %s", p.cmd.ProcessState)
+	}
+	return nil
+}
+
+// frag is one incarnation's event file plus the boundary its successor
+// resumed at: only events strictly before it are this fragment's
+// contribution (later ticks re-executed on the successor and were
+// republished there). end < 0 means "contributes everything" (the
+// final, gracefully stopped incarnation).
 type frag struct {
 	path string
 	end  int
 }
 
-func (h *harness) run(cycles int) error {
+// run draws the seeded schedule and drives mode over it. The streams
+// fork in a fixed order — kill targets, mutations, link disruptions —
+// so a seed draws the same schedule in every mode that uses a stream.
+func (h *harness) run(mode string, cycles int) error {
+	defer func() {
+		for _, p := range h.procs {
+			p.kill()
+		}
+	}()
 	src := dist.NewSource(h.seed)
-	killSrc := src.Fork()
-	mutSrc := src.Fork()
+	head := fmt.Sprintf("willow-crash: %s mode, seed %d, %d ticks @ %s", mode, h.seed, h.ticks, h.tick)
+	if mode == "migrate" {
+		fmt.Println(head)
+		return h.migrate(src.Fork())
+	}
+	targets, err := killTargets(src.Fork(), h.ticks, cycles)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("%s, kill targets %v\n", head, targets)
+	mutSrc, chaosSrc := src.Fork(), src.Fork()
+	if mode == "crash" {
+		return h.crash(targets, mutSrc)
+	}
+	return h.failover(targets, mutSrc, chaosSrc)
+}
 
-	// Kill targets: distinct, increasing ticks in the first ~60% of the
-	// run, leaving the tail for the final incarnation to finish cleanly.
-	lo, hi := h.ticks/20, h.ticks*3/5
-	if hi <= lo+cycles {
-		return fmt.Errorf("ticks=%d too short for %d kill cycles", h.ticks, cycles)
+// killTargets draws cycles distinct kill ticks, in increasing order,
+// from [ticks/20, ticks*3/5): the first ~60 % of the run, leaving the
+// tail for the final incarnation to finish cleanly. If wall-clock
+// overhead pushes a cycle past its target, the wait returns at once and
+// the cycle still runs — the byte-identity checks are tick-agnostic.
+func killTargets(src *dist.Source, ticks, cycles int) ([]int, error) {
+	lo, hi := ticks/20, ticks*3/5
+	if cycles < 0 || hi <= lo+cycles {
+		return nil, fmt.Errorf("ticks=%d too short for %d kill cycles", ticks, cycles)
 	}
 	targets := make([]int, 0, cycles)
-	seen := map[int]bool{}
 	for len(targets) < cycles {
-		t := lo + int(killSrc.Uint64()%uint64(hi-lo))
-		if !seen[t] {
-			seen[t] = true
+		if t := lo + int(src.Uint64()%uint64(hi-lo)); !slices.Contains(targets, t) {
 			targets = append(targets, t)
 		}
 	}
-	sort.Ints(targets)
+	slices.Sort(targets)
+	return targets, nil
+}
 
-	fmt.Printf("willow-crash: seed %d, %d ticks @ %s, kill targets %v\n", h.seed, h.ticks, h.tick, targets)
+// runArgs are the flags of a primary that defines the run. A
+// recovering or promoted incarnation takes the spec from its WAL.
+func (h *harness) runArgs(wal string) []string {
+	return []string{"-ticks", fmt.Sprint(h.ticks), "-seed", fmt.Sprint(h.seed), "-wal", filepath.Join(h.dir, wal)}
+}
 
-	for inc := 0; ; inc++ {
-		if err := h.start(inc); err != nil {
+// follow spawns incarnation inc as a hot standby tailing primaryURL
+// with its own WAL.
+func (h *harness) follow(inc int, primaryURL string) (*proc, error) {
+	return h.spawn(inc, "-follow", primaryURL,
+		"-seed", fmt.Sprint(h.seed+uint64(inc)), // distinct backoff jitter
+		"-wal", filepath.Join(h.dir, fmt.Sprintf("wal_%d.wal", inc)))
+}
+
+// crash SIGKILLs and restarts the daemon once per target on one WAL.
+func (h *harness) crash(targets []int, mutSrc *dist.Source) error {
+	args := h.runArgs("run.wal")
+	for inc, target := range targets {
+		p, err := h.spawn(inc, args...)
+		if err != nil {
 			return err
 		}
-		if inc >= cycles {
-			break // final incarnation: run to completion below
+		n, err := h.burst(p, target, mutSrc)
+		if err != nil {
+			return err
 		}
-		if err := h.driveAndKill(inc, targets[inc], mutSrc); err != nil {
-			h.cmd.Process.Kill()
-			h.cmd.Wait()
+		// All mutations acknowledged (hence fsync'd); SIGKILL mid-tick.
+		p.kill()
+		// Recovery resumes at the furthest boundary durable state
+		// proves: the last acknowledged mutation's tick (acks arrive
+		// in tick order, and each incarnation resumes at or after the
+		// last one's).
+		rec := h.acked[len(h.acked)-1].Tick
+		h.frags[inc].end = rec
+		fmt.Printf("cycle %d: killed at tick >= %d after %d mutations (recovery boundary %d)\n", inc, target, n, rec)
+	}
+	p, err := h.spawn(len(targets), args...)
+	if err != nil {
+		return err
+	}
+	return h.finish(p, fmt.Sprintf("%d kills", len(targets)))
+}
+
+// failover chains one kill/promote cycle per target.
+func (h *harness) failover(targets []int, mutSrc, chaosSrc *dist.Source) error {
+	pri, err := h.spawn(0, h.runArgs("wal_0.wal")...)
+	if err != nil {
+		return err
+	}
+	for c, target := range targets {
+		if pri, err = h.promoteCycle(c, pri, target, mutSrc, chaosSrc); err != nil {
 			return err
 		}
 	}
-	return h.finish(cycles)
+	return h.finish(pri, fmt.Sprintf("%d promote cycles", len(targets)))
 }
 
-// start boots incarnation inc of willowd and waits for its API. The
-// first incarnation defines the run; later ones recover it from the WAL
-// (their spec flags are ignored — the WAL is authoritative).
-func (h *harness) start(inc int) error {
-	portFile := filepath.Join(h.dir, "port")
-	os.Remove(portFile)
+// promoteCycle boots a standby behind a disruption proxy, injects a
+// burst on primary pri at target, disrupts the replication link, waits
+// for the standby to catch up to the acknowledged set through the
+// healed link, SIGKILLs pri at that exact moment and promotes the
+// standby, which it returns.
+func (h *harness) promoteCycle(c int, pri *proc, target int, mutSrc, chaosSrc *dist.Source) (*proc, error) {
+	px, err := newProxy(pri.base)
+	if err != nil {
+		return nil, err
+	}
+	defer px.close()
+	fol, err := h.follow(c+1, px.url())
+	if err != nil {
+		return nil, err
+	}
+	n, err := h.burst(pri, target, mutSrc)
+	if err != nil {
+		return nil, err
+	}
+	// The follower must retry, resume from its durable cursor, and
+	// survive server-side overflow disconnects.
+	px.disrupt(h.ctx, h.disruptions, chaosSrc)
+	want := len(h.acked)
+	if err := h.await(fol, fmt.Sprintf("catch-up to %d records", want), func(hv server.HealthView) bool {
+		return hv.Replication != nil && hv.Replication.Records >= want
+	}); err != nil {
+		return nil, err
+	}
+	pri.kill()
+	var pr struct {
+		Tick    int `json:"tick"`
+		Records int `json:"records"`
+	}
+	if _, err := h.call(http.MethodPost, fol.base+"/v1/promote", nil, &pr); err != nil {
+		return nil, err
+	}
+	if pr.Records != want {
+		return nil, fmt.Errorf("cycle %d: promoted with %d records, harness acked %d", c, pr.Records, want)
+	}
+	h.frags[c].end = pr.Tick
+	fmt.Printf("cycle %d: killed primary at tick >= %d after %d mutations; follower promoted at tick %d (%d records)\n",
+		c, target, n, pr.Tick, pr.Records)
+	return fol, nil
+}
+
+// migrate moves the run to a standby mid-run through a scripted live
+// migration, with mutations before and after the cutover.
+func (h *harness) migrate(mutSrc *dist.Source) error {
+	pri, err := h.spawn(0, h.runArgs("wal_0.wal")...)
+	if err != nil {
+		return err
+	}
+	fol, err := h.follow(1, pri.base)
+	if err != nil {
+		return err
+	}
+	// Mutate the source before the move so the cutover carries a
+	// non-trivial journal.
+	if err := h.injectAt(pri, h.ticks/4, 3, mutSrc); err != nil {
+		return err
+	}
+	rep, err := server.RunMigration(h.ctx, server.MigrationOptions{Source: pri.base, Target: fol.base, Client: h.client})
+	if err != nil {
+		return err
+	}
+	h.frags[0].end = rep.HandoffTick
+	fmt.Printf("migrated at tick %d (%d records) in %s\n", rep.HandoffTick, rep.HandoffRecords, rep.Elapsed.Round(time.Millisecond))
+	// The frozen source drains gracefully; its event file is final.
+	if err := pri.stop(); err != nil {
+		return fmt.Errorf("source after handoff: %w", err)
+	}
+	// The moved run must keep accepting (and making durable) mutations.
+	if err := h.injectAt(fol, rep.HandoffTick+h.ticks/10, 2, mutSrc); err != nil {
+		return err
+	}
+	return h.finish(fol, "live migration")
+}
+
+// spawn starts incarnation inc of willowd with the common flags plus
+// extra, registers its event file as the newest fragment, and waits for
+// its API.
+func (h *harness) spawn(inc int, extra ...string) (*proc, error) {
+	portFile := filepath.Join(h.dir, fmt.Sprintf("port_%d", inc))
 	events := filepath.Join(h.dir, fmt.Sprintf("events_%d.jsonl", inc))
-	args := []string{
+	args := append([]string{
 		"-addr", "127.0.0.1:0",
 		"-port-file", portFile,
 		"-tick", h.tick.String(),
-		"-ticks", fmt.Sprint(h.ticks),
-		"-seed", fmt.Sprint(h.seed),
-		"-wal", filepath.Join(h.dir, "run.wal"),
 		"-events", events,
-	}
+	}, extra...)
 	cmd := exec.Command(h.willowd, args...)
 	cmd.Stdout = os.Stdout
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
-		return fmt.Errorf("starting willowd: %w", err)
+		return nil, fmt.Errorf("starting willowd %d: %w", inc, err)
 	}
-	h.cmd = cmd
+	p := &proc{cmd: cmd, exited: make(chan struct{})}
+	go func() {
+		cmd.Wait()
+		close(p.exited)
+	}()
+	h.procs = append(h.procs, p)
 	h.frags = append(h.frags, frag{path: events, end: -1})
-
-	for {
-		if err := h.ctx.Err(); err != nil {
-			cmd.Process.Kill()
-			cmd.Wait()
-			return err
+	err := h.poll(p, "serving", func() bool {
+		b, err := os.ReadFile(portFile)
+		if err != nil || len(bytes.TrimSpace(b)) == 0 {
+			return false
 		}
-		if b, err := os.ReadFile(portFile); err == nil && len(bytes.TrimSpace(b)) > 0 {
-			h.base = "http://" + strings.TrimSpace(string(b))
-			if _, err := h.getJSON("/healthz", nil); err == nil {
-				return nil
-			}
-		}
-		if cmd.ProcessState != nil {
-			return fmt.Errorf("willowd incarnation %d exited before serving", inc)
-		}
-		time.Sleep(2 * time.Millisecond)
+		p.base = "http://" + strings.TrimSpace(string(b))
+		_, err = h.call(http.MethodGet, p.base+"/healthz", nil, nil)
+		return err == nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("incarnation %d: %w", inc, err)
 	}
+	return p, nil
 }
 
-// driveAndKill waits for the run to reach the kill target, injects a
-// seeded burst of mutations (awaiting every ack), then SIGKILLs the
-// daemon and records the recovery boundary the next incarnation must
-// resume at.
-func (h *harness) driveAndKill(inc, target int, mutSrc *dist.Source) error {
-	if err := h.waitTick(target); err != nil {
-		return err
-	}
-
-	burst := 1 + int(mutSrc.Uint64()%3)
-	for i := 0; i < burst; i++ {
-		if err := h.inject(mutSrc, inc); err != nil {
-			return err
+// poll re-checks ready once per tick until it holds, failing as soon as
+// the deadline passes or p exits, naming what it awaited.
+func (h *harness) poll(p *proc, what string, ready func() bool) error {
+	for !ready() {
+		select {
+		case <-h.ctx.Done():
+			return fmt.Errorf("awaiting %s: %w", what, h.ctx.Err())
+		case <-p.exited:
+			return fmt.Errorf("willowd exited before %s (%s)", what, p.cmd.ProcessState)
+		case <-time.After(h.tick):
 		}
 	}
-
-	// All mutations acknowledged (hence fsync'd); SIGKILL mid-tick.
-	if err := h.cmd.Process.Kill(); err != nil {
-		return err
-	}
-	h.cmd.Wait()
-
-	// The next incarnation resumes at the furthest boundary durable
-	// state proves: the max acknowledged mutation tick. This
-	// incarnation's fragment contributes only events before it.
-	rec := 0
-	for _, a := range h.acked {
-		if a.tick > rec {
-			rec = a.tick
-		}
-	}
-	h.frags[len(h.frags)-1].end = rec
-	fmt.Printf("cycle %d: killed at tick >= %d after %d mutations (recovery boundary %d)\n",
-		inc, target, burst, rec)
 	return nil
 }
 
-// inject POSTs one seeded mutation — mostly mean-neutral demand scales,
-// with an occasional live chaos injection — and records the ack.
-func (h *harness) inject(mutSrc *dist.Source, inc int) error {
-	roll := mutSrc.Uint64() % 10
-	if roll == 0 {
-		seed := mutSrc.Uint64() | 1 // nonzero: no derived-seed ambiguity
-		var resp struct {
-			Tick int `json:"tick"`
-		}
-		err := h.postJSON("/v1/chaos", map[string]any{"spec": "light", "seed": seed, "sensor": false}, &resp)
-		if err != nil {
+// await polls p's /healthz until ok holds.
+func (h *harness) await(p *proc, what string, ok func(server.HealthView) bool) error {
+	return h.poll(p, what, func() bool {
+		var hv server.HealthView
+		_, err := h.call(http.MethodGet, p.base+"/healthz", nil, &hv)
+		return err == nil && ok(hv)
+	})
+}
+
+// burst waits for p to reach target, then injects a seeded burst of one
+// to three mutations. It returns the burst size.
+func (h *harness) burst(p *proc, target int, mutSrc *dist.Source) (int, error) {
+	n := 1 + int(mutSrc.Uint64()%3)
+	return n, h.injectAt(p, target, n, mutSrc)
+}
+
+// injectAt waits for p to reach tick target, then injects n seeded
+// mutations, awaiting every ack.
+func (h *harness) injectAt(p *proc, target, n int, mutSrc *dist.Source) error {
+	if err := h.await(p, fmt.Sprintf("tick %d", target), func(hv server.HealthView) bool { return hv.Tick >= target }); err != nil {
+		return err
+	}
+	for i := 0; i < n; i++ {
+		if err := h.inject(p, mutSrc); err != nil {
 			return err
 		}
-		h.acked = append(h.acked, ackedMut{
-			mut:  server.Mutation{Tick: resp.Tick, Kind: "chaos", Spec: "light", Seed: seed},
-			tick: resp.Tick,
-		})
-		return nil
 	}
-	srvIdx := -1
-	if roll%2 == 1 {
-		srvIdx = int(mutSrc.Uint64() % 18)
+	return nil
+}
+
+// inject POSTs one seeded mutation to p — mostly mean-neutral demand
+// scales, with an occasional live chaos injection — and records the ack.
+func (h *harness) inject(p *proc, mutSrc *dist.Source) error {
+	var (
+		m    server.Mutation
+		path string
+		body map[string]any
+	)
+	if roll := mutSrc.Uint64() % 10; roll == 0 {
+		m = server.Mutation{Kind: "chaos", Spec: "light", Seed: mutSrc.Uint64() | 1} // nonzero: no derived-seed ambiguity
+		path, body = "/v1/chaos", map[string]any{"spec": m.Spec, "seed": m.Seed, "sensor": false}
+	} else {
+		m = server.Mutation{Kind: "demand", Server: -1}
+		if roll%2 == 1 {
+			m.Server = int(mutSrc.Uint64() % 18)
+		}
+		m.Factor = 0.9 + 0.2*float64(mutSrc.Uint64()%1000)/1000.0
+		path, body = "/v1/demand", map[string]any{"server": m.Server, "factor": m.Factor}
 	}
-	factor := 0.9 + 0.2*float64(mutSrc.Uint64()%1000)/1000.0
 	var resp struct {
 		Tick int `json:"tick"`
 	}
-	if err := h.postJSON("/v1/demand", map[string]any{"server": srvIdx, "factor": factor}, &resp); err != nil {
+	if _, err := h.call(http.MethodPost, p.base+path, body, &resp); err != nil {
 		return err
 	}
-	h.acked = append(h.acked, ackedMut{
-		mut:  server.Mutation{Tick: resp.Tick, Kind: "demand", Server: srvIdx, Factor: factor},
-		tick: resp.Tick,
-	})
+	m.Tick = resp.Tick
+	h.acked = append(h.acked, m)
 	return nil
 }
 
-// waitTick polls /healthz until the daemon's tick reaches target.
-func (h *harness) waitTick(target int) error {
-	for {
-		if err := h.ctx.Err(); err != nil {
-			return err
-		}
-		var hz struct {
-			Tick int `json:"tick"`
-		}
-		if _, err := h.getJSON("/healthz", &hz); err == nil && hz.Tick >= target {
-			return nil
-		}
-		time.Sleep(h.tick)
+// finish lets the surviving incarnation p complete the run, captures its
+// final state over the API, stops it gracefully, and verifies all four
+// byte-identity claims against the uninterrupted-run oracle.
+func (h *harness) finish(p *proc, what string) error {
+	if err := h.await(p, "run completion", func(hv server.HealthView) bool { return hv.Done }); err != nil {
+		return err
 	}
-}
-
-// finish lets the last incarnation complete the run, captures its final
-// state over the API, stops it gracefully, and verifies everything
-// against the uninterrupted-run oracle.
-func (h *harness) finish(cycles int) error {
-	defer func() {
-		if h.cmd.ProcessState == nil {
-			h.cmd.Process.Kill()
-			h.cmd.Wait()
-		}
-	}()
-
-	// Wait for done=true (the daemon then serves until SIGTERM).
-	for {
-		if err := h.ctx.Err(); err != nil {
-			return err
-		}
-		var st struct {
-			Done bool `json:"done"`
-		}
-		if _, err := h.getJSON("/v1/stats", &st); err == nil && st.Done {
-			break
-		}
-		time.Sleep(5 * h.tick)
-	}
-
-	stateRaw, err := h.getJSON("/v1/state", nil)
+	stateRaw, err := h.call(http.MethodGet, p.base+"/v1/state", nil, nil)
 	if err != nil {
 		return err
 	}
 	var stats server.StatsView
-	if _, err := h.getJSON("/v1/stats", &stats); err != nil {
-		return err
-	}
-	snapRaw, err := h.post("/v1/snapshot", nil)
-	if err != nil {
+	if _, err := h.call(http.MethodGet, p.base+"/v1/stats", nil, &stats); err != nil {
 		return err
 	}
 	var snap server.Snapshot
-	if err := json.Unmarshal(snapRaw, &snap); err != nil {
-		return fmt.Errorf("final snapshot: %w", err)
-	}
-
-	// Graceful stop: SIGTERM drains the tick loop, flushes and closes
-	// the events file, so the last fragment is complete.
-	if err := h.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+	if _, err := h.call(http.MethodPost, p.base+"/v1/snapshot", nil, &snap); err != nil {
 		return err
 	}
-	if err := h.cmd.Wait(); err != nil {
-		return fmt.Errorf("final willowd exit: %w", err)
+	if err := p.stop(); err != nil {
+		return fmt.Errorf("final incarnation: %w", err)
 	}
 
 	// Check 1: the journal is exactly the acknowledged mutations — every
-	// ack survived all the kills, and nothing was invented.
+	// ack survived, and nothing was invented.
 	if len(snap.Journal) != len(h.acked) {
 		return fmt.Errorf("journal has %d mutations, harness acked %d", len(snap.Journal), len(h.acked))
 	}
-	for i, a := range h.acked {
-		if !reflect.DeepEqual(snap.Journal[i], a.mut) {
-			return fmt.Errorf("journal entry %d = %+v, acked %+v", i, snap.Journal[i], a.mut)
+	chaos := 0
+	for i, m := range h.acked {
+		if !reflect.DeepEqual(snap.Journal[i], m) {
+			return fmt.Errorf("journal entry %d = %+v, acked %+v", i, snap.Journal[i], m)
+		}
+		if m.Kind == "chaos" {
+			chaos++
 		}
 	}
 
@@ -390,7 +531,7 @@ func (h *harness) finish(cycles int) error {
 		return err
 	}
 	if !bytes.Equal(bytes.TrimSpace(stateRaw), bytes.TrimSpace(oracleState)) {
-		return fmt.Errorf("final /v1/state differs from uninterrupted replay:\n--- crashed ---\n%s\n--- oracle ---\n%s",
+		return fmt.Errorf("final /v1/state differs from uninterrupted replay:\n--- harness ---\n%s\n--- oracle ---\n%s",
 			stateRaw, oracleState)
 	}
 
@@ -405,11 +546,11 @@ func (h *harness) finish(cycles int) error {
 		s.SubscriberStats = nil
 	}
 	if !reflect.DeepEqual(stats, oracleStats) {
-		return fmt.Errorf("final /v1/stats differs from uninterrupted replay:\ncrashed: %+v\noracle:  %+v", stats, oracleStats)
+		return fmt.Errorf("final /v1/stats differs from uninterrupted replay:\nharness: %+v\noracle:  %+v", stats, oracleStats)
 	}
 
 	// Check 4: the assembled event stream is byte-identical.
-	assembled, lines, err := h.assemble()
+	assembled, lines, err := assemble(h.frags)
 	if err != nil {
 		return err
 	}
@@ -422,22 +563,23 @@ func (h *harness) finish(cycles int) error {
 			len(assembled), len(oracleEvents), firstDiff(assembled, oracleEvents))
 	}
 
-	fmt.Printf("willow-crash OK: %d kills, %d mutations acked, state+stats+journal identical, %d events byte-identical\n",
-		cycles, len(h.acked), lines)
+	fmt.Printf("willow-crash OK: %s, %d mutations acked (%d chaos), state+stats+journal identical, %d events byte-identical\n",
+		what, len(h.acked), chaos, lines)
 	return nil
 }
 
-// assemble stitches the per-incarnation event files into the single
-// stream an uninterrupted run would have written. Fragment i contributes
-// the events before the next incarnation's recovery boundary — later
-// ticks were re-executed and republished after the kill — and the final
-// fragment contributes everything. A SIGKILL can tear the last line of a
+// assemble stitches per-incarnation event files into the single stream
+// an uninterrupted run would have written. Fragment i contributes the
+// events before its successor's resume boundary — later ticks were
+// re-executed and republished there — and the final fragment
+// contributes everything. A SIGKILL can tear the last line of a
 // fragment (the flush contract only covers completed ticks), so an
-// unterminated tail line is dropped; every contributed line must parse.
-func (h *harness) assemble() ([]byte, int, error) {
+// unterminated tail line of a killed incarnation is dropped; every
+// contributed line must parse. It returns the stream and its line count.
+func assemble(frags []frag) ([]byte, int, error) {
 	var out []byte
 	lines := 0
-	for i, fr := range h.frags {
+	for i, fr := range frags {
 		data, err := os.ReadFile(fr.path)
 		if err != nil {
 			return nil, 0, err
@@ -452,13 +594,12 @@ func (h *harness) assemble() ([]byte, int, error) {
 			}
 			line := data[:nl+1]
 			data = data[nl+1:]
-			ev, err := telemetry.Decode(bytes.TrimSuffix(line, []byte("\n")))
+			ev, err := telemetry.Decode(line[:nl])
 			if err != nil {
 				return nil, 0, fmt.Errorf("fragment %d (%s): bad event line: %w", i, fr.path, err)
 			}
 			if fr.end >= 0 && ev.Tick >= fr.end {
-				// Re-executed after recovery; the next fragment owns it.
-				break
+				break // re-executed after the boundary; the successor owns it
 			}
 			out = append(out, line...)
 			lines++
@@ -470,40 +611,20 @@ func (h *harness) assemble() ([]byte, int, error) {
 // firstDiff locates the first byte where two streams diverge, for a
 // readable failure message.
 func firstDiff(a, b []byte) string {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
+	n := min(len(a), len(b))
 	for i := 0; i < n; i++ {
 		if a[i] != b[i] {
-			lo := i - 80
-			if lo < 0 {
-				lo = 0
-			}
+			lo := max(i-80, 0)
 			return fmt.Sprintf("first divergence at byte %d: ...%q vs ...%q", i, a[lo:i+1], b[lo:i+1])
 		}
 	}
 	return fmt.Sprintf("one stream is a prefix of the other (at byte %d)", n)
 }
 
-func (h *harness) getJSON(path string, dst any) ([]byte, error) {
-	req, err := http.NewRequestWithContext(h.ctx, http.MethodGet, h.base+path, nil)
-	if err != nil {
-		return nil, err
-	}
-	return h.do(req, dst)
-}
-
-func (h *harness) postJSON(path string, body, dst any) error {
-	_, err := h.postBody(path, body, dst)
-	return err
-}
-
-func (h *harness) post(path string, body any) ([]byte, error) {
-	return h.postBody(path, body, nil)
-}
-
-func (h *harness) postBody(path string, body, dst any) ([]byte, error) {
+// call issues one API request, JSON-encoding body when non-nil and
+// decoding a 200 response into dst when non-nil. It returns the raw
+// response body.
+func (h *harness) call(method, url string, body, dst any) ([]byte, error) {
 	var rd io.Reader
 	if body != nil {
 		b, err := json.Marshal(body)
@@ -512,15 +633,13 @@ func (h *harness) postBody(path string, body, dst any) ([]byte, error) {
 		}
 		rd = bytes.NewReader(b)
 	}
-	req, err := http.NewRequestWithContext(h.ctx, http.MethodPost, h.base+path, rd)
+	req, err := http.NewRequestWithContext(h.ctx, method, url, rd)
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	return h.do(req, dst)
-}
-
-func (h *harness) do(req *http.Request, dst any) ([]byte, error) {
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
 	resp, err := h.client.Do(req)
 	if err != nil {
 		return nil, err
@@ -531,11 +650,11 @@ func (h *harness) do(req *http.Request, dst any) ([]byte, error) {
 		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s %s: %s: %s", req.Method, req.URL.Path, resp.Status, bytes.TrimSpace(data))
+		return nil, fmt.Errorf("%s %s: %s: %s", method, req.URL.Path, resp.Status, bytes.TrimSpace(data))
 	}
 	if dst != nil {
 		if err := json.Unmarshal(data, dst); err != nil {
-			return nil, fmt.Errorf("%s %s: %w", req.Method, req.URL.Path, err)
+			return nil, fmt.Errorf("%s %s: %w", method, req.URL.Path, err)
 		}
 	}
 	return data, nil
