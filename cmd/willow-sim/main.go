@@ -1,170 +1,93 @@
 // Command willow-sim runs a free-form Willow data-center simulation: the
 // paper's 18-server hierarchy (or a custom fan-out) under a chosen
 // utilization and supply profile, printing per-server and control-plane
-// summaries.
+// summaries. The scenario flags are server.Spec's, shared with willowd.
 //
 //	willow-sim -util 0.5
 //	willow-sim -util 0.7 -supply sine -ticks 600
-//	willow-sim -fanout 4,4,4 -util 0.6 -supply deficit -csv
+//	willow-sim -fanout 4,4,4 -util 0.6 -supply deficit-steps -csv
+//	willow-sim -util 0.7 -write-config run.json && willow-sim -config run.json -seed 7
 package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 
 	"willow/internal/cluster"
-	"willow/internal/config"
 	"willow/internal/metrics"
-	"willow/internal/policy"
-	"willow/internal/power"
+	"willow/internal/server"
 	"willow/internal/telemetry"
-	"willow/internal/trace"
 )
 
+// errUsage marks a command line the flag package already reported.
+var errUsage = errors.New("usage")
+
 func main() {
+	err := run(os.Args[1:], os.Stdout)
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "willow-sim:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	spec := server.DefaultSpec()
+	fs := flag.NewFlagSet("willow-sim", flag.ContinueOnError)
+	spec.RegisterFlags(fs)
 	var (
-		util         = flag.Float64("util", 0.5, "target mean utilization in (0, 1]")
-		fanout       = flag.String("fanout", "2,3,3", "PMU hierarchy fan-out, root downward")
-		ticks        = flag.Int("ticks", 400, "total demand ticks to simulate")
-		warmup       = flag.Int("warmup", 100, "warm-up ticks excluded from averages")
-		supply       = flag.String("supply", "constant", "supply profile: constant, sine, deficit-steps, or file:PATH (CSV)")
-		seed         = flag.Uint64("seed", 2011, "random seed")
-		csv          = flag.Bool("csv", false, "emit per-server results as CSV")
-		hotants      = flag.Bool("hotzone", true, "place the last four servers in a 40 °C ambient")
-		configPath   = flag.String("config", "", "run from a JSON configuration file instead of flags")
-		writeConfig  = flag.String("write-config", "", "write the default configuration to this path and exit")
-		events       = flag.String("events", "", "stream controller events as JSONL to this file (plus a .summary.txt report)")
-		eventsFilter = flag.String("events-filter", "", "comma-separated event kinds to keep in the stream (budget,migration,throttle,sleep-wake,failure,qos,degraded,sensor; default all)")
-		chaosSpec    = flag.String("chaos", "", "inject a seeded fault schedule: preset and/or k=v overrides, e.g. \"medium\" or \"light,pmu-mtbf=400\" (see internal/chaos)")
-		chaosSeed    = flag.Uint64("chaos-seed", 0, "seed for chaos schedule expansion (0: derive from -seed)")
-		sensorSpec   = flag.String("sensor-chaos", "", "inject seeded sensor faults: preset and/or k=v overrides, e.g. \"heavy\" or \"light,dropout=1\" (see internal/sensor)")
-		sensorNaive  = flag.Bool("sensor-naive", false, "disable the robust estimator under -sensor-chaos (trust every reading; unsafe baseline)")
-		energyOut    = flag.Bool("energy", false, "print the energy scoreboard and emit per-supply-window energy telemetry events")
-		policySpec   = flag.String("policy", "", "controller policy: willow (default), integral, or mpc, plus ,key=val knobs (see internal/policy)")
+		csv          = fs.Bool("csv", false, "emit per-server results as CSV")
+		configPath   = fs.String("config", "", "run the server.Spec in this JSON file; scenario flags set on the command line override it")
+		writeConfig  = fs.String("write-config", "", "write the run's server.Spec as JSON to this path and exit")
+		events       = fs.String("events", "", "stream controller events as JSONL to this file (plus a .summary.txt report)")
+		eventsFilter = fs.String("events-filter", "", "comma-separated event kinds to keep in the stream (budget,migration,throttle,sleep-wake,failure,qos,degraded,sensor; default all)")
 	)
-	flag.Parse()
-
-	if *writeConfig != "" {
-		if err := config.Default().Save(*writeConfig); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote default configuration to %s\n", *writeConfig)
-		return
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errUsage, err)
 	}
-
-	var cfg cluster.Config
-	var n int
 	if *configPath != "" {
-		sim, err := config.Load(*configPath)
-		if err != nil {
-			fatal(err)
-		}
-		cfg, err = sim.ToCluster()
-		if err != nil {
-			fatal(err)
-		}
-		n = 1
-		for _, f := range cfg.Fanout {
-			n *= f
-		}
-	} else {
-		cfg = cluster.PaperConfig(*util)
-		cfg.Ticks = *ticks
-		cfg.Warmup = *warmup
-		cfg.Seed = *seed
-
-		fo, err := parseFanout(*fanout)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Fanout = fo
-		n = 1
-		for _, f := range fo {
-			n *= f
-		}
-		if !*hotants || n != 18 {
-			cfg.HotServers = nil
-		}
-
-		rated := float64(n) * cfg.ServerPower.Peak
-		switch {
-		case *supply == "constant":
-			cfg.Supply = power.Constant(rated)
-		case *supply == "sine":
-			cfg.Supply = power.Sine{Base: rated * 0.8, Amplitude: rated * 0.25, Period: 24}
-		case *supply == "deficit-steps":
-			cfg.Supply = power.Trace{rated, rated, rated * 0.6, rated * 0.6, rated * 0.9, rated, rated * 0.55, rated}
-		case strings.HasPrefix(*supply, "file:"):
-			tr, err := trace.ReadFile(strings.TrimPrefix(*supply, "file:"))
-			if err != nil {
-				fatal(err)
-			}
-			cfg.Supply = tr
-		default:
-			fatal(fmt.Errorf("unknown supply profile %q (use constant, sine, deficit-steps, or file:PATH)", *supply))
+		if err := loadSpec(fs, &spec, *configPath); err != nil {
+			return err
 		}
 	}
-
-	if *energyOut {
-		cfg.Core.EnergyEvents = true
-	}
-
-	if *policySpec != "" {
-		if _, err := policy.ParseSpec(*policySpec); err != nil {
-			fatal(err)
-		}
-		cfg.Policy = *policySpec
-	}
-
-	var planLine string
-	if *chaosSpec != "" {
-		cseed := *chaosSeed
-		if cseed == 0 {
-			cseed = cfg.Seed
-		}
-		plan, err := cluster.ApplyChaos(&cfg, *chaosSpec, cseed)
+	if *writeConfig != "" {
+		data, err := json.MarshalIndent(spec, "", "  ")
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		planLine = cluster.PlanSummary(plan)
-	}
-	if *sensorSpec != "" {
-		cseed := *chaosSeed
-		if cseed == 0 {
-			cseed = cfg.Seed
+		if err := os.WriteFile(*writeConfig, append(data, '\n'), 0o644); err != nil {
+			return err
 		}
-		cfg.NaiveSensing = *sensorNaive
-		plan, err := cluster.ApplySensorChaos(&cfg, *sensorSpec, cseed)
-		if err != nil {
-			fatal(err)
-		}
-		if planLine != "" {
-			planLine += "; "
-		}
-		planLine += fmt.Sprintf("sensor plan: %d fault windows", len(plan.SensorFaults))
+		fmt.Fprintf(stdout, "wrote run spec to %s\n", *writeConfig)
+		return nil
 	}
 
+	cfg, err := spec.Build()
+	if err != nil {
+		return err
+	}
 	var sink *telemetry.FileSink
 	if *events != "" {
 		keep := telemetry.AllKinds
 		if *eventsFilter != "" {
-			var err error
 			if keep, err = telemetry.ParseKindSet(*eventsFilter); err != nil {
-				fatal(err)
+				return err
 			}
 		}
 		base := strings.TrimSuffix(*events, ".jsonl")
-		var err error
-		sink, err = telemetry.OpenFileSink(*events, base+".summary.txt", "telemetry summary", keep)
-		if err != nil {
-			fatal(err)
+		if sink, err = telemetry.OpenFileSink(*events, base+".summary.txt", "telemetry summary", keep); err != nil {
+			return err
 		}
 		cfg.Sink = sink
 	}
@@ -184,18 +107,14 @@ func main() {
 	}
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
-			fatal(fmt.Errorf("interrupted; partial event stream flushed cleanly"))
+			return errors.New("interrupted; partial event stream flushed cleanly")
 		}
-		fatal(err)
+		return err
 	}
 
-	supplyLabel := *supply
-	if *configPath != "" {
-		supplyLabel = "config:" + *configPath
-	}
 	tb := metrics.NewTable(
 		fmt.Sprintf("willow-sim: %d servers, U=%.0f%%, supply=%s, %d ticks (%d warm-up)",
-			n, cfg.Utilization*100, supplyLabel, cfg.Ticks, cfg.Warmup),
+			spec.Servers(), cfg.Utilization*100, fs.Lookup("supply").Value, cfg.Ticks, cfg.Warmup),
 		"server", "mean power (W)", "mean temp (°C)", "saved (W)", "asleep frac",
 	)
 	for i := range res.MeanPower {
@@ -208,65 +127,90 @@ func main() {
 		)
 	}
 	if *csv {
-		fmt.Print(tb.CSV())
+		fmt.Fprint(stdout, tb.CSV())
 	} else {
-		fmt.Print(tb.String())
+		fmt.Fprint(stdout, tb.String())
 	}
 
-	fmt.Printf("\nmigrations: %d demand-driven, %d consolidation-driven (%d local)\n",
+	fmt.Fprintf(stdout, "\nmigrations: %d demand-driven, %d consolidation-driven (%d local)\n",
 		res.DemandMigrations, res.ConsolidationMigrations, res.Stats.LocalMigrations)
-	fmt.Printf("migration traffic share of network capacity: %.5f\n", res.MigrationShare)
-	fmt.Printf("dropped demand: %.0f watt-ticks; ping-pongs: %d; max messages/link/tick: %d\n",
+	fmt.Fprintf(stdout, "migration traffic share of network capacity: %.5f\n", res.MigrationShare)
+	fmt.Fprintf(stdout, "dropped demand: %.0f watt-ticks; ping-pongs: %d; max messages/link/tick: %d\n",
 		res.DroppedWattTicks, res.Stats.PingPongs, res.Stats.MaxLinkMessagesPerTick)
-	fmt.Printf("hottest temperature reached: %.1f °C\n", res.MaxTemp)
-	if *sensorSpec != "" {
-		fmt.Printf("hottest observed temperature: %.1f °C; true-limit violations: %d server-ticks\n",
+	fmt.Fprintf(stdout, "hottest temperature reached: %.1f °C\n", res.MaxTemp)
+	if spec.SensorChaos != "" {
+		fmt.Fprintf(stdout, "hottest observed temperature: %.1f °C; true-limit violations: %d server-ticks\n",
 			res.MaxObsTemp, res.LimitViolationTicks)
-		fmt.Printf("sensors: %d faults injected, %d readings rejected, %d unhealthy trips, %d guard-band ticks\n",
+		fmt.Fprintf(stdout, "sensors: %d faults injected, %d readings rejected, %d unhealthy trips, %d guard-band ticks\n",
 			res.Stats.SensorFaults, res.Stats.SensorRejected,
 			res.Stats.SensorUnhealthy, res.Stats.SensorGuardTicks)
 	}
-	if *energyOut {
+	if spec.Energy {
 		e := res.Energy
-		fmt.Printf("energy: %.0f J consumed over %d ticks (%.3g s/tick) — %.0f J useful work (%.4f work/joule), %.0f J shed, %.0f J dissipated\n",
+		fmt.Fprintf(stdout, "energy: %.0f J consumed over %d ticks (%.3g s/tick) — %.0f J useful work (%.4f work/joule), %.0f J shed, %.0f J dissipated\n",
 			e.Fleet.Joules, cfg.Ticks, e.TickSeconds,
 			e.Fleet.WorkJoules, e.Fleet.WorkPerJoule(), e.Fleet.ShedJoules, e.Fleet.HeatJoules)
 		for _, r := range e.Racks {
-			fmt.Printf("energy: rack %d (servers %d-%d): %.0f J, %.4f work/joule\n",
+			fmt.Fprintf(stdout, "energy: rack %d (servers %d-%d): %.0f J, %.4f work/joule\n",
 				r.Node, r.Lo+1, r.Hi, r.Totals.Joules, r.Totals.WorkPerJoule())
 		}
 		for _, c := range e.Classes {
-			fmt.Printf("energy: class %s: %.0f J served\n", c.Class, c.ServedJoules)
+			fmt.Fprintf(stdout, "energy: class %s: %.0f J served\n", c.Class, c.ServedJoules)
 		}
 	}
-	if planLine != "" {
-		fmt.Println(planLine)
-		fmt.Printf("faults: %d server (%d repaired), %d PMU (%d repaired); lease expiries: %d; degraded server-ticks: %d; restarts: %d\n",
+	if line := planLine(spec, cfg); line != "" {
+		fmt.Fprintln(stdout, line)
+		fmt.Fprintf(stdout, "faults: %d server (%d repaired), %d PMU (%d repaired); lease expiries: %d; degraded server-ticks: %d; restarts: %d\n",
 			res.Stats.Failures, res.Stats.Repairs,
 			res.Stats.PMUFailures, res.Stats.PMURepairs,
 			res.Stats.LeaseExpiries, res.Stats.DegradedTicks, res.Stats.Restarts)
 	}
 
 	if sink != nil {
-		fmt.Println()
-		fmt.Print(sink.Agg.Table(fmt.Sprintf("telemetry: %d events -> %s", sink.Agg.Total(), *events)).String())
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, sink.Agg.Table(fmt.Sprintf("telemetry: %d events -> %s", sink.Agg.Total(), *events)).String())
 	}
+	return nil
 }
 
-func parseFanout(s string) ([]int, error) {
-	parts := strings.Split(s, ",")
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, fmt.Errorf("bad fan-out %q: %w", s, err)
+// loadSpec replaces spec with the one in path, then re-applies every
+// flag set on the command line, so an explicit flag overrides the file.
+func loadSpec(fs *flag.FlagSet, spec *server.Spec, path string) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	var set [][2]string
+	fs.Visit(func(f *flag.Flag) { set = append(set, [2]string{f.Name, f.Value.String()}) })
+	if err := json.Unmarshal(data, spec); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	for _, kv := range set {
+		if err := fs.Set(kv[0], kv[1]); err != nil {
+			return err
 		}
-		out = append(out, v)
 	}
-	return out, nil
+	return nil
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "willow-sim:", err)
-	os.Exit(1)
+// planLine summarizes the fault plans Build folded into cfg ("" when
+// the spec has no chaos). cfg holds the sensor windows of -chaos and
+// -sensor-chaos together; building without -sensor-chaos counts the
+// first.
+func planLine(spec server.Spec, cfg cluster.Config) string {
+	if spec.Chaos == "" && spec.SensorChaos == "" {
+		return ""
+	}
+	machine := spec
+	machine.SensorChaos = ""
+	mcfg, _ := machine.Build() // cannot fail: spec itself built
+	var parts []string
+	if spec.Chaos != "" {
+		parts = append(parts, fmt.Sprintf("chaos plan: %d server failures, %d PMU failures, %d loss windows, %d sensor faults",
+			len(cfg.Failures), len(cfg.PMUFailures), len(cfg.LossWindows), len(mcfg.SensorFaults)))
+	}
+	if spec.SensorChaos != "" {
+		parts = append(parts, fmt.Sprintf("sensor plan: %d fault windows", len(cfg.SensorFaults)-len(mcfg.SensorFaults)))
+	}
+	return strings.Join(parts, "; ")
 }

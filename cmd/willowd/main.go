@@ -16,6 +16,9 @@
 // primary silence — at which point it becomes a full primary resuming
 // at exactly the primary's last proven tick boundary.
 //
+// The scenario flags (-util, -fanout, -supply, -chaos, ...) are
+// server.Spec's, shared with willow-sim.
+//
 // SIGTERM/SIGINT drain gracefully: the tick loop stops at a boundary,
 // open event streams terminate, sinks flush, and a final snapshot is
 // written (-snapshot).
@@ -31,7 +34,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -48,29 +50,14 @@ func main() {
 }
 
 func run() error {
+	spec := server.DefaultSpec()
+	spec.RegisterFlags(flag.CommandLine)
 	var (
 		addr     = flag.String("addr", "127.0.0.1:8080", "HTTP listen address (host:port, port 0 for random; empty disables the API)")
 		portFile = flag.String("port-file", "", "write the bound listen address to this file (for scripts with -addr :0)")
 		tickDur  = flag.Duration("tick", 50*time.Millisecond, "wall-clock duration of one demand tick (ignored with -ff)")
 		ff       = flag.Bool("ff", false, "fast-forward: run all ticks at full speed (byte-identical to willow-sim)")
-
-		util        = flag.Float64("util", 0.5, "target mean utilization in (0, 1]")
-		fanout      = flag.String("fanout", "2,3,3", "PMU hierarchy fan-out, root downward")
-		ticks       = flag.Int("ticks", 400, "total demand ticks to simulate")
-		warmup      = flag.Int("warmup", 100, "warm-up ticks excluded from averages")
-		seed        = flag.Uint64("seed", 2011, "random seed")
-		supply      = flag.String("supply", "constant", "supply profile: constant, sine, or deficit-steps")
-		hotzone     = flag.Bool("hotzone", true, "place the last four servers in a 40 °C ambient (18-server topologies)")
-		chaosSpec   = flag.String("chaos", "", "fold a seeded fault schedule into the run at boot (see internal/chaos)")
-		chaosSeed   = flag.Uint64("chaos-seed", 0, "seed for chaos expansion (0: derive from -seed)")
-		sensorSpec  = flag.String("sensor-chaos", "", "fold seeded sensor faults into the run at boot (see internal/sensor)")
-		sensorNaive = flag.Bool("sensor-naive", false, "disable the robust estimator under sensor chaos")
-		lease       = flag.Int("lease", 0, "budget lease ticks (arm before injecting live PMU chaos; 0 = off)")
-		sensing     = flag.Bool("sensing", false, "arm the robust temperature estimator at boot (for live sensor chaos)")
-		energy      = flag.Bool("energy", false, "emit per-supply-window energy telemetry events (accounting is always on)")
-		tickSecs    = flag.Float64("tick-seconds", 0, "simulated seconds one tick models for joule conversion (0 = 1 s)")
-		policySpec  = flag.String("policy", "", "controller policy: willow (default), integral, or mpc, plus ,key=val knobs (see internal/policy)")
-		pprofOn     = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the API listener")
+		pprofOn  = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the API listener")
 
 		events       = flag.String("events", "", "stream every event as JSONL to this file (plus a .summary.txt report)")
 		eventsFilter = flag.String("events-filter", "", "comma-separated event kinds to keep in the -events file (default all)")
@@ -100,7 +87,7 @@ func run() error {
 			Primary:      *follow,
 			WALPath:      *walPath,
 			PromoteAfter: *promoteAfter,
-			Seed:         *seed,
+			Seed:         spec.Seed,
 		})
 	}
 
@@ -145,26 +132,6 @@ func run() error {
 		fmt.Printf("restored snapshot %s at tick %d/%d (%d journal entries)\n",
 			*restorePath, snap.Tick, d.Spec().Ticks, len(snap.Journal))
 	default:
-		spec := server.Spec{
-			Util:        *util,
-			Ticks:       *ticks,
-			Warmup:      *warmup,
-			Seed:        *seed,
-			Supply:      *supply,
-			Hotzone:     *hotzone,
-			Chaos:       *chaosSpec,
-			ChaosSeed:   *chaosSeed,
-			SensorChaos: *sensorSpec,
-			SensorNaive: *sensorNaive,
-			LeaseTicks:  *lease,
-			Sensing:     *sensing,
-			Energy:      *energy,
-			TickSeconds: *tickSecs,
-			Policy:      *policySpec,
-		}
-		if spec.Fanout, err = parseFanout(*fanout); err != nil {
-			return err
-		}
 		if d, err = server.New(spec); err != nil {
 			return err
 		}
@@ -427,17 +394,4 @@ func (env *runtimeEnv) driveAndDrain(ctx context.Context, d *server.Daemon, srv 
 		verb, st.Tick, st.Ticks, st.TotalEnergy, st.DroppedWattTicks, st.MaxTemp,
 		st.DemandMigrations, st.ConsolidationMigrations, st.EventsPublished, st.EventsDropped)
 	return nil
-}
-
-func parseFanout(s string) ([]int, error) {
-	parts := strings.Split(s, ",")
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, fmt.Errorf("bad fan-out %q: %w", s, err)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }

@@ -4,8 +4,6 @@ package cluster
 // topology and fold the resulting fault plan into its Config.
 
 import (
-	"fmt"
-
 	"willow/internal/chaos"
 	"willow/internal/sensor"
 	"willow/internal/topo"
@@ -143,10 +141,4 @@ func ApplySensorChaos(cfg *Config, spec string, seed uint64) (chaos.Plan, error)
 	}
 	ApplyPlan(cfg, plan)
 	return plan, nil
-}
-
-// PlanSummary renders a one-line summary of a plan for CLI reporting.
-func PlanSummary(plan chaos.Plan) string {
-	return fmt.Sprintf("chaos plan: %d server failures, %d PMU failures, %d loss windows, %d sensor faults",
-		len(plan.ServerFailures), len(plan.PMUFailures), len(plan.LossWindows), len(plan.SensorFaults))
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"strings"
 	"testing"
 
 	"willow/internal/chaos"
@@ -68,9 +67,6 @@ func TestApplyChaos(t *testing.T) {
 	}
 	if got := len(cfg.Failures) + len(cfg.PMUFailures) + len(cfg.LossWindows); got != total {
 		t.Errorf("config holds %d fault events, plan has %d", got, total)
-	}
-	if s := PlanSummary(plan); !strings.Contains(s, "PMU failures") {
-		t.Errorf("summary %q", s)
 	}
 
 	// An explicit lease setting survives.

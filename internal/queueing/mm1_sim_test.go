@@ -5,15 +5,15 @@ import (
 	"testing"
 
 	"willow/internal/dist"
-	"willow/internal/sim"
 )
 
 // TestResponseTimeMatchesDES cross-validates the analytic M/M/1 response
 // time (which equals the M/G/1-PS formula S/(1−ρ) for exponential
-// service) against a discrete-event simulation built on the kernel's
-// process API: a Poisson arrival process feeding a single FIFO server.
-// Two independent implementations — closed form and event simulation —
-// must agree, which validates both.
+// service) against a simulated single FIFO server fed by Poisson
+// arrivals, stepped with Lindley's recursion: each request starts
+// service at max(its arrival, the previous departure). Two independent
+// implementations — closed form and simulation — must agree, which
+// validates both.
 func TestResponseTimeMatchesDES(t *testing.T) {
 	const (
 		serviceTicks = 300.0 // mean service time S
@@ -23,41 +23,18 @@ func TestResponseTimeMatchesDES(t *testing.T) {
 		rho := rho
 		t.Run("", func(t *testing.T) {
 			src := dist.NewSource(99)
-			e := sim.New()
-			server := sim.NewResource(e, 1)
-
-			var totalResponse float64
-			completed := 0
-
 			interarrival := serviceTicks / rho
-			e.Go("generator", func(g *sim.Proc) {
-				for i := 0; i < requests; i++ {
-					gap := sim.Tick(math.Round(src.Exponential(interarrival)))
-					g.Sleep(gap)
-					service := sim.Tick(math.Round(src.Exponential(serviceTicks)))
-					if service < 1 {
-						service = 1
-					}
-					e.Go("req", func(r *sim.Proc) {
-						start := r.Now()
-						server.Acquire(r, 1)
-						r.Sleep(service)
-						server.Release(1)
-						totalResponse += float64(r.Now() - start)
-						completed++
-					})
-				}
-			})
-			if err := e.Run(math.MaxInt32); err != nil {
-				t.Fatal(err)
+			var arrival, departure, totalResponse float64
+			for i := 0; i < requests; i++ {
+				arrival += math.Round(src.Exponential(interarrival))
+				service := math.Max(1, math.Round(src.Exponential(serviceTicks)))
+				departure = math.Max(arrival, departure) + service
+				totalResponse += departure - arrival
 			}
-			if completed != requests {
-				t.Fatalf("completed %d/%d requests", completed, requests)
-			}
-			measured := totalResponse / float64(completed)
+			measured := totalResponse / requests
 			analytic := ResponseTime(rho, serviceTicks)
 			if rel := math.Abs(measured-analytic) / analytic; rel > 0.08 {
-				t.Errorf("rho=%v: DES mean response %v vs analytic %v (%.1f%% off)",
+				t.Errorf("rho=%v: simulated mean response %v vs analytic %v (%.1f%% off)",
 					rho, measured, analytic, rel*100)
 			}
 		})

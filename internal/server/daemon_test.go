@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"willow/internal/cluster"
@@ -52,12 +56,26 @@ func sameResult(t *testing.T, a, b *cluster.Result, label string) {
 // TestFastForwardMatchesOfflineRun is the determinism pin: a daemon in
 // fast-forward produces the byte-identical event stream and the same
 // Result as the offline cluster.Run on the same parameters — the live
-// control plane and the batch simulator are one code path.
+// control plane and the batch simulator are one code path. Each case
+// binds its spec from command-line flags through RegisterFlags, as
+// willow-sim and willowd do.
 func TestFastForwardMatchesOfflineRun(t *testing.T) {
-	for _, chaosSpec := range []string{"", "light"} {
+	csv := filepath.Join(t.TempDir(), "supply.csv")
+	if err := os.WriteFile(csv, []byte("time,watts\n0,2700\n1,1900\n2,1500\n3,2400\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		nil,
+		{"-chaos", "light"},
+		{"-sensor-chaos", "heavy", "-policy", "mpc", "-energy"},
+		{"-supply", "file:" + csv},
+	} {
 		spec := testSpec()
-		spec.Chaos = chaosSpec
-		spec.LeaseTicks = 0
+		fs := flag.NewFlagSet("spec", flag.ContinueOnError)
+		spec.RegisterFlags(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
 
 		cfg, err := spec.Build()
 		if err != nil {
@@ -84,11 +102,11 @@ func TestFastForwardMatchesOfflineRun(t *testing.T) {
 		offBytes := encodeStream(t, offline.Events)
 		liveBytes := encodeStream(t, live.Events)
 		if !bytes.Equal(offBytes, liveBytes) {
-			t.Fatalf("chaos=%q: daemon event stream diverges from offline run (%d vs %d bytes)",
-				chaosSpec, len(liveBytes), len(offBytes))
+			t.Fatalf("%q: daemon event stream diverges from offline run (%d vs %d bytes)",
+				args, len(liveBytes), len(offBytes))
 		}
 		if len(offline.Events) == 0 {
-			t.Fatalf("chaos=%q: offline run published no events", chaosSpec)
+			t.Fatalf("%q: offline run published no events", args)
 		}
 		sameResult(t, resOffline, resLive, "fast-forward vs offline")
 	}
@@ -192,6 +210,7 @@ func TestRestoreRejectsBadSnapshots(t *testing.T) {
 			s.Journal = []Mutation{{Tick: 2, Kind: "meteor"}}
 		}},
 		{"bad spec", func(s *Snapshot) { s.Spec.Util = 0 }},
+		{"spec without ticks", func(s *Snapshot) { s.Spec.Ticks = 0 }},
 	}
 	for _, tc := range cases {
 		snap := base()
@@ -349,40 +368,49 @@ func TestSlowSubscriberNeverStallsTicks(t *testing.T) {
 }
 
 func TestSpecBuildValidation(t *testing.T) {
-	bad := []Spec{
-		{Util: 0.5, Fanout: []int{2, 0}, Ticks: 100, Supply: "constant"},
-		{Util: 0.5, Fanout: []int{2, 3}, Ticks: 100, Supply: "fusion-reactor"},
-		{Util: 0.5, Fanout: []int{2, 3}, Ticks: 100, Chaos: "no-such-preset"},
+	bad := []struct {
+		spec    Spec
+		wantErr string
+	}{
+		{Spec{Util: 0.5, Fanout: []int{2, 0}, Ticks: 100, Supply: "constant"}, "fan-out"},
+		{Spec{Util: 0.5, Fanout: []int{2, 3}, Ticks: 100, Supply: "fusion-reactor"}, "supply"},
+		{Spec{Util: 0.5, Fanout: []int{2, 3}, Ticks: 100, Chaos: "no-such-preset"}, "preset"},
+		{Spec{Util: 0.5, Fanout: []int{2, 3}, Ticks: 0}, "ticks"},
+		{Spec{Util: 0.5, Fanout: []int{2, 3}, Ticks: -5}, "ticks"},
+		{Spec{Util: 0.5, Ticks: 100}, "fanout"},
 	}
-	for i, s := range bad {
-		if _, err := s.Build(); err == nil {
-			t.Errorf("spec %d built despite invalid field", i)
+	for i, c := range bad {
+		_, err := c.spec.Build()
+		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("spec %d: Build err = %v, want one naming %q", i, err, c.wantErr)
 		}
 	}
 }
 
 func TestSnapshotFileRoundTrip(t *testing.T) {
-	d, err := New(testSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.StepN(30)
-	if _, err := d.ScaleDemand(0, 1.3); err != nil {
-		t.Fatal(err)
-	}
-	snap := d.Snapshot()
-	path := t.TempDir() + "/snap.json"
-	if err := snap.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ReadSnapshot(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(snap, loaded) {
-		t.Fatalf("snapshot file round-trip changed the snapshot")
-	}
-	if _, err := Restore(loaded); err != nil {
-		t.Fatal(err)
+	for _, spec := range []Spec{testSpec(), fullSpec()} {
+		d, err := New(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.StepN(30)
+		if _, err := d.ScaleDemand(0, 1.3); err != nil {
+			t.Fatal(err)
+		}
+		snap := d.Snapshot()
+		path := t.TempDir() + "/snap.json"
+		if err := snap.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := ReadSnapshot(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(snap, loaded) {
+			t.Fatalf("snapshot file round-trip changed the snapshot of %+v", spec)
+		}
+		if _, err := Restore(loaded); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -311,6 +311,10 @@ func (f *Follower) tail(ctx context.Context) error {
 			if cerr := cctx.Err(); cerr != nil {
 				return cerr // cancelled: shutdown, promotion, or watchdog
 			}
+			if errors.Is(err, errSpecJSON) {
+				// A spec this binary cannot decode will not decode on retry.
+				return fmt.Errorf("%w: %v", errFollowerFatal, err)
+			}
 			return err // EOF (primary drained) or a broken link
 		}
 		watchdog.Reset(f.opts.IdleTimeout)

@@ -3,10 +3,12 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strconv"
@@ -166,6 +168,32 @@ func startFollower(t *testing.T, base, walPath string, promoteAfter time.Duratio
 		f.Close()
 	})
 	return f, done, cancel
+}
+
+// TestFollowerRejectsUndecodableSpec pins strict decoding on the
+// replication link: a spec record with a field this binary does not
+// know stops the standby with a fatal error, before any WAL exists,
+// instead of replicating a different run or reconnecting forever.
+func TestFollowerRejectsUndecodableSpec(t *testing.T) {
+	primary := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprintln(w, `{"type":"spec","spec":{"util":0.6,"fanout":[2,3],"ticks":200,"hotzon":true},"tick":0,"records":0}`)
+		w.(http.Flusher).Flush()
+		<-r.Context().Done()
+	}))
+	defer primary.Close()
+	walPath := filepath.Join(t.TempDir(), "standby.wal")
+	_, done, _ := startFollower(t, primary.URL, walPath, 0)
+	select {
+	case err := <-done:
+		if !errors.Is(err, errFollowerFatal) || !strings.Contains(err.Error(), `"hotzon"`) {
+			t.Fatalf("Run = %v, want a fatal error naming the unknown field", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("follower kept retrying an undecodable spec")
+	}
+	if _, err := os.Stat(walPath); !os.IsNotExist(err) {
+		t.Fatalf("standby WAL exists after an undecodable spec: %v", err)
+	}
 }
 
 // waitFor polls cond until it holds or the deadline passes.

@@ -31,50 +31,51 @@ func testMutations() []Mutation {
 }
 
 func TestWALRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.wal")
-	spec := testSpec()
-	w, err := CreateWAL(path, spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	muts := testMutations()
-	for _, mut := range muts {
-		if err := w.Append(mut); err != nil {
+	for _, spec := range []Spec{testSpec(), fullSpec()} {
+		path := filepath.Join(t.TempDir(), "run.wal")
+		w, err := CreateWAL(path, spec, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
+		muts := testMutations()
+		for _, mut := range muts {
+			if err := w.Append(mut); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-	w2, st, err := OpenWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(st.Spec, spec) {
-		t.Fatalf("recovered spec %+v, want %+v", st.Spec, spec)
-	}
-	if !reflect.DeepEqual(st.Mutations, muts) {
-		t.Fatalf("recovered mutations %+v, want %+v", st.Mutations, muts)
-	}
-	if st.Truncated != 0 {
-		t.Fatalf("clean wal reported %d truncated bytes", st.Truncated)
-	}
+		w2, st, err := OpenWAL(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(st.Spec, spec) {
+			t.Fatalf("recovered spec %+v, want %+v", st.Spec, spec)
+		}
+		if !reflect.DeepEqual(st.Mutations, muts) {
+			t.Fatalf("recovered mutations %+v, want %+v", st.Mutations, muts)
+		}
+		if st.Truncated != 0 {
+			t.Fatalf("clean wal reported %d truncated bytes", st.Truncated)
+		}
 
-	// The reopened WAL must keep accepting appends at the right offset.
-	extra := Mutation{Tick: 55, Kind: "demand", Server: 0, Factor: 1.1}
-	if err := w2.Append(extra); err != nil {
-		t.Fatal(err)
-	}
-	if err := w2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, st, err = OpenWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := append(muts, extra); !reflect.DeepEqual(st.Mutations, want) {
-		t.Fatalf("after reopen+append: %+v, want %+v", st.Mutations, want)
+		// The reopened WAL must keep accepting appends at the right offset.
+		extra := Mutation{Tick: 55, Kind: "demand", Server: 0, Factor: 1.1}
+		if err := w2.Append(extra); err != nil {
+			t.Fatal(err)
+		}
+		if err := w2.Close(); err != nil {
+			t.Fatal(err)
+		}
+		_, st, err = OpenWAL(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := append(muts, extra); !reflect.DeepEqual(st.Mutations, want) {
+			t.Fatalf("after reopen+append: %+v, want %+v", st.Mutations, want)
+		}
 	}
 }
 
@@ -213,6 +214,7 @@ func TestCorruptWALInputs(t *testing.T) {
 		{"future version", badVersion, "version 99"},
 		{"header only", walHeader(), "no spec record"},
 		{"crc-valid garbage spec", append(walHeader(), walRecord([]byte("{not json"))...), "spec record"},
+		{"spec with an unknown field", append(walHeader(), walRecord([]byte(`{"util":0.5,"fanout":[2],"ticks":10,"hotzon":true}`))...), `unknown field "hotzon"`},
 		{"crc-valid garbage mutation", append(append(walHeader(), goodSpec...), walRecord([]byte("[broken"))...), "mutation record"},
 	}
 	for _, tc := range cases {
@@ -247,6 +249,7 @@ func TestCorruptSnapshotInputs(t *testing.T) {
 		{"binary garbage", []byte{0x00, 0xff, 0x13, 0x37, 0x00}},
 		{"truncated json", valid[:len(valid)/2]},
 		{"wrong shape", []byte(`["an", "array", "not", "an", "object"]`)},
+		{"spec with an unknown field", []byte(`{"version":1,"spec":{"util":0.5,"fanout":[2],"ticks":10,"hotzon":true},"tick":0}`)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -26,30 +26,3 @@ func Example() {
 	// one-shot at 15
 	// heartbeat at 20
 }
-
-// Example_processes shows the SimPy-style process API: sequential bodies
-// that sleep in simulated time and queue FIFO on a shared resource.
-func Example_processes() {
-	e := sim.New()
-	bays := sim.NewResource(e, 1) // one repair bay
-
-	repair := func(name string, arrive, work sim.Tick) {
-		e.Go(name, func(p *sim.Proc) {
-			p.Sleep(arrive)
-			bays.Acquire(p, 1)
-			fmt.Printf("%s enters the bay at %d\n", name, p.Now())
-			p.Sleep(work)
-			bays.Release(1)
-		})
-	}
-	repair("truck", 0, 8)
-	repair("car", 3, 2) // arrives while the truck is in the bay
-
-	if err := e.Run(100); err != nil {
-		panic(err)
-	}
-
-	// Output:
-	// truck enters the bay at 0
-	// car enters the bay at 8
-}

@@ -31,10 +31,9 @@ type Event func(now Tick)
 var ErrStopped = errors.New("sim: stopped")
 
 type scheduledEvent struct {
-	at   Tick
-	seq  uint64 // tie-break: FIFO among same-tick events
-	fn   Event
-	name string
+	at  Tick
+	seq uint64 // tie-break: FIFO among same-tick events
+	fn  Event
 }
 
 type eventQueue []*scheduledEvent
@@ -85,24 +84,14 @@ func (e *Engine) Pending() int { return len(e.queue) }
 // the current tick) is a programming error and panics, since silently
 // reordering causality would corrupt any experiment built on the kernel.
 func (e *Engine) Schedule(at Tick, fn Event) {
-	e.scheduleNamed(at, "", fn)
-}
-
-// ScheduleNamed is Schedule with a label that appears in panics originating
-// from the event, easing debugging of large models.
-func (e *Engine) ScheduleNamed(at Tick, name string, fn Event) {
-	e.scheduleNamed(at, name, fn)
-}
-
-func (e *Engine) scheduleNamed(at Tick, name string, fn Event) {
 	if fn == nil {
 		panic("sim: Schedule with nil event")
 	}
 	if at < e.now {
-		panic(fmt.Sprintf("sim: event %q scheduled at tick %d, before current tick %d", name, at, e.now))
+		panic(fmt.Sprintf("sim: event scheduled at tick %d, before current tick %d", at, e.now))
 	}
 	e.seq++
-	heap.Push(&e.queue, &scheduledEvent{at: at, seq: e.seq, fn: fn, name: name})
+	heap.Push(&e.queue, &scheduledEvent{at: at, seq: e.seq, fn: fn})
 }
 
 // After enqueues fn to run delay ticks from now. A zero delay runs within

@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"sort"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -283,20 +282,4 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func TestScheduleNamedPanicsCarryName(t *testing.T) {
-	e := New()
-	e.Schedule(5, func(Tick) {})
-	e.Step()
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("past-scheduling did not panic")
-		}
-		if s, ok := r.(string); !ok || !strings.Contains(s, "boiler") {
-			t.Errorf("panic %v does not carry the event name", r)
-		}
-	}()
-	e.ScheduleNamed(1, "boiler", func(Tick) {})
 }
