@@ -39,21 +39,6 @@ import (
 	"willow/internal/workload"
 )
 
-// switchableSink is the caller-facing sink indirection: the controller
-// publishes through it for the whole run, and the daemon can retarget
-// it (nil during snapshot replay, a live hub afterwards) without
-// touching the controller.
-type switchableSink struct {
-	s telemetry.Sink
-}
-
-// Publish implements telemetry.Sink.
-func (w *switchableSink) Publish(e telemetry.Event) {
-	if w.s != nil {
-		w.s.Publish(e)
-	}
-}
-
 // Machine is one simulation run held open: construct with NewMachine,
 // advance with Step until Done, read measurements with Result.
 type Machine struct {
@@ -63,10 +48,15 @@ type Machine struct {
 	net    *netsim.Network
 	engine *sim.Engine
 
-	n        int
-	models   []power.ServerModel
+	n      int
+	models []power.ServerModel
+	// location maps app ID to hosting server for the IPC flows; nil
+	// when the run has none.
 	location map[int]int
 	flows    []netsim.Flow
+	// migSeen is how many of the controller's migrations the network
+	// model and location map have taken in.
+	migSeen int
 
 	powerAcc, tempAcc []metrics.Welford
 	imbAcc            []metrics.Welford
@@ -76,7 +66,14 @@ type Machine struct {
 	measured          int
 	baseMeans         map[*workload.App]float64
 
-	caller  *switchableSink
+	// The sharded measurement phase (measureShard): measuring is the
+	// tick's past-warm-up flag, slots and partials what each shard
+	// writes for the sequential fold, measureFn the phase bound once.
+	measuring bool
+	slots     []serverSlot
+	partials  []shardPartial
+	measureFn func(shard, lo, hi int)
+
 	stepped int // ticks executed; the next Step runs tick `stepped`
 
 	// baseReport / baseBudget are the Core config's link-loss levels,
@@ -137,21 +134,27 @@ func NewMachine(cfg Config) (*Machine, error) {
 	}
 
 	// QoS classes: round-robin priorities over all applications.
-	location := map[int]int{} // app ID -> hosting server
-	var appIDs []int
-	for si, set := range placement.Sets {
-		for _, a := range set.Apps {
-			if cfg.PriorityClasses > 0 {
+	if cfg.PriorityClasses > 0 {
+		for _, set := range placement.Sets {
+			for _, a := range set.Apps {
 				a.Priority = a.ID % cfg.PriorityClasses
 			}
-			location[a.ID] = si
-			appIDs = append(appIDs, a.ID)
 		}
 	}
 
-	// IPC flows between random application pairs.
+	// IPC flows between random application pairs, and the app → host
+	// map they are routed by.
+	var location map[int]int
 	var flows []netsim.Flow
 	if cfg.IPCFlows > 0 {
+		location = map[int]int{}
+		var appIDs []int
+		for si, set := range placement.Sets {
+			for _, a := range set.Apps {
+				location[a.ID] = si
+				appIDs = append(appIDs, a.ID)
+			}
+		}
 		flowSrc := src.Fork()
 		rate := cfg.IPCRate
 		if rate <= 0 {
@@ -214,27 +217,20 @@ func NewMachine(cfg Config) (*Machine, error) {
 		models:   models,
 		location: location,
 		flows:    flows,
-		caller:   &switchableSink{s: cfg.Sink},
 		res:      &Result{Config: cfg},
 	}
 	m.baseReport, m.baseBudget = ctrl.Cfg.ReportLoss, ctrl.Cfg.BudgetLoss
-
-	// The network model and IPC flow tracking observe migrations off the
-	// telemetry stream; the caller's sink (if any) rides the same wire,
-	// behind a switchable indirection so a daemon can retarget it.
-	observer := telemetry.SinkFunc(func(ev telemetry.Event) {
-		if ev.Kind != telemetry.KindMigration {
-			return
-		}
-		net.RecordMigration(ev.From, ev.To, ev.Bytes)
-		location[ev.App] = ev.To
-	})
-	ctrl.Sink = telemetry.Multi(observer, m.caller)
+	// The caller's sink is the controller's: with none attached, the
+	// controller builds no events at all.
+	ctrl.Sink = cfg.Sink
 
 	m.powerAcc = make([]metrics.Welford, m.n)
 	m.tempAcc = make([]metrics.Welford, m.n)
 	m.imbAcc = make([]metrics.Welford, tree.Height+1)
 	m.asleep = make([]int, m.n)
+	m.slots = make([]serverSlot, m.n)
+	m.partials = make([]shardPartial, ctrl.Shards())
+	m.measureFn = m.measureShard
 	slo := cfg.SLO
 	if slo.Service <= 0 {
 		slo = queueing.SLO{Service: 1, Target: 10}
@@ -359,9 +355,33 @@ func (m *Machine) validSensorFault(server, start int, magnitude float64) error {
 	return nil
 }
 
+// serverSlot is what the measurement phase records for one server, for
+// the sequential fold to add in server order.
+type serverSlot struct {
+	util     float64 // utilization, the server's switch traffic driver
+	consumed float64
+	latency  queueing.Sample
+	awake    bool
+}
+
+// shardPartial is one shard's share of the tick's order-free
+// reductions: maxima and a count.
+type shardPartial struct {
+	maxTemp, maxObsTemp float64
+	violations          int
+	deficit, surplus    float64 // level-0 maxima, Eqs. 7–8
+}
+
 // tickBody is one demand tick Δ_D: the controller step plus every
 // per-tick measurement. It runs inside the engine so injected fault
 // events interleave exactly as they do offline.
+//
+// The measurements run as one more sharded phase on the controller's
+// plan (measureShard), writing only per-server slots and per-shard
+// partials. Maxima and counts fold in any order; the float sums whose
+// bits depend on order — switch traffic, total energy, the latency
+// tracker — then fold sequentially in server order, so the result is
+// the same for any shard count.
 func (m *Machine) tickBody(now sim.Tick) {
 	cfg, ctrl, net, res := m.cfg, m.ctrl, m.net, m.res
 	if m.baseMeans != nil {
@@ -374,50 +394,106 @@ func (m *Machine) tickBody(now sim.Tick) {
 		}
 	}
 	ctrl.Step()
-	for i, s := range ctrl.Servers {
-		net.RecordServerTraffic(i, s.Utilization())
+	// Take in this tick's migrations in the order the controller applied
+	// them.
+	for _, mg := range ctrl.Stats.Migrations[m.migSeen:] {
+		net.RecordMigration(mg.From, mg.To, mg.Bytes)
+		if m.location != nil {
+			m.location[mg.AppID] = mg.To
+		}
+	}
+	m.migSeen = len(ctrl.Stats.Migrations)
+
+	m.measuring = int(now) >= cfg.Warmup
+	ctrl.ForEachShard(m.measureFn)
+	var def, sur float64
+	for _, p := range m.partials {
+		if p.maxTemp > res.MaxTemp {
+			res.MaxTemp = p.maxTemp
+		}
+		if p.maxObsTemp > res.MaxObsTemp {
+			res.MaxObsTemp = p.maxObsTemp
+		}
+		res.LimitViolationTicks += p.violations
+		if p.deficit > def {
+			def = p.deficit
+		}
+		if p.surplus > sur {
+			sur = p.surplus
+		}
+	}
+	for i := range m.slots {
+		sl := &m.slots[i]
+		net.RecordServerTraffic(i, sl.util)
+		if !m.measuring {
+			continue
+		}
+		res.TotalEnergy += sl.consumed
+		if sl.awake {
+			m.latency.Add(sl.latency)
+		}
 	}
 	if len(m.flows) > 0 {
 		net.RecordFlows(m.flows, m.location)
 	}
 	net.EndTick()
-	for _, s := range ctrl.Servers {
-		if s.Thermal.T > res.MaxTemp {
-			res.MaxTemp = s.Thermal.T
-		}
-		if t := s.TObs(); t > res.MaxObsTemp {
-			res.MaxObsTemp = t
-		}
-		if s.Thermal.T > s.Thermal.Model.Limit+1e-6 {
-			res.LimitViolationTicks++
-		}
-	}
-	if int(now) < cfg.Warmup {
+	if !m.measuring {
 		return
 	}
 	m.measured++
-	for i, s := range ctrl.Servers {
-		m.powerAcc[i].Add(s.Consumed())
-		m.tempAcc[i].Add(s.Thermal.T)
-		if s.Asleep() {
-			m.asleep[i]++
-		}
-		res.TotalEnergy += s.Consumed()
-	}
-	for level := 0; level <= m.tree.Height; level++ {
+	m.imbAcc[0].Add(core.Imbalance(def, sur))
+	for level := 1; level <= m.tree.Height; level++ {
 		_, _, imb := ctrl.LevelImbalance(level)
 		m.imbAcc[level].Add(imb)
 	}
-	for _, s := range ctrl.Servers {
-		if s.Asleep() {
+}
+
+// measureShard is tickBody's parallel phase over servers [lo, hi): it
+// reads the settled controller, writes the servers' slots and
+// accumulators, and leaves the shard's maxima in its partial.
+func (m *Machine) measureShard(shard, lo, hi int) {
+	ctrl, res := m.ctrl, m.res
+	window := ctrl.Cfg.ThermalWindow
+	p := shardPartial{maxTemp: res.MaxTemp, maxObsTemp: res.MaxObsTemp}
+	for i := lo; i < hi; i++ {
+		s := ctrl.Servers[i]
+		sl := &m.slots[i]
+		sl.util = s.Utilization()
+		t := s.Thermal.T
+		if t > p.maxTemp {
+			p.maxTemp = t
+		}
+		if obs := s.TObs(); obs > p.maxObsTemp {
+			p.maxObsTemp = obs
+		}
+		if t > s.Thermal.Model.Limit+1e-6 {
+			p.violations++
+		}
+		if !m.measuring {
 			continue
 		}
-		servedDyn := s.Consumed() - s.Power.Static
+		consumed := s.Consumed()
+		sl.consumed = consumed
+		m.powerAcc[i].Add(consumed)
+		m.tempAcc[i].Add(t)
+		if d := s.Deficit(window); d > p.deficit {
+			p.deficit = d
+		}
+		if v := s.Surplus(window); v > p.surplus {
+			p.surplus = v
+		}
+		sl.awake = !s.Asleep()
+		if !sl.awake {
+			m.asleep[i]++
+			continue
+		}
+		servedDyn := consumed - s.Power.Static
 		if servedDyn < 0 {
 			servedDyn = 0
 		}
-		m.latency.Observe(s.Utilization(), servedDyn, s.Dropped())
+		sl.latency = m.latency.Sample(sl.util, servedDyn, s.Dropped())
 	}
+	m.partials[shard] = p
 }
 
 // Step advances the simulation by one demand tick, executing every
@@ -448,10 +524,10 @@ func (m *Machine) Config() Config { return m.cfg }
 // (state endpoints). Callers must not mutate it between ticks.
 func (m *Machine) Controller() *core.Controller { return m.ctrl }
 
-// SetSink retargets the caller-facing telemetry sink. The internal
-// migration observer keeps running regardless; nil silences external
-// publication (used while a snapshot replays).
-func (m *Machine) SetSink(s telemetry.Sink) { m.caller.s = s }
+// SetSink retargets the run's telemetry sink, the controller's own, from
+// the next publication on. nil silences it (used while a snapshot
+// replays), and the controller then builds no events at all.
+func (m *Machine) SetSink(s telemetry.Sink) { m.ctrl.Sink = s }
 
 // ScaleDemand multiplies the mean demand of every application currently
 // hosted on the given server by factor (server -1 scales the whole

@@ -82,6 +82,7 @@ func benchFleetPolicy(b *testing.B, pol string) {
 	for i := 0; i < 20; i++ {
 		m.Step()
 	}
+	primeGoroutineFreeLists()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

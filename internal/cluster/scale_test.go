@@ -3,6 +3,8 @@ package cluster
 import (
 	"bytes"
 	"math"
+	"runtime"
+	"sync"
 	"testing"
 
 	"willow/internal/power"
@@ -37,23 +39,31 @@ func fleetConfig(fanout []int, supplyFrac float64) Config {
 // shards consumption only. The sensed variants run the medium sensor
 // chaos plan, with the naive instruments and with the robust estimator
 // armed: a sensed server settles in the sequential merge phase, while
-// the demand phase stays sharded.
+// the demand phase stays sharded. The consolidating variant runs a
+// lightly loaded fleet that sleeps most of its servers within the run,
+// so the Machine's sharded measurement phase compares its asleep branch
+// and its level-0 imbalance across shard counts too.
 func TestShardInvariance(t *testing.T) {
 	cases := []struct {
 		name   string
 		fanout []int
 		noise  float64
-		sensor string // ApplySensorChaos preset; empty attaches no sensors
-		window int    // Core.SensorWindow; non-zero arms the estimator
+		sensor string  // ApplySensorChaos preset; empty attaches no sensors
+		window int     // Core.SensorWindow; non-zero arms the estimator
+		util   float64 // non-zero overrides the fleet's utilization
 	}{
-		{"10k-quiet", []int{10, 10, 10, 10}, -1, "", 0},
-		{"1k-noisy", []int{10, 10, 10}, 25, "", 0},
-		{"1k-sensed", []int{10, 10, 10}, -1, "medium", 0},
-		{"1k-sensed-estimator", []int{10, 10, 10}, -1, "medium", 5},
+		{"10k-quiet", []int{10, 10, 10, 10}, -1, "", 0, 0},
+		{"1k-noisy", []int{10, 10, 10}, 25, "", 0, 0},
+		{"1k-sensed", []int{10, 10, 10}, -1, "medium", 0, 0},
+		{"1k-sensed-estimator", []int{10, 10, 10}, -1, "medium", 5, 0},
+		{"1k-consolidating", []int{10, 10, 10}, -1, "", 0, 0.15},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			base := fleetConfig(tc.fanout, 0.85)
+			if tc.util > 0 {
+				base.Utilization = tc.util
+			}
 			base.Core.NoiseLambda = tc.noise
 			base.Core.SensorWindow = tc.window
 			base.Warmup = 8
@@ -71,6 +81,19 @@ func TestShardInvariance(t *testing.T) {
 				cfg := base
 				cfg.Core.Shards = shards
 				return captureScenario(t, cfg)
+			}
+			if tc.util > 0 {
+				r, err := Run(base)
+				if err != nil {
+					t.Fatal(err)
+				}
+				slept := 0.0
+				for _, f := range r.AsleepFraction {
+					slept += f
+				}
+				if slept == 0 {
+					t.Fatal("consolidating fleet slept no server")
+				}
 			}
 			want := run(1)
 			for _, shards := range []int{2, 4, 8} {
@@ -241,6 +264,7 @@ func benchFleet(b *testing.B, fanout []int, shards int) {
 	for i := 0; i < 20; i++ {
 		m.Step()
 	}
+	primeGoroutineFreeLists()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -249,6 +273,30 @@ func benchFleet(b *testing.B, fanout []int, shards int) {
 	b.StopTimer()
 	perServerTick := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(n)
 	b.ReportMetric(perServerTick, "ns/server-tick")
+}
+
+// primeGoroutineFreeLists holds 64 goroutines per P (plus one P's worth)
+// alive at once, then lets them exit. The sharded tick starts a
+// goroutine per shard per phase, and the runtime serves each from
+// per-P free lists that each bank up to 64 exited goroutines before
+// sharing them. Until every P has banked its share, some starts
+// allocate a fresh goroutine, so a short benchmark on a host with
+// more than 2 Ps counted that one-time growth as per-Step allocations.
+// With this many goroutines in circulation the lists never run dry,
+// and allocs/op measures the tick's steady state at any GOMAXPROCS.
+func primeGoroutineFreeLists() {
+	n := 64 * (runtime.GOMAXPROCS(0) + 1)
+	var wg sync.WaitGroup
+	release := make(chan struct{})
+	wg.Add(n)
+	for range n {
+		go func() {
+			<-release
+			wg.Done()
+		}()
+	}
+	close(release)
+	wg.Wait()
 }
 
 func BenchmarkFleetTick(b *testing.B) {

@@ -26,7 +26,7 @@ func (c *Controller) consolidate(t int) {
 		return c.viewDynamic(s) / d
 	}
 
-	candidates := make([]*Server, 0, len(c.Servers))
+	candidates := c.candidates[:0]
 	for _, s := range c.Servers {
 		if s.Asleep() || s.wakeAt >= 0 {
 			continue
@@ -40,6 +40,7 @@ func (c *Controller) consolidate(t int) {
 			candidates = append(candidates, s)
 		}
 	}
+	c.candidates = candidates
 	// Thermally squeezed servers first — "Willow tries to move as much
 	// work away from these servers as possible due to their high
 	// temperatures" (the paper's Fig. 7 discussion) — then the biggest
@@ -71,7 +72,7 @@ func (c *Controller) consolidate(t int) {
 		if victim.Asleep() || !c.consolidateEligible(victim, utilization(victim)) {
 			continue
 		}
-		if len(c.awakeServers()) <= 1 {
+		if len(c.Servers)-c.AsleepCount() <= 1 {
 			break // never consolidate the last server away
 		}
 		if c.viewDeficit(victim, window) > tolerance {

@@ -147,8 +147,10 @@ type Controller struct {
 	lastLeft map[int]leftRecord
 
 	// draining marks servers being emptied by the current consolidation
-	// pass so they do not receive migrations mid-drain.
-	draining map[int]bool
+	// pass so they do not receive migrations mid-drain; candidates is
+	// that pass's reused candidate buffer (consolidate.go).
+	draining   map[int]bool
+	candidates []*Server
 
 	// Link-message accounting (state.go): downStamp is tick-stamped by
 	// child node ID; tickDown counts distinct links that carried a
@@ -209,13 +211,16 @@ type Controller struct {
 	// stream in server order and must stay sequential.
 	noisyDemand bool
 
-	// shardPlan is the rack-aligned partition of the fleet the parallel
-	// tick phases run over (state.go); evBuf/deferred are the per-server
-	// scratch the parallel consume phase writes race-free and the
-	// sequential merge phase drains in server order.
-	shardPlan []shardRange
-	evBuf     [][]telemetry.Event
-	deferred  []bool
+	// shards forks the parallel tick phases over the rack-aligned
+	// partition of the fleet (state.go); observeFn/settleFn are those
+	// phases, bound once so a tick allocates no method value.
+	// evBuf/deferred are the per-server scratch the parallel consume
+	// phase writes race-free and the sequential merge phase drains in
+	// server order.
+	shards              *shardRunner
+	observeFn, settleFn func(shard, lo, hi int)
+	evBuf               [][]telemetry.Event
+	deferred            []bool
 
 	// inStep gates telemetry batching; eventBuf is the step's pending
 	// batch (state.go).
@@ -364,7 +369,9 @@ func New(tree *topo.Tree, specs []ServerSpec, supply power.Supply, cfg Config, s
 	c.prioDemand = make([]float64, priorities)
 	c.prioServed = make([]float64, priorities)
 	c.prioSeen = make([]bool, priorities)
-	c.shardPlan = planShards(tree, cfg.Shards, numServers)
+	c.shards = newShardRunner(planShards(tree, cfg.Shards, numServers))
+	c.observeFn = func(_, lo, hi int) { c.observeShard(lo, hi) }
+	c.settleFn = func(_, lo, hi int) { c.settleShard(lo, hi) }
 	c.energy = newEnergyAcc(c)
 	if cfg.Policy != nil {
 		c.pol = cfg.Policy
@@ -519,7 +526,7 @@ func (c *Controller) observeDemand(int) {
 	} else {
 		// Noise-free demand draws nothing from the shared random stream,
 		// so the per-server phase parallelizes over rack-aligned shards.
-		c.forEachShard((*Controller).observeShard)
+		c.ForEachShard(c.observeFn)
 	}
 	c.aggregate()
 }
@@ -579,7 +586,7 @@ func (c *Controller) demandOf(n *topo.Node) float64 {
 // running consumeServer for every server the parallel phase deferred —
 // so the bits are the same for any shard count.
 func (c *Controller) consumeAndHeat() {
-	c.forEachShard((*Controller).settleShard)
+	c.ForEachShard(c.settleFn)
 	h := c.hot
 	for i, s := range c.Servers {
 		if c.deferred[i] {
@@ -722,11 +729,17 @@ func (c *Controller) LevelImbalance(level int) (def, sur, imb float64) {
 			}
 		}
 	}
+	return def, sur, Imbalance(def, sur)
+}
+
+// Imbalance is Eq. 9, P_imb = P_def + min(P_def, P_sur), from a level's
+// maximum deficit and surplus.
+func Imbalance(def, sur float64) float64 {
 	m := def
 	if sur < m {
 		m = sur
 	}
-	return def, sur, def + m
+	return def + m
 }
 
 // AsleepCount returns how many servers are currently deactivated.

@@ -151,8 +151,9 @@ type Config struct {
 	// runs.
 	EnergyEvents bool
 	// Shards splits the per-server phases of each tick (demand
-	// observation, consumption/heating) across a bounded worker pool of
-	// contiguous rack-aligned server ranges. Results are byte-identical
+	// observation, consumption/heating, and any a caller runs through
+	// Controller.ForEachShard) across up to Shards goroutines, one per
+	// contiguous rack-aligned server range. Results are byte-identical
 	// for any shard count: parallel phases touch only per-server state
 	// and every cross-server accumulation runs sequentially in server
 	// order. 0 or 1 runs the tick single-threaded.

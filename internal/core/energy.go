@@ -217,14 +217,18 @@ func (c *Controller) accountEnergy(t int) {
 	}
 	e.fleet.add(fleet)
 
-	if c.Cfg.EnergyEvents && c.Sink != nil && (t+1)%c.Cfg.Eta1 == 0 {
-		c.publishEnergyWindow(t)
+	if c.Cfg.EnergyEvents && (t+1)%c.Cfg.Eta1 == 0 {
+		c.closeEnergyWindow(t)
 	}
 }
 
-// publishEnergyWindow emits one KindEnergy record per rack plus a fleet
-// rollup covering the supply window that ended at tick t.
-func (c *Controller) publishEnergyWindow(t int) {
+// closeEnergyWindow ends the supply window that ended at tick t: it
+// advances the window bookkeeping and, when a sink listens, emits one
+// KindEnergy record per rack plus a fleet rollup covering the window.
+// The windows advance whether or not a sink is attached, so a sink
+// attached mid-run — a restored daemon's, after its silent replay —
+// sees the same windows an always-attached one does.
+func (c *Controller) closeEnergyWindow(t int) {
 	e := c.energy
 	ticks := t + 1 - e.lastEmit
 	for r, n := range e.racks {
@@ -234,15 +238,21 @@ func (c *Controller) publishEnergyWindow(t int) {
 		}
 		win := tot.Sub(e.rackLast[r])
 		e.rackLast[r] = tot
-		c.publish(telemetry.Event{
-			Tick: t, Kind: telemetry.KindEnergy,
-			Node: n.ID, Level: n.Level, Cause: "rack", Count: ticks,
-			Watts: win.Joules, Demand: win.WorkJoules,
-			Prev: win.HeatJoules, Bytes: win.ShedJoules,
-		})
+		if c.Sink != nil {
+			c.publish(telemetry.Event{
+				Tick: t, Kind: telemetry.KindEnergy,
+				Node: n.ID, Level: n.Level, Cause: "rack", Count: ticks,
+				Watts: win.Joules, Demand: win.WorkJoules,
+				Prev: win.HeatJoules, Bytes: win.ShedJoules,
+			})
+		}
 	}
 	win := e.fleet.Sub(e.fleetLast)
 	e.fleetLast = e.fleet
+	e.lastEmit = t + 1
+	if c.Sink == nil {
+		return
+	}
 	root := c.Tree.Root
 	c.publish(telemetry.Event{
 		Tick: t, Kind: telemetry.KindEnergy,
@@ -250,7 +260,6 @@ func (c *Controller) publishEnergyWindow(t int) {
 		Watts: win.Joules, Demand: win.WorkJoules,
 		Prev: win.HeatJoules, Bytes: win.ShedJoules,
 	})
-	e.lastEmit = t + 1
 }
 
 // serverTotals assembles one server's cumulative figures.

@@ -25,10 +25,9 @@ package core
 //     associative; resummation sidesteps the question).
 
 import (
-	"context"
 	"math"
+	"sync"
 
-	"willow/internal/parallel"
 	"willow/internal/telemetry"
 	"willow/internal/topo"
 )
@@ -392,20 +391,59 @@ func planShards(tree *topo.Tree, shards, servers int) []shardRange {
 	return out
 }
 
-// forEachShard runs phase over every shard range, in parallel on a
-// bounded worker pool when more than one shard is planned, inline
-// otherwise. phase is a method expression such as
-// (*Controller).observeShard, so the single-shard path allocates no
-// closure. It must only touch per-server state within its range (plus
-// per-server slots of shared slabs) — the race detector enforces this in
-// the shard-invariance tests.
-func (c *Controller) forEachShard(phase func(c *Controller, lo, hi int)) {
-	if len(c.shardPlan) == 1 {
-		phase(c, c.shardPlan[0].lo, c.shardPlan[0].hi)
+// shardRunner forks a tick phase over the shard plan and joins it
+// without allocating: shard 0 runs on the caller's goroutine, and every
+// other shard on a goroutine started from a thunk built once, at
+// construction. A phase must only touch per-server state within its
+// range (plus per-server slots of shared slabs and its own per-shard
+// partials) — the race detector enforces this in the shard-invariance
+// tests.
+type shardRunner struct {
+	plan   []shardRange
+	thunks []func() // thunks[k-1] runs the current phase over plan[k]
+	phase  func(shard, lo, hi int)
+	wg     sync.WaitGroup
+}
+
+func newShardRunner(plan []shardRange) *shardRunner {
+	r := &shardRunner{plan: plan}
+	for k := 1; k < len(plan); k++ {
+		lo, hi := plan[k].lo, plan[k].hi
+		r.thunks = append(r.thunks, func() {
+			r.phase(k, lo, hi)
+			r.wg.Done()
+		})
+	}
+	return r
+}
+
+// run calls phase(shard, lo, hi) for every shard of the plan and returns
+// when all have finished.
+func (r *shardRunner) run(phase func(shard, lo, hi int)) {
+	if len(r.plan) == 1 {
+		phase(0, r.plan[0].lo, r.plan[0].hi)
 		return
 	}
-	_ = parallel.ForEach(context.Background(), len(c.shardPlan), len(c.shardPlan), func(_ context.Context, i int) error {
-		phase(c, c.shardPlan[i].lo, c.shardPlan[i].hi)
-		return nil
-	})
+	r.phase = phase
+	r.wg.Add(len(r.thunks))
+	for _, th := range r.thunks {
+		go th()
+	}
+	phase(0, r.plan[0].lo, r.plan[0].hi)
+	r.wg.Wait()
+	r.phase = nil
 }
+
+// Shards returns the number of ranges in the controller's rack-aligned
+// shard plan (at most Config.Shards).
+func (c *Controller) Shards() int { return len(c.shards.plan) }
+
+// ForEachShard runs fn(shard, lo, hi) over every range of the shard plan
+// the controller's own parallel phases use: contiguous, rack-aligned
+// server spans [lo, hi) in shard order, in parallel when more than one
+// is planned. fn may write per-server slots within its range and
+// per-shard partials; a caller folds the partials afterwards, in shard
+// order, which is server order. Bind fn once (a method value allocates)
+// to keep the call allocation-free. Call it from the goroutine that
+// steps the controller, never from inside a running phase.
+func (c *Controller) ForEachShard(fn func(shard, lo, hi int)) { c.shards.run(fn) }

@@ -44,7 +44,26 @@ func NewHistogram(min, growth float64, buckets int) (*Histogram, error) {
 // land in an underflow bucket; values beyond the top land in the last
 // bucket (their weight still counts toward quantiles as "at least the
 // top edge").
-func (h *Histogram) Add(value, weight float64) {
+func (h *Histogram) Add(value, weight float64) { h.AddAt(h.Index(value), value, weight) }
+
+// Index returns the bucket value falls in, -1 for the underflow bucket.
+// It reads only the bucket layout, so concurrent callers may prepare
+// indices for one histogram while a single goroutine records them with
+// AddAt.
+func (h *Histogram) Index(value float64) int {
+	if value < h.min {
+		return -1
+	}
+	idx := int(math.Log(value/h.min) / h.logG)
+	if idx >= len(h.buckets) {
+		idx = len(h.buckets) - 1
+	}
+	return idx
+}
+
+// AddAt records an observation of the given weight into bucket idx, as
+// returned by Index(value).
+func (h *Histogram) AddAt(idx int, value, weight float64) {
 	if weight <= 0 {
 		return
 	}
@@ -52,13 +71,9 @@ func (h *Histogram) Add(value, weight float64) {
 	if value > h.maxSeen {
 		h.maxSeen = value
 	}
-	if value < h.min {
+	if idx < 0 {
 		h.under += weight
 		return
-	}
-	idx := int(math.Log(value/h.min) / h.logG)
-	if idx >= len(h.buckets) {
-		idx = len(h.buckets) - 1
 	}
 	h.buckets[idx] += weight
 }

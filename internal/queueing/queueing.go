@@ -113,16 +113,35 @@ func NewTracker(slo SLO) *Tracker {
 // Observe records one server-tick: servedWatts of demand ran at
 // utilization rho, shedWatts were dropped.
 func (t *Tracker) Observe(rho, servedWatts, shedWatts float64) {
-	t.observations++
-	if shedWatts > 0 {
-		t.shedWeight += shedWatts
-	}
+	t.Add(t.Sample(rho, servedWatts, shedWatts))
+}
+
+// Sample is one server-tick classified for a Tracker: the pure half of
+// Observe, which Add folds into the running sums.
+type Sample struct {
+	served, shed float64
+	// stretch is the clamped slowdown of non-saturated served demand,
+	// bucket its histogram index, ok whether it met the SLO.
+	stretch float64
+	bucket  int
+	ok      bool
+	// saturated marks served demand at or beyond ρ = 1: an SLO miss
+	// with no finite stretch.
+	saturated bool
+}
+
+// Sample classifies one server-tick without recording it. It reads only
+// the tracker's SLO and histogram layout, so concurrent callers may
+// prepare samples that one goroutine then records, in a fixed order,
+// with Add — the order the float sums depend on.
+func (t *Tracker) Sample(rho, servedWatts, shedWatts float64) Sample {
+	s := Sample{served: servedWatts, shed: shedWatts}
 	if servedWatts <= 0 {
-		return
+		return s
 	}
 	if rho >= 1 {
-		t.missWeight += servedWatts
-		return
+		s.saturated = true
+		return s
 	}
 	// Clamp the stretch contribution at 99.9 % utilization: the PS
 	// formula diverges as ρ → 1, but real requests time out long before —
@@ -132,14 +151,32 @@ func (t *Tracker) Observe(rho, servedWatts, shedWatts float64) {
 	if stretchRho > 0.999 {
 		stretchRho = 0.999
 	}
-	st := Stretch(stretchRho)
-	t.weightedStretch += servedWatts * st
-	t.stretchWeight += servedWatts
-	t.hist.Add(st, servedWatts)
-	if t.SLO.Met(rho) {
-		t.okWeight += servedWatts
+	s.stretch = Stretch(stretchRho)
+	s.bucket = t.hist.Index(s.stretch)
+	s.ok = t.SLO.Met(rho)
+	return s
+}
+
+// Add records one prepared server-tick.
+func (t *Tracker) Add(s Sample) {
+	t.observations++
+	if s.shed > 0 {
+		t.shedWeight += s.shed
+	}
+	if s.served <= 0 {
+		return
+	}
+	if s.saturated {
+		t.missWeight += s.served
+		return
+	}
+	t.weightedStretch += s.served * s.stretch
+	t.stretchWeight += s.served
+	t.hist.AddAt(s.bucket, s.stretch, s.served)
+	if s.ok {
+		t.okWeight += s.served
 	} else {
-		t.missWeight += servedWatts
+		t.missWeight += s.served
 	}
 }
 

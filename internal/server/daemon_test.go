@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -116,10 +117,20 @@ func TestFastForwardMatchesOfflineRun(t *testing.T) {
 // live chaos), snapshots it mid-flight, and asserts the restored
 // daemon is indistinguishable: identical state at the boundary,
 // identical next-tick state, and a byte-identical event stream to
-// completion.
+// completion. It runs with energy telemetry off and on: a restored
+// daemon replays silently, and its energy windows must still advance
+// through the replay so its first post-restore window matches the live
+// one.
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
+	for _, energy := range []bool{false, true} {
+		t.Run(fmt.Sprintf("energy=%v", energy), func(t *testing.T) { snapshotRestoreRoundTrip(t, energy) })
+	}
+}
+
+func snapshotRestoreRoundTrip(t *testing.T, energy bool) {
 	spec := testSpec()
 	spec.LeaseTicks = 8 // live PMU chaos needs leases armed at boot
+	spec.Energy = energy
 
 	d, err := New(spec)
 	if err != nil {
