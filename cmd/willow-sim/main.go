@@ -207,10 +207,10 @@ func planLine(spec server.Spec, cfg cluster.Config) string {
 	var parts []string
 	if spec.Chaos != "" {
 		parts = append(parts, fmt.Sprintf("chaos plan: %d server failures, %d PMU failures, %d loss windows, %d sensor faults",
-			len(cfg.Failures), len(cfg.PMUFailures), len(cfg.LossWindows), len(mcfg.SensorFaults)))
+			len(cfg.Faults.ServerFailures), len(cfg.Faults.PMUFailures), len(cfg.Faults.LossWindows), len(mcfg.Faults.SensorFaults)))
 	}
 	if spec.SensorChaos != "" {
-		parts = append(parts, fmt.Sprintf("sensor plan: %d fault windows", len(cfg.SensorFaults)-len(mcfg.SensorFaults)))
+		parts = append(parts, fmt.Sprintf("sensor plan: %d fault windows", len(cfg.Faults.SensorFaults)-len(mcfg.Faults.SensorFaults)))
 	}
 	return strings.Join(parts, "; ")
 }

@@ -1,7 +1,8 @@
 // Package cluster binds the Willow reproduction together: it builds the
 // paper's simulated data center (topology + thermal + power + workload +
-// controller + network) and runs it on the deterministic simulation
-// kernel, collecting the measurements behind Figs. 5–12.
+// controller + network) and steps it one demand tick at a time, firing
+// its fault plan on tick boundaries and collecting the measurements
+// behind Figs. 5–12.
 package cluster
 
 import (
@@ -9,11 +10,11 @@ import (
 	"runtime"
 	"sync"
 
+	"willow/internal/chaos"
 	"willow/internal/core"
 	"willow/internal/netsim"
 	"willow/internal/power"
 	"willow/internal/queueing"
-	"willow/internal/sensor"
 	"willow/internal/telemetry"
 	"willow/internal/thermal"
 	"willow/internal/workload"
@@ -84,26 +85,18 @@ type Config struct {
 	// (requests may take up to 10× their bare service time, i.e. the SLO
 	// is met up to 90 % utilization).
 	SLO queueing.SLO
-	// Failures injects server crashes and repairs at fixed ticks.
-	Failures []FailureEvent
-	// PMUFailures injects control-plane (internal PMU node) crashes and
-	// repairs at fixed ticks; the dead node's subtree rides its budget
-	// leases into degraded mode (core.Config.BudgetLeaseTicks).
-	PMUFailures []PMUFailureEvent
-	// LossWindows degrade every control link over fixed tick intervals,
-	// dropping upward reports and downward budget directives with the
-	// window's probabilities; outside all windows the Core config's
-	// ReportLoss/BudgetLoss apply. Typically generated, together with
-	// the failure lists, from a seeded chaos schedule (ApplyChaos).
-	LossWindows []LossWindow
-	// SensorFaults corrupt per-server temperature sensors over fixed
-	// tick windows (see internal/sensor for the fault modes). Any entry
-	// makes Run attach an instrument to every server, each with a
-	// private random stream derived from Seed, independent of the
-	// simulation's own streams — so naive and estimator-armed runs of
-	// the same plan see identical corrupted readings. Typically
-	// generated from a seeded chaos schedule (ApplySensorChaos).
-	SensorFaults []SensorFaultEvent
+	// Faults is the run's fault plan, fired at fixed ticks: server and
+	// PMU crashes and repairs (a dead PMU's subtree rides its budget
+	// leases into degraded mode, core.Config.BudgetLeaseTicks), control
+	// link loss windows (outside them the Core config's
+	// ReportLoss/BudgetLoss apply), and sensor fault windows. Any
+	// sensor fault makes the run attach an instrument to every server,
+	// each with a private random stream derived from Seed and
+	// independent of the simulation's own streams, so naive and
+	// estimator-armed runs of the same plan see identical corrupted
+	// readings. Typically expanded from a seeded chaos schedule
+	// (ApplyChaos, ApplySensorChaos).
+	Faults chaos.Plan
 	// NaiveSensing keeps the robust estimator disarmed when a chaos
 	// helper folds sensor faults into this config: the controller
 	// trusts raw readings. It is the estimator-off baseline of the
@@ -117,38 +110,6 @@ type Config struct {
 	// in input order, so even a sink shared across concurrent configs
 	// sees one deterministic stream.
 	Sink telemetry.Sink
-}
-
-// FailureEvent crashes a server at Tick and, when RepairTick > Tick,
-// repairs it then.
-type FailureEvent struct {
-	Server     int
-	Tick       int
-	RepairTick int
-}
-
-// PMUFailureEvent crashes the internal tree node with the given ID at
-// Tick and, when RepairTick > Tick, repairs it then.
-type PMUFailureEvent struct {
-	Node       int
-	Tick       int
-	RepairTick int
-}
-
-// LossWindow drops control messages on every link over [Start, End).
-type LossWindow struct {
-	Start, End             int
-	ReportLoss, BudgetLoss float64
-}
-
-// SensorFaultEvent corrupts one server's temperature sensor over
-// [Start, End): readings lie under the given mode until End clears the
-// fault (End <= Start leaves it armed to the end of the run).
-type SensorFaultEvent struct {
-	Server     int
-	Start, End int
-	Mode       sensor.Mode
-	Magnitude  float64
 }
 
 // sensorSeedSalt decorrelates the per-server sensor noise streams from

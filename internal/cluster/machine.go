@@ -20,9 +20,11 @@ package cluster
 // across goroutines (the daemon) serialize access with their own lock.
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"willow/internal/chaos"
 	"willow/internal/core"
@@ -33,7 +35,6 @@ import (
 	"willow/internal/power"
 	"willow/internal/queueing"
 	"willow/internal/sensor"
-	"willow/internal/sim"
 	"willow/internal/telemetry"
 	"willow/internal/topo"
 	"willow/internal/workload"
@@ -42,11 +43,10 @@ import (
 // Machine is one simulation run held open: construct with NewMachine,
 // advance with Step until Done, read measurements with Result.
 type Machine struct {
-	cfg    Config
-	tree   *topo.Tree
-	ctrl   *core.Controller
-	net    *netsim.Network
-	engine *sim.Engine
+	cfg  Config
+	tree *topo.Tree
+	ctrl *core.Controller
+	net  *netsim.Network
 
 	n      int
 	models []power.ServerModel
@@ -76,12 +76,19 @@ type Machine struct {
 
 	stepped int // ticks executed; the next Step runs tick `stepped`
 
+	// queue holds the fault actions still to fire, in tick order and
+	// in the order they were queued within a tick. Its first early
+	// actions are for tick `stepped` and fire before that tick's body;
+	// any others for that tick were injected at this boundary and fire
+	// after it.
+	queue []action
+	early int
+
 	// baseReport / baseBudget are the Core config's link-loss levels,
 	// restored when a loss window closes.
 	baseReport, baseBudget float64
 	// sensorsAttached records that every server carries an instrument
-	// (set at build when Config.SensorFaults is non-empty, or lazily by
-	// the first live-injected sensor fault).
+	// (set by the first plan with a sensor fault, at build or live).
 	sensorsAttached bool
 }
 
@@ -212,7 +219,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 		tree:     tree,
 		ctrl:     ctrl,
 		net:      net,
-		engine:   sim.New(),
 		n:        tree.NumServers(),
 		models:   models,
 		location: location,
@@ -248,70 +254,13 @@ func NewMachine(cfg Config) (*Machine, error) {
 		}
 	}
 
-	if err := m.scheduleConfigFaults(); err != nil {
+	// Build-time faults are a plan injected before the first boundary
+	// is set, so all of their tick-0 actions precede tick 0's body.
+	if err := m.InjectPlan(cfg.Faults, 0); err != nil {
 		return nil, err
 	}
-	m.engine.Every(0, 1, m.tickBody)
+	m.early = m.due(0)
 	return m, nil
-}
-
-// scheduleConfigFaults installs the Config's fault and sensor events
-// into the calendar, in the exact order Run always did.
-func (m *Machine) scheduleConfigFaults() error {
-	cfg, ctrl, tree := m.cfg, m.ctrl, m.tree
-	for _, f := range cfg.Failures {
-		f := f
-		if f.Server < 0 || f.Server >= m.n {
-			return fmt.Errorf("cluster: failure event for server %d out of range", f.Server)
-		}
-		m.engine.Schedule(sim.Tick(f.Tick), func(sim.Tick) { ctrl.FailServer(f.Server) })
-		if f.RepairTick > f.Tick {
-			m.engine.Schedule(sim.Tick(f.RepairTick), func(sim.Tick) { ctrl.RepairServer(f.Server) })
-		}
-	}
-	for _, f := range cfg.PMUFailures {
-		f := f
-		if f.Node < 0 || f.Node >= len(tree.Nodes) || tree.Nodes[f.Node].IsLeaf() {
-			return fmt.Errorf("cluster: PMU failure event for node %d is not an internal node", f.Node)
-		}
-		m.engine.Schedule(sim.Tick(f.Tick), func(sim.Tick) { ctrl.FailPMU(f.Node) })
-		if f.RepairTick > f.Tick {
-			m.engine.Schedule(sim.Tick(f.RepairTick), func(sim.Tick) { ctrl.RepairPMU(f.Node) })
-		}
-	}
-	if len(cfg.LossWindows) > 0 {
-		baseReport, baseBudget := m.baseReport, m.baseBudget
-		for _, w := range cfg.LossWindows {
-			w := w
-			if err := validLossWindow(w.Start, w.End, w.ReportLoss, w.BudgetLoss); err != nil {
-				return err
-			}
-			m.engine.Schedule(sim.Tick(w.Start), func(sim.Tick) {
-				ctrl.SetLinkLoss(w.ReportLoss, w.BudgetLoss)
-			})
-			m.engine.Schedule(sim.Tick(w.End), func(sim.Tick) {
-				ctrl.SetLinkLoss(baseReport, baseBudget)
-			})
-		}
-	}
-	if len(cfg.SensorFaults) > 0 {
-		m.attachSensors()
-		for _, f := range cfg.SensorFaults {
-			f := f
-			if err := m.validSensorFault(f.Server, f.Start, f.Magnitude); err != nil {
-				return err
-			}
-			m.engine.Schedule(sim.Tick(f.Start), func(sim.Tick) {
-				ctrl.SetSensorFault(f.Server, sensor.Fault{Mode: f.Mode, Magnitude: f.Magnitude})
-			})
-			if f.End > f.Start {
-				m.engine.Schedule(sim.Tick(f.End), func(sim.Tick) {
-					ctrl.ClearSensorFault(f.Server)
-				})
-			}
-		}
-	}
-	return nil
 }
 
 // attachSensors gives every server an instrument with a private stream
@@ -329,30 +278,6 @@ func (m *Machine) attachSensors() {
 		m.ctrl.AttachSensor(i, sensor.New(sensorSrc.Fork()))
 	}
 	m.sensorsAttached = true
-}
-
-func validLossWindow(start, end int, reportLoss, budgetLoss float64) error {
-	if start < 0 || end <= start {
-		return fmt.Errorf("cluster: bad loss window [%d, %d)", start, end)
-	}
-	if reportLoss < 0 || reportLoss >= 1 || budgetLoss < 0 || budgetLoss >= 1 {
-		return fmt.Errorf("cluster: loss window probabilities outside [0, 1): report=%v budget=%v",
-			reportLoss, budgetLoss)
-	}
-	return nil
-}
-
-func (m *Machine) validSensorFault(server, start int, magnitude float64) error {
-	if server < 0 || server >= m.n {
-		return fmt.Errorf("cluster: sensor fault for server %d out of range", server)
-	}
-	if start < 0 {
-		return fmt.Errorf("cluster: sensor fault start %d before the run", start)
-	}
-	if math.IsNaN(magnitude) || math.IsInf(magnitude, 0) {
-		return fmt.Errorf("cluster: non-finite sensor fault magnitude %v", magnitude)
-	}
-	return nil
 }
 
 // serverSlot is what the measurement phase records for one server, for
@@ -373,8 +298,7 @@ type shardPartial struct {
 }
 
 // tickBody is one demand tick Δ_D: the controller step plus every
-// per-tick measurement. It runs inside the engine so injected fault
-// events interleave exactly as they do offline.
+// per-tick measurement.
 //
 // The measurements run as one more sharded phase on the controller's
 // plan (measureShard), writing only per-server slots and per-shard
@@ -382,10 +306,10 @@ type shardPartial struct {
 // bits depend on order — switch traffic, total energy, the latency
 // tracker — then fold sequentially in server order, so the result is
 // the same for any shard count.
-func (m *Machine) tickBody(now sim.Tick) {
+func (m *Machine) tickBody(now int) {
 	cfg, ctrl, net, res := m.cfg, m.ctrl, m.net, m.res
 	if m.baseMeans != nil {
-		factor := cfg.DemandProfile.At(int(now) / ctrl.Cfg.Eta1)
+		factor := cfg.DemandProfile.At(now / ctrl.Cfg.Eta1)
 		if factor < 0 {
 			factor = 0
 		}
@@ -404,7 +328,7 @@ func (m *Machine) tickBody(now sim.Tick) {
 	}
 	m.migSeen = len(ctrl.Stats.Migrations)
 
-	m.measuring = int(now) >= cfg.Warmup
+	m.measuring = now >= cfg.Warmup
 	ctrl.ForEachShard(m.measureFn)
 	var def, sur float64
 	for _, p := range m.partials {
@@ -496,18 +420,46 @@ func (m *Machine) measureShard(shard, lo, hi int) {
 	m.partials[shard] = p
 }
 
-// Step advances the simulation by one demand tick, executing every
-// calendar event scheduled for it (fault injections, then the tick
-// body) in the same order the offline Run executes them. It is a no-op
-// once the run is Done.
+// Step advances the simulation by one demand tick t = NextTick(). It
+// fires, in order: the actions queued for t before this boundary, the
+// tick body, and the actions InjectPlan queued for t at this boundary,
+// each group in the order it was queued. So build-time faults at tick
+// 0 precede tick 0's body, and a live fault at relative tick 0 follows
+// the body and is stamped t+1. It is a no-op once the run is Done.
 func (m *Machine) Step() {
 	if m.Done() {
 		return
 	}
-	// Run's horizon semantics execute everything scheduled at this tick;
-	// errors are impossible because nothing calls Stop on this engine.
-	_ = m.engine.Run(sim.Tick(m.stepped))
+	t := m.stepped
+	m.fire(m.early)
+	m.tickBody(t)
+	m.fire(m.due(t))
 	m.stepped++
+	m.early = m.due(m.stepped)
+}
+
+// action is one queued fault: fire runs at the boundary of tick.
+type action struct {
+	tick int
+	fire func()
+}
+
+// due counts the leading queued actions for tick t.
+func (m *Machine) due(t int) int {
+	n := 0
+	for n < len(m.queue) && m.queue[n].tick == t {
+		n++
+	}
+	return n
+}
+
+// fire runs the first n queued actions and drops them.
+func (m *Machine) fire(n int) {
+	for _, a := range m.queue[:n] {
+		a.fire()
+	}
+	clear(m.queue[:n])
+	m.queue = m.queue[n:]
 }
 
 // Done reports whether every configured tick has executed.
@@ -559,101 +511,83 @@ func (m *Machine) ScaleDemand(server int, factor float64) error {
 	return nil
 }
 
-// InjectPlan schedules an expanded chaos plan live, every event offset
-// by the given tick (normally NextTick). Events whose absolute tick
-// falls beyond the run horizon are dropped — a repair clamped to the
-// horizon never fires, same as at build time. Sensor faults attach
-// instruments on first use. The offset must not precede NextTick, or
-// the injection would rewrite already-executed ticks.
+// InjectPlan validates an expanded chaos plan and queues it, every
+// event offset by the given tick (normally NextTick). It is the one
+// path for faults: NewMachine injects Config.Faults through it at
+// offset 0. The offset must not precede NextTick, or the plan would
+// rewrite ticks already run. A rejected plan queues nothing: a
+// half-applied plan would be unreplayable. Events at or past the run
+// horizon are dropped, since they could never fire. Sensor faults
+// attach instruments on first use.
 func (m *Machine) InjectPlan(plan chaos.Plan, offset int) error {
 	if offset < m.stepped {
 		return fmt.Errorf("cluster: chaos offset %d before next tick %d", offset, m.stepped)
 	}
 	ctrl, tree := m.ctrl, m.tree
-	// Validate everything before scheduling anything: a half-applied
-	// plan would be unreplayable.
+	var acts []action
+	at := func(t int, fire func()) {
+		if t < m.cfg.Ticks-offset {
+			acts = append(acts, action{offset + t, fire})
+		}
+	}
 	for _, f := range plan.ServerFailures {
 		if f.Server < 0 || f.Server >= m.n {
 			return fmt.Errorf("cluster: failure event for server %d out of range", f.Server)
+		}
+		if f.Tick < 0 {
+			return fmt.Errorf("cluster: failure event for server %d at tick %d before the run", f.Server, f.Tick)
+		}
+		at(f.Tick, func() { ctrl.FailServer(f.Server) })
+		if f.RepairTick > f.Tick {
+			at(f.RepairTick, func() { ctrl.RepairServer(f.Server) })
 		}
 	}
 	for _, f := range plan.PMUFailures {
 		if f.Node < 0 || f.Node >= len(tree.Nodes) || tree.Nodes[f.Node].IsLeaf() {
 			return fmt.Errorf("cluster: PMU failure event for node %d is not an internal node", f.Node)
 		}
+		if f.Tick < 0 {
+			return fmt.Errorf("cluster: PMU failure event for node %d at tick %d before the run", f.Node, f.Tick)
+		}
+		at(f.Tick, func() { ctrl.FailPMU(f.Node) })
+		if f.RepairTick > f.Tick {
+			at(f.RepairTick, func() { ctrl.RepairPMU(f.Node) })
+		}
 	}
 	for _, w := range plan.LossWindows {
-		if err := validLossWindow(w.Start, w.End, w.ReportLoss, w.BudgetLoss); err != nil {
-			return err
+		if w.Start < 0 || w.End <= w.Start {
+			return fmt.Errorf("cluster: bad loss window [%d, %d)", w.Start, w.End)
 		}
+		if !(w.ReportLoss >= 0 && w.ReportLoss < 1 && w.BudgetLoss >= 0 && w.BudgetLoss < 1) {
+			return fmt.Errorf("cluster: loss window probabilities outside [0, 1): report=%v budget=%v",
+				w.ReportLoss, w.BudgetLoss)
+		}
+		at(w.Start, func() { ctrl.SetLinkLoss(w.ReportLoss, w.BudgetLoss) })
+		at(w.End, func() { ctrl.SetLinkLoss(m.baseReport, m.baseBudget) })
 	}
 	for _, f := range plan.SensorFaults {
-		if err := m.validSensorFault(f.Server, f.Start, f.Magnitude); err != nil {
-			return err
+		if f.Server < 0 || f.Server >= m.n {
+			return fmt.Errorf("cluster: sensor fault for server %d out of range", f.Server)
 		}
-	}
-
-	horizon := m.cfg.Ticks
-	at := func(t int) (sim.Tick, bool) {
-		abs := offset + t
-		return sim.Tick(abs), abs < horizon
-	}
-	for _, f := range plan.ServerFailures {
-		f := f
-		if t, ok := at(f.Tick); ok {
-			m.engine.Schedule(t, func(sim.Tick) { ctrl.FailServer(f.Server) })
+		if f.Start < 0 {
+			return fmt.Errorf("cluster: sensor fault start %d before the run", f.Start)
 		}
-		if f.RepairTick > f.Tick {
-			if t, ok := at(f.RepairTick); ok {
-				m.engine.Schedule(t, func(sim.Tick) { ctrl.RepairServer(f.Server) })
-			}
+		if math.IsNaN(f.Magnitude) || math.IsInf(f.Magnitude, 0) {
+			return fmt.Errorf("cluster: non-finite sensor fault magnitude %v", f.Magnitude)
 		}
-	}
-	for _, f := range plan.PMUFailures {
-		f := f
-		if t, ok := at(f.Tick); ok {
-			m.engine.Schedule(t, func(sim.Tick) { ctrl.FailPMU(f.Node) })
-		}
-		if f.RepairTick > f.Tick {
-			if t, ok := at(f.RepairTick); ok {
-				m.engine.Schedule(t, func(sim.Tick) { ctrl.RepairPMU(f.Node) })
-			}
-		}
-	}
-	if len(plan.LossWindows) > 0 {
-		baseReport, baseBudget := m.baseReport, m.baseBudget
-		for _, w := range plan.LossWindows {
-			w := w
-			if t, ok := at(w.Start); ok {
-				m.engine.Schedule(t, func(sim.Tick) {
-					ctrl.SetLinkLoss(w.ReportLoss, w.BudgetLoss)
-				})
-			}
-			if t, ok := at(w.End); ok {
-				m.engine.Schedule(t, func(sim.Tick) {
-					ctrl.SetLinkLoss(baseReport, baseBudget)
-				})
-			}
+		fault := sensor.Fault{Mode: f.Mode, Magnitude: f.Magnitude}
+		at(f.Start, func() { ctrl.SetSensorFault(f.Server, fault) })
+		if f.End > f.Start {
+			at(f.End, func() { ctrl.ClearSensorFault(f.Server) })
 		}
 	}
 	if len(plan.SensorFaults) > 0 {
 		m.attachSensors()
-		for _, f := range plan.SensorFaults {
-			f := f
-			if t, ok := at(f.Start); ok {
-				m.engine.Schedule(t, func(sim.Tick) {
-					ctrl.SetSensorFault(f.Server, sensor.Fault{Mode: f.Mode, Magnitude: f.Magnitude})
-				})
-			}
-			if f.End > f.Start {
-				if t, ok := at(f.End); ok {
-					m.engine.Schedule(t, func(sim.Tick) {
-						ctrl.ClearSensorFault(f.Server)
-					})
-				}
-			}
-		}
 	}
+	// A stable sort keeps each tick's actions in the order they were
+	// queued, and leaves the early prefix where it is.
+	m.queue = append(m.queue, acts...)
+	slices.SortStableFunc(m.queue, func(a, b action) int { return cmp.Compare(a.tick, b.tick) })
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"willow/internal/chaos"
 	"willow/internal/power"
 	"willow/internal/queueing"
 	"willow/internal/telemetry"
@@ -20,7 +21,7 @@ func migratingConfig() Config {
 	cfg.IPCFlows = 12
 	cfg.IPCRate = 2
 	cfg.SLO = queueing.SLO{Service: 1, Target: 10}
-	cfg.Failures = []FailureEvent{{Server: 3, Tick: 70, RepairTick: 150}, {Server: 11, Tick: 95}}
+	cfg.Faults.ServerFailures = []chaos.ServerFailure{{Server: 3, Tick: 70, RepairTick: 150}, {Server: 11, Tick: 95}}
 	cfg.Core.EnergyEvents = true
 	return cfg
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"willow/internal/chaos"
 	"willow/internal/cluster"
 	"willow/internal/metrics"
 	"willow/internal/power"
@@ -163,7 +164,7 @@ func runExtFailure(opts Options) (*Result, error) {
 	shortenFor(opts)(&cfg)
 	failAt := cfg.Warmup + 40
 	repairAt := failAt + 80
-	cfg.Failures = []cluster.FailureEvent{{Server: 4, Tick: failAt, RepairTick: repairAt}}
+	cfg.Faults.ServerFailures = []chaos.ServerFailure{{Server: 4, Tick: failAt, RepairTick: repairAt}}
 	r, err := cluster.Run(cfg)
 	if err != nil {
 		return nil, err

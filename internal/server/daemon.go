@@ -12,7 +12,6 @@ import (
 	"willow/internal/chaos"
 	"willow/internal/cluster"
 	"willow/internal/core"
-	"willow/internal/sensor"
 	"willow/internal/telemetry"
 )
 
@@ -534,7 +533,7 @@ func (d *Daemon) InjectChaos(spec string, seed uint64, sensorOnly bool) (chaos.P
 }
 
 // injectChaos expands spec against the machine's remaining horizon and
-// schedules the plan at the machine's current boundary. Pure function
+// queues the plan at the machine's current boundary. Pure function
 // of (machine tick, spec, seed), which is what makes the journal
 // replayable.
 func injectChaos(m *cluster.Machine, spec string, seed uint64, sensorOnly bool) (chaos.Plan, error) {
@@ -544,31 +543,7 @@ func injectChaos(m *cluster.Machine, spec string, seed uint64, sensorOnly bool) 
 	if horizon <= 0 {
 		return chaos.Plan{}, fmt.Errorf("server: run complete, no horizon left for chaos")
 	}
-	var sched chaos.Schedule
-	if sensorOnly {
-		sp, err := sensor.ParseSpec(spec)
-		if err != nil {
-			return chaos.Plan{}, err
-		}
-		sched = chaos.Schedule{
-			SensorMTBF: sp.MTBF, SensorMTTR: sp.MTTR,
-			SensorNoise: sp.Noise, SensorBias: sp.Bias, SensorDrift: sp.Drift,
-			SensorStuck: sp.Stuck, SensorDropout: sp.Dropout,
-		}
-	} else {
-		var err error
-		sched, err = chaos.ParseSpec(spec)
-		if err != nil {
-			return chaos.Plan{}, err
-		}
-	}
-	sched.Ticks = horizon
-	var err error
-	sched.Servers, sched.PMUs, sched.Racks, err = cluster.ChaosTopology(cfg.Fanout)
-	if err != nil {
-		return chaos.Plan{}, err
-	}
-	plan, err := sched.Expand(seed)
+	plan, err := cluster.ExpandChaos(spec, sensorOnly, cfg.Fanout, horizon, seed)
 	if err != nil {
 		return chaos.Plan{}, err
 	}
