@@ -185,7 +185,8 @@ experiments:
 report:
 	$(GO) run ./cmd/willow-exp -report docs/REPORT.md
 
-# Short fuzz pass over the parser/packer/seed-derivation/spec-decoding targets.
+# Short fuzz pass over the parser/packer/seed-derivation/spec-decoding
+# targets and the fault-plan validator.
 fuzz:
 	$(GO) test -fuzz=FuzzFFDLR -fuzztime=10s ./internal/binpack
 	$(GO) test -fuzz=FuzzMatchFFD -fuzztime=10s ./internal/binpack
@@ -197,6 +198,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzSensorSpec -fuzztime=10s ./internal/sensor
 	$(GO) test -fuzz=FuzzPolicySpec -fuzztime=10s ./internal/policy
 	$(GO) test -fuzz=FuzzIncrementalAggregation -fuzztime=10s ./internal/core
+	$(GO) test -fuzz=FuzzFaultPlan -fuzztime=10s ./internal/cluster
 	$(GO) test -fuzz=FuzzSpecDecode -fuzztime=10s ./internal/server
 
 examples:

@@ -3,8 +3,8 @@
 // 2011).
 //
 // The implementation lives under internal/: the hierarchical controller
-// (internal/core), its substrates (simulation kernel, thermal model,
-// topology, power and workload models, bin packing, network simulation),
+// (internal/core), its substrates (thermal model, topology, power and
+// workload models, fault plans, bin packing, network simulation),
 // the emulated three-server testbed, and the experiment harness that
 // regenerates every table and figure of the paper's evaluation. See
 // README.md for a tour, DESIGN.md for the system inventory, and
