@@ -113,12 +113,13 @@ chaos-smoke:
 sensor-smoke:
 	$(GO) test -run 'TestSensorSmoke|TestSensingIdentityAtClusterScale|TestSensorChaosTrueTemperatureCap|TestSensingIdentityWhenDisabled' -count=1 ./internal/cluster ./internal/core
 
-# Live daemon gate: the concurrency, shutdown, and determinism pins
+# Live daemon gate: the concurrency, shutdown, determinism and wire
+# format pins (compact /v1/state, one event-stream flush per batch)
 # under -race, then a real willowd booted on a random port, hammered
 # with 1k willow-load requests, drained with SIGTERM, and resumed from
 # its final snapshot — all with race-instrumented binaries.
 serve-smoke:
-	$(GO) test -race -count=1 -run 'TestFastForwardMatchesOfflineRun|TestSnapshotRestoreRoundTrip|TestConcurrentAPIHammer|TestGracefulShutdownSnapshotRoundTrip|TestSlowSubscriberNeverStallsTicks' ./internal/server
+	$(GO) test -race -count=1 -run 'TestFastForwardMatchesOfflineRun|TestSnapshotRestoreRoundTrip|TestConcurrentAPIHammer|TestGracefulShutdownSnapshotRoundTrip|TestSlowSubscriberNeverStallsTicks|TestEventsStreamOneFlushPerBatch|TestStateResponseCompactJSON' ./internal/server
 	./scripts/serve_smoke.sh
 
 # Observability gate: the energy-accounting determinism pins

@@ -8,10 +8,6 @@ package core
 // Failed reports whether the server is crashed (failure injection).
 func (s *Server) Failed() bool { return s.failed }
 
-// Waking returns the tick at which a sleeping server will come back,
-// or -1 when no wake is pending.
-func (s *Server) Waking() int { return s.wakeAt }
-
 // NodeView is one internal (PMU) node's control state.
 type NodeView struct {
 	// Node is the tree node ID, Level its height (1 = just above the

@@ -185,6 +185,12 @@ func NewHandlerOpts(d *Daemon, opts HandlerOptions) http.Handler {
 // and the tick loop never blocks. With ?from=<tick>, retained history
 // from that tick on is replayed before the live feed — the resume path
 // a reconnecting subscriber (or follower surviving link loss) uses.
+//
+// Writes are batched per wake-up: after the event that woke it, the
+// handler also writes every event already queued on the subscription,
+// then flushes once, so a 1k-server tick's few hundred events cost one
+// write syscall rather than one each. The handler never waits for more
+// events, so a lone event is flushed at once.
 func serveEvents(d *Daemon, w http.ResponseWriter, r *http.Request) {
 	keep := telemetry.AllKinds
 	if q := r.URL.Query().Get("kinds"); q != "" {
@@ -252,10 +258,12 @@ func serveEvents(d *Daemon, w http.ResponseWriter, r *http.Request) {
 				return false
 			}
 		}
+		return true
+	}
+	flush := func() {
 		if flusher != nil {
 			flusher.Flush()
 		}
-		return true
 	}
 
 	// Replay retained history first (?from=): the subscription was taken
@@ -265,6 +273,9 @@ func serveEvents(d *Daemon, w http.ResponseWriter, r *http.Request) {
 		if !writeEvent(ev) {
 			return
 		}
+	}
+	if len(history) > 0 {
+		flush()
 	}
 
 	for {
@@ -280,6 +291,15 @@ func serveEvents(d *Daemon, w http.ResponseWriter, r *http.Request) {
 			if !writeEvent(ev) {
 				return
 			}
+			// This handler is the channel's only receiver, so the n
+			// events queued now are there to take, even if the hub
+			// closes the channel meanwhile.
+			for n := len(sub.C); n > 0; n-- {
+				if !writeEvent(<-sub.C) {
+					return
+				}
+			}
+			flush()
 		}
 	}
 }
@@ -293,12 +313,13 @@ func decodeJSON(r *http.Request, dst any) error {
 	return nil
 }
 
+// writeJSON sends v as compact JSON followed by a newline: the bytes of
+// json.Marshal(v) plus "\n". The status line is already out when
+// encoding runs, so an encode or write error has no one to report to.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {

@@ -366,3 +366,150 @@ func TestRunLoad(t *testing.T) {
 		t.Fatalf("report table missing request row")
 	}
 }
+
+// TestStateResponseCompactJSON pins the /v1/state wire format: at a
+// quiescent tick boundary the body is exactly json.Marshal(d.State())
+// and a newline. A cache or a custom encoder must keep these bytes.
+func TestStateResponseCompactJSON(t *testing.T) {
+	d := newTestDaemon(t, testSpec())
+	d.StepN(60)
+	rec := httptest.NewRecorder()
+	NewHandler(d).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/state", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET /v1/state: status %d", rec.Code)
+	}
+	want, err := json.Marshal(d.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, '\n')
+	if got := rec.Body.Bytes(); !bytes.Equal(got, want) {
+		t.Fatalf("GET /v1/state body is not compact JSON:\n got %d bytes: %.120s\nwant %d bytes: %.120s", len(got), got, len(want), want)
+	}
+}
+
+// batchWriter is an http.ResponseWriter for serveEvents that counts
+// Flush calls. Its first body Write waits until release is closed, so a
+// test can queue a backlog on the subscription while the handler holds
+// its first event. Only the handler's goroutine writes and flushes; the
+// test reads body and flushes after the handler has returned.
+type batchWriter struct {
+	header  http.Header
+	release chan struct{} // the first Write waits for it
+	opened  chan struct{} // closed by the first Flush, which commits the headers
+	full    chan struct{} // closed once the body holds want bytes
+	want    int           // set before release is closed
+
+	body    bytes.Buffer
+	flushes int
+	wrote   bool
+}
+
+func newBatchWriter() *batchWriter {
+	return &batchWriter{
+		header:  http.Header{},
+		release: make(chan struct{}),
+		opened:  make(chan struct{}),
+		full:    make(chan struct{}),
+	}
+}
+
+func (w *batchWriter) Header() http.Header { return w.header }
+
+func (w *batchWriter) WriteHeader(int) {}
+
+func (w *batchWriter) Write(p []byte) (int, error) {
+	if !w.wrote {
+		w.wrote = true
+		<-w.release
+	}
+	full := w.body.Len() >= w.want
+	n, err := w.body.Write(p)
+	if !full && w.body.Len() >= w.want {
+		close(w.full)
+	}
+	return n, err
+}
+
+func (w *batchWriter) Flush() {
+	w.flushes++
+	if w.flushes == 1 {
+		close(w.opened)
+	}
+}
+
+// TestEventsStreamOneFlushPerBatch pins the batched event stream: the
+// events queued while the handler is busy go out in one flush, and the
+// body is byte for byte what the lossless sink saw, in publish order,
+// for NDJSON, SSE and a ?from= history replay ahead of the live feed.
+func TestEventsStreamOneFlushPerBatch(t *testing.T) {
+	cases := []struct {
+		name  string
+		query string
+		sse   bool
+		// pre ticks run before the request, so ?from=0 replays them.
+		pre int
+		// maxFlushes: the headers, the history (if any) and the backlog.
+		maxFlushes int
+	}{
+		{name: "ndjson", query: "?buffer=4096", maxFlushes: 2},
+		{name: "sse", query: "?buffer=4096", sse: true, maxFlushes: 2},
+		{name: "ndjson from history", query: "?buffer=4096&from=0", pre: 5, maxFlushes: 3},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d := newTestDaemon(t, testSpec())
+			var published telemetry.Buffer
+			d.SetSink(&published)
+			d.StepN(tc.pre)
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			req := httptest.NewRequest(http.MethodGet, "/v1/events"+tc.query, nil).WithContext(ctx)
+			if tc.sse {
+				req.Header.Set("Accept", "text/event-stream")
+			}
+			w := newBatchWriter()
+			served := make(chan struct{})
+			go func() {
+				defer close(served)
+				NewHandler(d).ServeHTTP(w, req)
+			}()
+			select {
+			case <-w.opened:
+			case <-served:
+				t.Fatalf("handler returned before opening the stream: %s", w.body.Bytes())
+			}
+
+			d.StepN(20)
+			var want bytes.Buffer
+			for _, ev := range published.Events {
+				line, err := telemetry.Encode(ev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tc.sse {
+					fmt.Fprintf(&want, "data: %s\n\n", line)
+				} else {
+					want.Write(line)
+					want.WriteByte('\n')
+				}
+			}
+			w.want = want.Len()
+			close(w.release)
+			select {
+			case <-w.full:
+			case <-time.After(10 * time.Second):
+			}
+			cancel()
+			<-served
+
+			if !bytes.Equal(w.body.Bytes(), want.Bytes()) {
+				t.Fatalf("streamed %d bytes, want the %d bytes of the %d published events", w.body.Len(), want.Len(), len(published.Events))
+			}
+			if w.flushes > tc.maxFlushes {
+				t.Fatalf("%d flushes for %d events, want at most %d", w.flushes, len(published.Events), tc.maxFlushes)
+			}
+		})
+	}
+}

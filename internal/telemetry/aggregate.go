@@ -203,17 +203,9 @@ func (a *Aggregator) OrphanWattTicks() float64 { return a.orphanWatts }
 // SensorFaults returns the number of sensor faults injected.
 func (a *Aggregator) SensorFaults() int64 { return a.sensorInjects }
 
-// SensorRejections returns the readings the estimator's residual gate
-// rejected (including dropout NaNs).
-func (a *Aggregator) SensorRejections() int64 { return a.sensorRejects }
-
 // SensorGuardTicks returns the server-ticks on which control ran on the
 // model-predicted fallback temperature plus guard band.
 func (a *Aggregator) SensorGuardTicks() int64 { return a.sensorGuard }
-
-// SensorUnhealthyTrips returns how many times a sensor was declared
-// unhealthy.
-func (a *Aggregator) SensorUnhealthyTrips() int64 { return a.sensorTrips }
 
 // EnergyJoules returns the fleet-wide joules consumed, summed over the
 // "fleet" energy window records.
