@@ -187,9 +187,10 @@ report:
 	$(GO) run ./cmd/willow-exp -report docs/REPORT.md
 
 # Short fuzz pass over the parser/packer/seed-derivation/spec-decoding
-# targets and the fault-plan validator.
+# targets, the fault-plan validator and the histogram's edge table.
 fuzz:
 	$(GO) test -fuzz=FuzzFFDLR -fuzztime=10s ./internal/binpack
+	$(GO) test -fuzz=FuzzHistogramIndex -fuzztime=10s ./internal/metrics
 	$(GO) test -fuzz=FuzzMatchFFD -fuzztime=10s ./internal/binpack
 	$(GO) test -fuzz=FuzzRead -fuzztime=10s ./internal/trace
 	$(GO) test -fuzz=FuzzReplicationSeeds -fuzztime=10s ./internal/exp

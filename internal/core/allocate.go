@@ -283,14 +283,15 @@ func (c *Controller) sumSubtrees() {
 // parent divides budget: for a server its hard cap and static power, for
 // a PMU the sums over its subtree from the current sumSubtrees pass.
 // Sleeping servers contribute nothing — they cannot spend budget and
-// burn no static power.
+// burn no static power. A server's figures come off the slab: its
+// cached hard cap is the one for Cfg.ThermalWindow (see fleetHot).
 func (c *Controller) capFloor(n *topo.Node) (cap, floor float64) {
 	if !n.IsLeaf() {
 		return c.subCap[n.ID], c.subFloor[n.ID]
 	}
-	if c.hot.asleep[n.ServerIndex] {
+	h, i := c.hot, n.ServerIndex
+	if h.asleep[i] {
 		return 0, 0
 	}
-	s := c.Servers[n.ServerIndex]
-	return s.HardCap(c.Cfg.ThermalWindow), s.Power.Static
+	return h.hardCap[i], h.static[i]
 }

@@ -35,9 +35,19 @@ type assignment struct {
 func (c *Controller) migrateDemand(t int) {
 	window := c.Cfg.ThermalWindow
 
+	// With synchronous reporting a parent sees each server's own CP, so
+	// Eq. 5 reads straight off the slab; the asynchronous plane reads the
+	// server through its report pipe.
+	async, h := c.asyncEnabled(), c.hot
 	var items []item
-	for _, s := range c.Servers {
-		def := c.viewDeficit(s, window) - c.outboundFor(s)
+	for i, s := range c.Servers {
+		var def float64
+		if async {
+			def = c.viewDeficit(s, window)
+		} else {
+			def = h.deficit(i)
+		}
+		def -= c.outboundFor(s)
 		// Migration-trigger seam (policy.go): the built-in rule peels
 		// when the deficit exceeds P_min, targeting deficit + P_min.
 		target := c.peelTarget(s, def)

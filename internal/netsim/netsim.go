@@ -62,10 +62,16 @@ func DefaultConfig() Config {
 // Per-switch state lives in slices indexed by switch node ID. topo's BFS
 // numbering puts every internal node before every server, so the
 // switches are exactly the node-ID prefix [0, switches); the hot
-// per-server traffic loop then costs plain slice stores, never a hash.
+// per-server traffic loop then costs plain slice stores, never a hash,
+// over each server's switch path, flattened once at construction.
 type Network struct {
 	cfg  Config
 	tree *topo.Tree
+
+	// path lists every server's switches from its parent up to the root,
+	// by node ID: server i's are path[pathOff[i]:pathOff[i+1]].
+	path    []int32
+	pathOff []int32
 
 	// Per-tick accumulators, reset by EndTick.
 	tickBase []float64
@@ -74,12 +80,10 @@ type Network struct {
 	// Run totals.
 	ticks       int
 	totalMig    []float64 // migration traffic per switch
-	totalBase   []float64
 	energy      []float64 // watt-ticks per switch
 	migTraffic  float64   // total migration traffic, all switches
-	baseTraffic float64
-	flowHops    int // switch hops accumulated over all flow observations
-	flowSamples int // flow observations (one per flow per tick)
+	flowHops    int       // switch hops accumulated over all flow observations
+	flowSamples int       // flow observations (one per flow per tick)
 }
 
 // New builds a Network over the tree.
@@ -94,16 +98,24 @@ func New(tree *topo.Tree, cfg Config) (*Network, error) {
 		return nil, fmt.Errorf("netsim: north fraction %v outside [0, 1]", cfg.NorthFraction)
 	}
 	switches := len(tree.Nodes) - len(tree.Servers)
-	buf := make([]float64, 5*switches)
-	return &Network{
-		cfg:       cfg,
-		tree:      tree,
-		tickBase:  buf[0*switches : 1*switches],
-		tickMig:   buf[1*switches : 2*switches],
-		totalMig:  buf[2*switches : 3*switches],
-		totalBase: buf[3*switches : 4*switches],
-		energy:    buf[4*switches : 5*switches],
-	}, nil
+	buf := make([]float64, 4*switches)
+	n := &Network{
+		cfg:      cfg,
+		tree:     tree,
+		path:     make([]int32, 0, len(tree.Servers)*tree.Height),
+		pathOff:  make([]int32, len(tree.Servers)+1),
+		tickBase: buf[0*switches : 1*switches],
+		tickMig:  buf[1*switches : 2*switches],
+		totalMig: buf[2*switches : 3*switches],
+		energy:   buf[3*switches : 4*switches],
+	}
+	for i, srv := range tree.Servers {
+		for sw := srv.Parent; sw != nil; sw = sw.Parent {
+			n.path = append(n.path, int32(sw.ID))
+		}
+		n.pathOff[i+1] = int32(len(n.path))
+	}
+	return n, nil
 }
 
 // RecordServerTraffic adds one server's base traffic for the current
@@ -114,8 +126,8 @@ func (n *Network) RecordServerTraffic(serverIndex int, utilization float64) {
 		return
 	}
 	load := utilization * n.cfg.TrafficPerUtil
-	for sw := n.tree.Servers[serverIndex].Parent; sw != nil; sw = sw.Parent {
-		n.tickBase[sw.ID] += load
+	for _, id := range n.path[n.pathOff[serverIndex]:n.pathOff[serverIndex+1]] {
+		n.tickBase[id] += load
 		load *= n.cfg.NorthFraction
 	}
 }
@@ -188,9 +200,7 @@ func (n *Network) EndTick() {
 		mig := n.tickMig[id]
 		perSwitch := (base + mig) / float64(n.cfg.Redundancy)
 		n.energy[id] += n.cfg.Switch.Power(perSwitch)
-		n.totalBase[id] += base
 		n.totalMig[id] += mig
-		n.baseTraffic += base
 		n.migTraffic += mig
 	}
 	clear(n.tickBase)
@@ -248,9 +258,3 @@ func (n *Network) MigrationTrafficShare() float64 {
 	}
 	return n.migTraffic / capacity
 }
-
-// TotalMigrationTraffic returns the run's total migration traffic units.
-func (n *Network) TotalMigrationTraffic() float64 { return n.migTraffic }
-
-// TotalBaseTraffic returns the run's total base traffic units.
-func (n *Network) TotalBaseTraffic() float64 { return n.baseTraffic }

@@ -241,12 +241,6 @@ func TestMigrationTrafficShare(t *testing.T) {
 	if got := n.MigrationTrafficShare(); math.Abs(got-want) > 1e-12 {
 		t.Errorf("share = %v, want %v", got, want)
 	}
-	if got := n.TotalMigrationTraffic(); got != 50 {
-		t.Errorf("total migration traffic = %v", got)
-	}
-	if got := n.TotalBaseTraffic(); got != 0 {
-		t.Errorf("total base traffic = %v", got)
-	}
 }
 
 func BenchmarkEndTick(b *testing.B) {

@@ -189,12 +189,6 @@ func (t *Tracker) MeanStretch() float64 {
 	return t.weightedStretch / t.stretchWeight
 }
 
-// MeanResponseTime returns the demand-weighted mean response time under
-// the tracker's SLO service time.
-func (t *Tracker) MeanResponseTime() float64 {
-	return t.MeanStretch() * t.SLO.Service
-}
-
 // SLOMissFraction returns the fraction of offered demand that was shed
 // or served too slowly.
 func (t *Tracker) SLOMissFraction() float64 {

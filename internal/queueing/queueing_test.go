@@ -79,9 +79,6 @@ func TestTrackerBasics(t *testing.T) {
 	if got := tr.MeanStretch(); math.Abs(got-wantStretch) > 1e-9 {
 		t.Errorf("MeanStretch = %v, want %v", got, wantStretch)
 	}
-	if got := tr.MeanResponseTime(); math.Abs(got-wantStretch) > 1e-9 {
-		t.Errorf("MeanResponseTime = %v, want %v (service 1)", got, wantStretch)
-	}
 	// Misses: the 0.9-utilization 100 W plus the 50 W shed, of 250 total.
 	if got := tr.SLOMissFraction(); math.Abs(got-150.0/250) > 1e-9 {
 		t.Errorf("SLOMissFraction = %v, want 0.6", got)

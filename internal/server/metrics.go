@@ -67,9 +67,9 @@ func newDaemonMetrics() *daemonMetrics {
 	}
 	return &daemonMetrics{
 		reg:           reg,
-		phaseObserve:  phase("observe"),
-		phaseAllocate: phase("allocate"),
-		phaseConsume:  phase("consume"),
+		phaseObserve:  phase(core.PhaseObserve),
+		phaseAllocate: phase(core.PhaseAllocate),
+		phaseConsume:  phase(core.PhaseConsume),
 		publish: reg.Histogram("willow_hub_publish_seconds",
 			"wall-clock time per hub fan-out publish", obs.LatencyBuckets),
 		snapshot: reg.Histogram("willow_snapshot_write_seconds",
@@ -85,11 +85,11 @@ func newDaemonMetrics() *daemonMetrics {
 // timings into the wall-clock histograms. Called under the tick lock.
 func (m *daemonMetrics) ObservePhase(phase string, seconds float64) {
 	switch phase {
-	case "observe":
+	case core.PhaseObserve:
 		m.phaseObserve.Observe(seconds)
-	case "allocate":
+	case core.PhaseAllocate:
 		m.phaseAllocate.Observe(seconds)
-	case "consume":
+	case core.PhaseConsume:
 		m.phaseConsume.Observe(seconds)
 	}
 }
