@@ -42,7 +42,11 @@ func fleetConfig(fanout []int, supplyFrac float64) Config {
 // the demand phase stays sharded. The consolidating variant runs a
 // lightly loaded fleet that sleeps most of its servers within the run,
 // so the Machine's sharded measurement phase compares its asleep branch
-// and its level-0 imbalance across shard counts too.
+// and its level-0 imbalance across shard counts too. The QoS-shedding
+// variant interleaves the sharded and the sequential consume paths
+// within one tick (see TestShardInvariance/1k-qos-shedding). Every
+// variant compares shards 2, 3, 4 and 8 against one; 3 splits the
+// fleets' racks unevenly.
 func TestShardInvariance(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -95,17 +99,89 @@ func TestShardInvariance(t *testing.T) {
 					t.Fatal("consolidating fleet slept no server")
 				}
 			}
-			want := run(1)
-			for _, shards := range []int{2, 4, 8} {
-				got := run(shards)
-				if got.Events != want.Events {
-					t.Errorf("shards=%d: event stream diverged from single-threaded run", shards)
+			assertShardInvariant(t, run)
+		})
+	}
+
+	// A fleet under its demand, with three QoS classes and demand noise:
+	// in one tick some servers shed, settling in the sequential merge,
+	// while the rest settle in the sharded phase and leave service
+	// records for the merge to fold between them, in server order.
+	// Partway through, sensor chaos on a subset of servers arrives live,
+	// and the instruments it attaches send every server through the
+	// merge for the rest of the run.
+	t.Run("1k-qos-shedding", func(t *testing.T) {
+		base := fleetConfig([]int{10, 10, 10}, 0.6)
+		base.PriorityClasses = 3
+		base.Warmup = 8
+		base.Ticks = 24
+		const at = 14
+		plan, err := ExpandChaos("medium", true, base.Fanout, base.Ticks-at, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(plan.SensorFaults) == 0 {
+			t.Fatal("sensor chaos plan injects no faults")
+		}
+		interleaved := false
+		run := func(shards int) goldenScenario {
+			cfg := base
+			cfg.Core.Shards = shards
+			var stream bytes.Buffer
+			w := telemetry.NewWriter(&stream)
+			var tick telemetry.Buffer
+			cfg.Sink = telemetry.Multi(w, &tick)
+			m, err := NewMachine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for !m.Done() {
+				if m.NextTick() == at {
+					if err := m.InjectPlan(plan, at); err != nil {
+						t.Fatal(err)
+					}
 				}
-				if got.Result != want.Result {
-					t.Errorf("shards=%d: Result diverged from single-threaded run", shards)
+				m.Step()
+				// Before the sensors arrive, a server that published a QoS
+				// violation shed in the merge; every other awake server
+				// settled in the sharded phase.
+				shed := map[int]bool{}
+				for _, e := range tick.Events {
+					if e.Kind == telemetry.KindQoSViolation {
+						shed[e.Server] = true
+					}
+				}
+				tick.Reset()
+				awake := len(m.Controller().Servers) - m.Controller().AsleepCount()
+				if m.NextTick() <= at && len(shed) > 0 && len(shed) < awake {
+					interleaved = true
 				}
 			}
-		})
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			return goldenScenario{Result: shaHex(encodeResult(m.Result())), Events: shaHex(stream.Bytes())}
+		}
+		assertShardInvariant(t, run)
+		if !interleaved {
+			t.Fatal("no tick had both shedding servers and servers served in full")
+		}
+	})
+}
+
+// assertShardInvariant compares run's digests for shards 2, 3, 4 and 8
+// against the single-threaded run's.
+func assertShardInvariant(t *testing.T, run func(shards int) goldenScenario) {
+	t.Helper()
+	want := run(1)
+	for _, shards := range []int{2, 3, 4, 8} {
+		got := run(shards)
+		if got.Events != want.Events {
+			t.Errorf("shards=%d: event stream diverged from single-threaded run", shards)
+		}
+		if got.Result != want.Result {
+			t.Errorf("shards=%d: Result diverged from single-threaded run", shards)
+		}
 	}
 }
 
