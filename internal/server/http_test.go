@@ -359,8 +359,8 @@ func TestRunLoad(t *testing.T) {
 	if report.Events == 0 {
 		t.Fatalf("events subscriber saw nothing while the daemon ticked")
 	}
-	if report.Latency.Total() != float64(report.Requests) {
-		t.Fatalf("latency histogram holds %.0f samples for %d requests", report.Latency.Total(), report.Requests)
+	if len(report.Latencies) != report.Requests {
+		t.Fatalf("report holds %d latencies for %d requests", len(report.Latencies), report.Requests)
 	}
 	if tb := report.Table("load"); !strings.Contains(tb.String(), "requests") {
 		t.Fatalf("report table missing request row")

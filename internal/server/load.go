@@ -10,6 +10,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -82,10 +83,24 @@ type LoadReport struct {
 	// connection.
 	Events     int
 	Reconnects int
-	// Latency holds per-request wall-clock seconds in logarithmic
-	// buckets from 10 µs up.
-	Latency *metrics.Histogram
-	Elapsed time.Duration
+	// Latencies holds every completed request's client-observed
+	// wall-clock seconds, in ascending order.
+	Latencies []float64
+	Elapsed   time.Duration
+}
+
+// Percentile returns the nearest-rank p-th percentile of the request
+// latencies, p in [0, 100]: the smallest latency with at least p % of
+// the requests at or below it, and 0 when none completed.
+// Percentile(100) is the largest.
+func (r *LoadReport) Percentile(p int) float64 {
+	n := len(r.Latencies)
+	if n == 0 {
+		return 0
+	}
+	rank := (p*n + 99) / 100 // ⌈p·n/100⌉, exact in integers
+	rank = max(1, min(rank, n))
+	return r.Latencies[rank-1]
 }
 
 // Table renders the report for CLI output.
@@ -108,10 +123,10 @@ func (r *LoadReport) Table(title string) *metrics.Table {
 	if r.Requests > 0 && r.Elapsed > 0 {
 		tb.AddRow("throughput", fmt.Sprintf("%.0f req/s", float64(r.Requests)/r.Elapsed.Seconds()))
 	}
-	tb.AddRow("latency p50", fmt.Sprintf("%.2f ms", r.Latency.Quantile(0.50)*1e3))
-	tb.AddRow("latency p95", fmt.Sprintf("%.2f ms", r.Latency.Quantile(0.95)*1e3))
-	tb.AddRow("latency p99", fmt.Sprintf("%.2f ms", r.Latency.Quantile(0.99)*1e3))
-	tb.AddRow("latency max", fmt.Sprintf("%.2f ms", r.Latency.Max()*1e3))
+	for _, p := range []int{50, 95, 99} {
+		tb.AddRow(fmt.Sprintf("latency p%d", p), fmt.Sprintf("%.2f ms", r.Percentile(p)*1e3))
+	}
+	tb.AddRow("latency max", fmt.Sprintf("%.2f ms", r.Percentile(100)*1e3))
 	tb.AddRow("events streamed", fmt.Sprintf("%d", r.Events))
 	tb.AddRow("stream reconnects", fmt.Sprintf("%d", r.Reconnects))
 	return tb
@@ -222,11 +237,7 @@ func RunLoad(ctx context.Context, opts LoadOptions) (*LoadReport, error) {
 	cancel() // stop the event stream
 	streamWG.Wait()
 
-	hist, err := metrics.NewHistogram(1e-5, 1.5, 48)
-	if err != nil {
-		return nil, err
-	}
-	report := &LoadReport{ByPath: map[string]int{}, Latency: hist, Elapsed: elapsed, Events: events, Reconnects: reconnects}
+	report := &LoadReport{ByPath: map[string]int{}, Elapsed: elapsed, Events: events, Reconnects: reconnects}
 	for _, r := range results {
 		report.Errors += r.errors
 		report.Retries += r.retries
@@ -236,10 +247,9 @@ func RunLoad(ctx context.Context, opts LoadOptions) (*LoadReport, error) {
 			report.ByPath[p] += n
 			report.Requests += n
 		}
-		for _, l := range r.latencies {
-			hist.Add(l, 1)
-		}
+		report.Latencies = append(report.Latencies, r.latencies...)
 	}
+	slices.Sort(report.Latencies)
 	return report, nil
 }
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -141,5 +142,46 @@ func TestLoadPerRequestTimeout(t *testing.T) {
 	}
 	if report.Retries != 1 {
 		t.Fatalf("report.Retries = %d, want 1", report.Retries)
+	}
+}
+
+// TestLoadReportPercentiles pins the report's nearest-rank percentiles
+// and maximum on known latencies: the p-th percentile of n requests is
+// the ⌈p·n/100⌉-th smallest latency, so p95 and p99 of 100 requests are
+// the 95th and 99th, never a bucket bound.
+func TestLoadReportPercentiles(t *testing.T) {
+	ms := func(vs ...float64) []float64 {
+		for i := range vs {
+			vs[i] /= 1e3
+		}
+		return vs
+	}
+	hundred := make([]float64, 100)
+	for i := range hundred {
+		hundred[i] = float64(i + 1)
+	}
+	cases := []struct {
+		name                string
+		latencies           []float64 // ascending, seconds
+		p50, p95, p99, pmax float64   // milliseconds
+	}{
+		{"none", nil, 0, 0, 0, 0},
+		{"one", ms(7), 7, 7, 7, 7},
+		{"three", ms(1, 3, 5), 3, 5, 5, 5},
+		{"four", ms(1, 2, 3, 4), 2, 4, 4, 4},
+		{"twenty", ms(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20), 10, 19, 20, 20},
+		{"hundred", ms(hundred...), 50, 95, 99, 100},
+		{"tail", ms(1, 1, 1, 1, 1, 1, 1, 1, 1, 22.17, 25.97), 1, 25.97, 25.97, 25.97},
+	}
+	for _, tc := range cases {
+		r := &LoadReport{Latencies: tc.latencies}
+		for _, c := range []struct {
+			p    int
+			want float64
+		}{{50, tc.p50}, {95, tc.p95}, {99, tc.p99}, {100, tc.pmax}} {
+			if got := r.Percentile(c.p) * 1e3; math.Abs(got-c.want) > 1e-9 {
+				t.Errorf("%s: p%d = %v ms, want %v ms", tc.name, c.p, got, c.want)
+			}
+		}
 	}
 }
