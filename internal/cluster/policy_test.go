@@ -38,29 +38,42 @@ func TestPolicyWillowIdentity(t *testing.T) {
 // TestPolicyShardInvariance extends the sharding determinism contract
 // to the stateful policies: integral and mpc keep all ThermalCap state
 // in per-server slots, so any shard count must produce byte-identical
-// runs (and the race detector sees the concurrent solver writes).
+// runs (and the race detector sees the concurrent solver writes). The
+// sensed variant arms the estimator, runs the medium sensor chaos plan
+// and sheds three QoS classes at 60 % supply, so a sensed or shedding
+// server's cap refresh runs inside the consume phase's settle too.
 func TestPolicyShardInvariance(t *testing.T) {
-	fanout := []int{10, 10, 10}
-	for _, pol := range []string{"integral", "mpc"} {
-		base := fleetConfig(fanout, 0.85)
-		base.Warmup = 8
-		base.Ticks = 24
-		base.Policy = pol
-
-		run := func(shards int) goldenScenario {
-			cfg := base
-			cfg.Core.Shards = shards
-			return captureScenario(t, cfg)
-		}
-		want := run(1)
-		for _, shards := range []int{4, 8} {
-			got := run(shards)
-			if got.Events != want.Events {
-				t.Errorf("%s shards=%d: event stream diverged from single-threaded run", pol, shards)
+	for _, sensed := range []bool{false, true} {
+		for _, pol := range []string{"integral", "mpc"} {
+			name, supply := pol, 0.85
+			if sensed {
+				name, supply = pol+"-sensed", 0.6
 			}
-			if got.Result != want.Result {
-				t.Errorf("%s shards=%d: Result diverged from single-threaded run", pol, shards)
-			}
+			t.Run(name, func(t *testing.T) {
+				base := fleetConfig([]int{10, 10, 10}, supply)
+				base.Warmup = 8
+				base.Ticks = 24
+				base.Policy = pol
+				if sensed {
+					base.PriorityClasses = 3
+					base.Core.SensorWindow = 5
+					base.Core.SensorGate = 3
+					base.Core.SensorTrips = 3
+					base.Core.SensorGuard = 2
+					plan, err := ApplySensorChaos(&base, "medium", 42)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(plan.SensorFaults) == 0 {
+						t.Fatal("sensor chaos plan injects no faults")
+					}
+				}
+				assertShardInvariant(t, func(shards int) goldenScenario {
+					cfg := base
+					cfg.Core.Shards = shards
+					return captureScenario(t, cfg)
+				})
+			})
 		}
 	}
 }
