@@ -39,7 +39,8 @@ race:
 # generator, so `make ci` is the bar for any change touching the
 # harness. scale-smoke pins the fleet-scale hot path: sharded-tick
 # determinism and the incremental-aggregation oracle at fleet scale,
-# plus an allocation guard on the fleet tick benchmark.
+# plus allocation guards on the consume phase and the fleet tick
+# benchmark.
 # obs-smoke boots willowd with energy telemetry on and validates the
 # /metrics exposition and /v1/efficiency scoreboard with the strict
 # conformance checker. crash-smoke SIGKILLs a WAL-armed willowd at
@@ -89,13 +90,15 @@ bench-baseline:
 	$(GO) run ./internal/tools/benchguard -input bench_smoke.txt -baseline docs/bench_baseline.txt -update
 
 # Fleet-scale gate: shard-count invariance (byte-identical streams for
-# shards 1/2/4/8, on a 10k-server fleet and on noisy and sensed 1k
-# fleets) and the incremental-vs-full aggregation oracle on a
-# 10k-server fleet, then a fleet tick benchmark pass through the
-# allocation guard.
+# shards 1/2/3/4/8, on a 10k-server fleet and on noisy, sensed,
+# consolidating, QoS-shedding and deficit-with-estimator 1k fleets),
+# the incremental-vs-full aggregation oracle on a 10k-server fleet and
+# the allocation-free consume phase (servers shedding, estimator armed,
+# two shards), then a fleet tick benchmark pass through the allocation
+# guard.
 scale-smoke:
 	$(GO) test -run 'TestShardInvariance' ./internal/cluster
-	$(GO) test -run 'TestFullAggregationOracle' ./internal/core
+	$(GO) test -run 'TestFullAggregationOracle|TestConsumeAllocFree' ./internal/core
 	$(GO) test -run '^$$' -bench '^BenchmarkFleetTick$$/^10k$$' -benchtime 10x -benchmem ./internal/cluster > scale_smoke.txt
 	$(GO) run ./internal/tools/benchguard -input scale_smoke.txt -baseline docs/bench_baseline.txt
 

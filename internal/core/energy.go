@@ -8,10 +8,10 @@ package core
 // temperature rise left through the c2 path).
 //
 // Determinism contract: each server's figures are booked as soon as it
-// settles (accountServer, in consumeAndHeat's parallel phase or its
-// merge), touching only that server's slots; the fleet-wide sums then
-// fold sequentially in server order after consumeAndHeat, reading only
-// per-server slots, and allocate nothing — so accumulated figures are
+// settles (accountServer, in consumeAndHeat's sharded settle), touching
+// only that server's slots; the fleet-wide sums then fold sequentially
+// in server order after consumeAndHeat, reading only per-server slots,
+// and allocate nothing — so accumulated figures are
 // byte-identical across worker counts, Config.Shards values, and
 // snapshot/restore (which replays the journal through the same pass).
 // KindEnergy telemetry is opt-in (Config.EnergyEvents) so pre-energy
@@ -198,7 +198,7 @@ func newEnergyAcc(c *Controller) *energyAcc {
 // accountServer books the energy of the tick s just settled: it adds to
 // the server's cumulative joules and leaves the tick's work and heat
 // joules in its slots for accountEnergy. It touches only s's slots, so
-// the parallel consume phase calls it for the servers it settles.
+// the consume phase's sharded settle calls it for every server.
 func (c *Controller) accountServer(s *Server) {
 	e, h, i := c.energy, c.hot, s.idx
 	secs := e.secs
@@ -329,15 +329,6 @@ func (c *Controller) ClassEnergy() []ClassEnergy {
 		out[i] = ClassEnergy{Class: name, ServedJoules: e.classServed[i] * c.Cfg.TickSeconds}
 	}
 	return out
-}
-
-// recordClassService accumulates one app's served dynamic watts into
-// its class bucket — called at every recordService site, allocation-
-// free.
-func (c *Controller) recordClassService(appID int, served float64) {
-	if ci := c.energy.classIndex(appID); ci >= 0 {
-		c.energy.classServed[ci] += served
-	}
 }
 
 // classIndex returns the class bucket of an app ID, −1 for none.

@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"willow/internal/telemetry"
-	"willow/internal/workload"
 )
 
 // QoS settlement: when a server's instantaneous demand exceeds its
@@ -30,82 +29,57 @@ type appService struct {
 	served   float64
 }
 
-// serviceRec is one application served in full this window: its
-// demand, priority and class index (−1 for none). The parallel consume
-// phase records them for the merge to fold (appendServed, foldServed).
+// serviceRec is one application's service this window: its demand,
+// the watts it was served, its priority and its class index (−1 books
+// no class service). The consume phase's settle records them for the
+// merge to fold (foldService).
 type serviceRec struct {
-	demand   float64
-	priority int32
-	class    int32
+	demand, served float64
+	priority       int32
+	class          int32
 }
 
-// served returns the record of application a served in full.
-func (c *Controller) served(a *workload.App) serviceRec {
-	return serviceRec{demand: a.LastDemand, priority: int32(a.Priority), class: c.energy.classIndex(a.ID)}
-}
-
-// foldServed books one application served in full into the
-// per-priority and per-class sums.
-func (c *Controller) foldServed(r serviceRec) {
-	c.recordService(int(r.priority), r.demand, r.demand)
+// foldService books one application's service record into the
+// per-priority and per-class sums — called once per application per
+// tick, in server order, allocation- and hash-free.
+func (c *Controller) foldService(r serviceRec) {
+	c.prioDemand[r.priority] += r.demand
+	c.prioServed[r.priority] += r.served
+	c.prioSeen[r.priority] = true
 	if r.class >= 0 {
-		c.energy.classServed[r.class] += r.demand
+		c.energy.classServed[r.class] += r.served
 	}
 }
 
-// recordFullService books every application of s as served in full
-// this window — settleQoS's fast path.
-func (c *Controller) recordFullService(s *Server) {
-	for _, a := range s.Apps.Apps {
-		c.foldServed(c.served(a))
-	}
-}
-
-// appendServed appends the record of every application of s, served in
-// full this window, to recs. It only reads, so the parallel consume
-// phase calls it for the servers it settles; folding the records in
-// order is recordFullService.
-func (c *Controller) appendServed(recs []serviceRec, s *Server) []serviceRec {
-	for _, a := range s.Apps.Apps {
-		recs = append(recs, c.served(a))
-	}
-	return recs
-}
-
-// settleQoS divides the effective budget over the server's demand,
-// shedding lowest-priority applications first. It returns the power
-// consumed and records per-priority accounting into the controller
-// stats.
-func (c *Controller) settleQoS(s *Server, eff float64) float64 {
-	// Fast path: everything fits.
-	raw := s.RawDemand()
-	if raw <= eff {
-		c.recordFullService(s)
-		return raw
-	}
-
+// settleQoS divides the effective budget eff over a server whose demand
+// exceeds it, shedding lowest-priority applications first. It returns
+// the power consumed and recs with one service record appended per
+// application; its events and counters go into the shard's output.
+func (c *Controller) settleQoS(out *shardOut, recs []serviceRec, s *Server, eff float64) (float64, []serviceRec) {
 	// The non-sheddable part: static draw plus the migration cost folded
 	// into this tick's demand.
-	fixed := raw
+	fixed := s.RawDemand()
 	var dynTotal float64
-	services := make([]appService, 0, s.Apps.Len())
+	services := out.services[:0]
 	for _, a := range s.Apps.Apps {
 		dynTotal += a.LastDemand
 		services = append(services, appService{appID: a.ID, priority: a.Priority, demand: a.LastDemand})
 	}
+	out.services = services
 	fixed -= dynTotal
 
 	if eff <= fixed {
 		// Even the fixed draw exceeds the budget: every application is
-		// shut down for the window and the server browns out to eff.
-		for i := range services {
-			c.recordService(services[i].priority, services[i].demand, 0)
-			if services[i].demand > 0 {
-				c.Stats.ShutdownAppTicks++
-				c.publishQoS(s, services[i].appID, "shutdown", 0, services[i].demand)
+		// shut down for the window and the server browns out to eff. A
+		// brown-out books no class service.
+		for _, sv := range services {
+			recs = append(recs, serviceRec{demand: sv.demand, priority: int32(sv.priority), class: -1})
+			if sv.demand > 0 {
+				out.shutdownApps++
+				c.publishQoS(out, s, sv.appID, "shutdown", 0, sv.demand)
 			}
 		}
-		return eff
+		return eff, recs
 	}
 
 	budget := eff - fixed // dynamic watts we can serve
@@ -136,39 +110,32 @@ func (c *Controller) settleQoS(s *Server, eff float64) float64 {
 		case budget > 0:
 			sv.served = budget
 			budget = 0
-			c.Stats.DegradedAppTicks++
-			c.publishQoS(s, sv.appID, "degraded", sv.served, sv.demand)
+			out.degradedApps++
+			c.publishQoS(out, s, sv.appID, "degraded", sv.served, sv.demand)
 		default:
-			c.Stats.ShutdownAppTicks++
-			c.publishQoS(s, sv.appID, "shutdown", 0, sv.demand)
+			out.shutdownApps++
+			c.publishQoS(out, s, sv.appID, "shutdown", 0, sv.demand)
 		}
 		consumed += sv.served
-		c.recordService(sv.priority, sv.demand, sv.served)
-		c.recordClassService(sv.appID, sv.served)
+		recs = append(recs, serviceRec{
+			demand: sv.demand, served: sv.served,
+			priority: int32(sv.priority), class: c.energy.classIndex(sv.appID),
+		})
 	}
-	return consumed
+	return consumed, recs
 }
 
-// publishQoS records one application served degraded or shut down
-// within the current settlement window.
-func (c *Controller) publishQoS(s *Server, appID int, cause string, served, demand float64) {
+// publishQoS buffers the event of one application served degraded or
+// shut down within the current settlement window.
+func (c *Controller) publishQoS(out *shardOut, s *Server, appID int, cause string, served, demand float64) {
 	if c.Sink == nil {
 		return
 	}
-	c.publish(telemetry.Event{
+	out.events = append(out.events, telemetry.Event{
 		Tick: c.tick, Kind: telemetry.KindQoSViolation,
 		Server: s.Node.ServerIndex, App: appID, Cause: cause,
 		Watts: served, Demand: demand,
 	})
-}
-
-// recordService accumulates per-priority demand/served watt-ticks into
-// the controller's per-priority slices — called once per application
-// per tick, allocation- and hash-free.
-func (c *Controller) recordService(priority int, demand, served float64) {
-	c.prioDemand[priority] += demand
-	c.prioServed[priority] += served
-	c.prioSeen[priority] = true
 }
 
 // flushServiceStats publishes the per-priority running totals into

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"willow/internal/power"
+	"willow/internal/sensor"
+	"willow/internal/telemetry"
 	"willow/internal/topo"
 	"willow/internal/workload"
 )
@@ -146,5 +148,48 @@ func TestNewRejectsNegativePriority(t *testing.T) {
 	}
 	if got := c.Stats.DemandByPriority[2]; got != 20 {
 		t.Errorf("priority 2 demand = %v, want 20", got)
+	}
+}
+
+// TestConsumeAllocFree holds the consume phase to zero allocations once
+// its per-shard buffers are warm: every server sheds, the estimator is
+// armed with noisy sensors on two servers, a sink listens, and two
+// shards settle in parallel.
+func TestConsumeAllocFree(t *testing.T) {
+	specs := make([]ServerSpec, 16)
+	for i := range specs {
+		specs[i] = serverSpec(100, 400, 0, 60, 50, 40, 30)
+		for j, a := range specs[i].Apps {
+			a.Priority = j % 3
+		}
+	}
+	cfg := quietCfg()
+	cfg.PMin = 1e6 // no migration can keep this margin, so every server keeps its apps
+	cfg.Shards = 2
+	cfg.SensorWindow, cfg.SensorGate, cfg.SensorTrips, cfg.SensorGuard = 5, 3, 3, 2
+	c := buildController(t, []int{2, 8}, uniqueIDs(specs), power.Constant(16*200), cfg)
+	if c.Shards() != 2 {
+		t.Fatalf("planned %d shards, want 2", c.Shards())
+	}
+	events := 0
+	c.Sink = telemetry.SinkFunc(func(telemetry.Event) { events++ })
+	for _, i := range []int{0, 9} {
+		c.SetSensorFault(i, sensor.Fault{Mode: sensor.ModeNoise, Magnitude: 10})
+	}
+	c.Run(8)
+	for range 8 {
+		c.consumeAndHeat()
+	}
+	for _, s := range c.Servers {
+		if s.Dropped() <= 0 {
+			t.Fatalf("server %d did not shed", s.Index())
+		}
+	}
+	before := events
+	if allocs := testing.AllocsPerRun(50, c.consumeAndHeat); allocs != 0 {
+		t.Errorf("consumeAndHeat allocated %v times per call, want 0", allocs)
+	}
+	if events == before {
+		t.Error("the measured calls published no event")
 	}
 }
