@@ -204,6 +204,12 @@ func (c *Controller) pickTarget(it item, scope, exclude *topo.Node, ws map[int]f
 		}
 		return s.Power.Static / dyn
 	}
+	// The ping-pong record depends only on the application: look it up
+	// once, and skip the one server it names while inside Δf.
+	pingPong := -1
+	if rec, ok := c.lastLeft[it.app.ID]; ok && c.tick-rec.tick <= c.Cfg.PingPongWindow {
+		pingPong = rec.from
+	}
 	var walk func(n *topo.Node)
 	walk = func(n *topo.Node) {
 		if n == exclude {
@@ -219,12 +225,8 @@ func (c *Controller) pickTarget(it item, scope, exclude *topo.Node, ws map[int]f
 		}
 		if n.IsLeaf() {
 			s := c.Servers[n.ServerIndex]
-			if s == it.src {
+			if s == it.src || n.ServerIndex == pingPong {
 				return
-			}
-			if rec, ok := c.lastLeft[it.app.ID]; ok &&
-				rec.from == n.ServerIndex && c.tick-rec.tick <= c.Cfg.PingPongWindow {
-				return // would ping-pong within Δf
 			}
 			v, ok := ws[n.ServerIndex]
 			if !ok || v+tolerance < it.app.Mean {
