@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"willow/internal/power"
@@ -314,5 +315,78 @@ func TestMeanFlowHopsMixes(t *testing.T) {
 	}, loc)
 	if got := n.MeanFlowHops(); got != 0.5 {
 		t.Errorf("MeanFlowHops = %v, want 0.5", got)
+	}
+}
+
+// TestSwitchLoadsMatchSwitchPath holds the flattened path walk to its
+// oracle, topo.Tree.SwitchPath: over random server pairs on two tree
+// shapes, flows and migrations load each switch with the same sums, bit
+// for bit, and the hop counts (RecordFlows' and topo.Tree.HopCount)
+// equal the built path's length.
+func TestSwitchLoadsMatchSwitchPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, fanout := range [][]int{{2, 3, 3}, {3, 4, 5}} {
+		tr, err := topo.Build(fanout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := New(tr, testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := make([]float64, len(n.tickBase))
+		mig := make([]float64, len(n.tickMig))
+		hops := 0
+		for range 500 {
+			a, b := rng.Intn(tr.NumServers()), rng.Intn(tr.NumServers())
+			rate, bytes := rng.Float64()*10, rng.Float64()*100
+			n.RecordFlows([]Flow{{AppA: 1, AppB: 2, Rate: rate}}, map[int]int{1: a, 2: b})
+			n.RecordMigration(a, b, bytes)
+			path := tr.SwitchPath(tr.Servers[a], tr.Servers[b])
+			for _, sw := range path {
+				base[sw.ID] += rate
+				mig[sw.ID] += bytes * n.cfg.BytesPerMigrationUnit
+			}
+			hops += len(path)
+			if got := tr.HopCount(tr.Servers[a], tr.Servers[b]); got != len(path) {
+				t.Fatalf("%v: HopCount(%d, %d) = %d, want %d", fanout, a, b, got, len(path))
+			}
+		}
+		for id := range base {
+			if n.tickBase[id] != base[id] || n.tickMig[id] != mig[id] {
+				t.Fatalf("%v: switch %d carries flows %v, migrations %v; SwitchPath gives %v, %v",
+					fanout, id, n.tickBase[id], n.tickMig[id], base[id], mig[id])
+			}
+		}
+		if n.flowHops != hops {
+			t.Fatalf("%v: %d flow hops, SwitchPath gives %d", fanout, n.flowHops, hops)
+		}
+	}
+}
+
+// TestSwitchWalksAllocFree holds the per-tick switch walks to zero
+// allocations: RecordFlows with separated pairs, a cross-root
+// RecordMigration, and topo.Tree.HopCount.
+func TestSwitchWalksAllocFree(t *testing.T) {
+	tr := testTree(t)
+	n, err := New(tr, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var flows []Flow
+	location := map[int]int{}
+	for i := range 12 {
+		flows = append(flows, Flow{AppA: 2 * i, AppB: 2*i + 1, Rate: 1})
+		location[2*i], location[2*i+1] = i, 17-i
+	}
+	first, last := tr.Servers[0], tr.Servers[17]
+	for name, f := range map[string]func(){
+		"RecordFlows":     func() { n.RecordFlows(flows, location) },
+		"RecordMigration": func() { n.RecordMigration(0, 17, 50) },
+		"HopCount":        func() { tr.HopCount(first, last) },
+	} {
+		if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
+			t.Errorf("%s allocated %v times per call, want 0", name, allocs)
+		}
 	}
 }

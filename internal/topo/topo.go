@@ -220,6 +220,8 @@ func (t *Tree) LCA(a, b *Node) *Node {
 // between servers a and b: every internal node on the tree path, i.e. the
 // ancestors of each endpoint up to and including their LCA. For siblings
 // the path is the single shared parent switch; for a == b it is empty.
+// It builds the path, so the hot paths walk netsim's flattened per-server
+// switch lists instead and tests keep it as their oracle.
 func (t *Tree) SwitchPath(a, b *Node) []*Node {
 	if a == b {
 		return nil
@@ -244,8 +246,14 @@ func (t *Tree) SwitchPath(a, b *Node) []*Node {
 // HopCount returns the number of switches traffic between a and b
 // traverses — len(SwitchPath) — a convenient distance measure: 1 for
 // siblings, 3 for servers two subtrees apart under a shared grandparent,
-// and so on.
-func (t *Tree) HopCount(a, b *Node) int { return len(t.SwitchPath(a, b)) }
+// and so on. It counts the levels each endpoint climbs to the LCA,
+// which it shares, without building the path.
+func (t *Tree) HopCount(a, b *Node) int {
+	if a == b {
+		return 0
+	}
+	return 2*t.LCA(a, b).Level - a.Level - b.Level - 1
+}
 
 // IsLocal reports whether servers a and b share a parent — the paper's
 // "local migration" (Section IV-E): migrations between siblings are
