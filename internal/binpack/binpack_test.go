@@ -289,9 +289,6 @@ func TestMatchFFDUnplaced(t *testing.T) {
 	if m.Assigned[2] != 10 {
 		t.Errorf("item 2 -> %d, want 10", m.Assigned[2])
 	}
-	if got := m.PlacedSize(items); got != 1 {
-		t.Errorf("PlacedSize = %v, want 1", got)
-	}
 }
 
 func TestMatchFFDNoBins(t *testing.T) {

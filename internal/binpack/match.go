@@ -30,17 +30,6 @@ type Match struct {
 	Residual map[int]float64
 }
 
-// PlacedSize returns the total size of all items that were assigned.
-func (m Match) PlacedSize(items []Item) float64 {
-	var sum float64
-	for _, it := range items {
-		if _, ok := m.Assigned[it.ID]; ok {
-			sum += it.Size
-		}
-	}
-	return sum
-}
-
 // MatchFFD packs items into the given finite bins with first-fit
 // decreasing: items in decreasing size order, each into the first bin (in
 // the caller's bin order) with room. Willow relies on the caller's bin

@@ -7,7 +7,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"unicode/utf8"
 )
@@ -53,7 +52,7 @@ func (s *Series) Sum() float64 {
 }
 
 // Max returns the maximum value. An empty series yields the −Inf
-// identity — callers that fold partial maxima rely on it; use MaxOK
+// identity — callers that fold partial maxima rely on it; check Len
 // when a finite answer must be guaranteed.
 func (s *Series) Max() float64 {
 	max := math.Inf(-1)
@@ -65,19 +64,8 @@ func (s *Series) Max() float64 {
 	return max
 }
 
-// MaxOK returns the maximum value and whether the series has any
-// samples; the empty series yields (0, false) rather than Max's −Inf
-// sentinel.
-func (s *Series) MaxOK() (float64, bool) {
-	if len(s.Values) == 0 {
-		return 0, false
-	}
-	return s.Max(), true
-}
-
 // Min returns the minimum value. An empty series yields the +Inf
-// identity — see Max; use MinOK when a finite answer must be
-// guaranteed.
+// identity — see Max.
 func (s *Series) Min() float64 {
 	min := math.Inf(1)
 	for _, v := range s.Values {
@@ -86,41 +74,6 @@ func (s *Series) Min() float64 {
 		}
 	}
 	return min
-}
-
-// MinOK returns the minimum value and whether the series has any
-// samples; the empty series yields (0, false) rather than Min's +Inf
-// sentinel.
-func (s *Series) MinOK() (float64, bool) {
-	if len(s.Values) == 0 {
-		return 0, false
-	}
-	return s.Min(), true
-}
-
-// Last returns the most recent value (0 for an empty series).
-func (s *Series) Last() float64 {
-	if len(s.Values) == 0 {
-		return 0
-	}
-	return s.Values[len(s.Values)-1]
-}
-
-// MeanFrom returns the mean of samples with Times >= from; useful for
-// skipping a warm-up transient.
-func (s *Series) MeanFrom(from float64) float64 {
-	var sum float64
-	n := 0
-	for i, t := range s.Times {
-		if t >= from {
-			sum += s.Values[i]
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
 }
 
 // Welford accumulates mean and variance online in a single pass
@@ -321,34 +274,4 @@ func (t *Table) CSV() string {
 		writeRow(row)
 	}
 	return sb.String()
-}
-
-// Registry is a named collection of series, for models that create
-// metrics dynamically.
-type Registry struct {
-	series map[string]*Series
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry { return &Registry{series: map[string]*Series{}} }
-
-// Series returns the series with the given name, creating it on first
-// use.
-func (r *Registry) Series(name string) *Series {
-	s, ok := r.series[name]
-	if !ok {
-		s = NewSeries(name)
-		r.series[name] = s
-	}
-	return s
-}
-
-// Names returns all registered series names, sorted.
-func (r *Registry) Names() []string {
-	names := make([]string, 0, len(r.series))
-	for n := range r.series {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

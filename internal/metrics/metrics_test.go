@@ -9,7 +9,7 @@ import (
 
 func TestSeriesBasics(t *testing.T) {
 	s := NewSeries("power")
-	if s.Len() != 0 || s.Mean() != 0 || s.Last() != 0 {
+	if s.Len() != 0 || s.Mean() != 0 {
 		t.Error("empty series stats wrong")
 	}
 	if !math.IsInf(s.Max(), -1) || !math.IsInf(s.Min(), 1) {
@@ -32,40 +32,6 @@ func TestSeriesBasics(t *testing.T) {
 	}
 	if got := s.Min(); got != 10 {
 		t.Errorf("Min = %v", got)
-	}
-	if got := s.Last(); got != 30 {
-		t.Errorf("Last = %v", got)
-	}
-}
-
-func TestSeriesExtremaOK(t *testing.T) {
-	s := NewSeries("power")
-	if v, ok := s.MaxOK(); ok || v != 0 {
-		t.Errorf("empty MaxOK = (%v, %v), want (0, false)", v, ok)
-	}
-	if v, ok := s.MinOK(); ok || v != 0 {
-		t.Errorf("empty MinOK = (%v, %v), want (0, false)", v, ok)
-	}
-	s.Add(0, -5)
-	s.Add(1, 15)
-	if v, ok := s.MaxOK(); !ok || v != 15 {
-		t.Errorf("MaxOK = (%v, %v), want (15, true)", v, ok)
-	}
-	if v, ok := s.MinOK(); !ok || v != -5 {
-		t.Errorf("MinOK = (%v, %v), want (-5, true)", v, ok)
-	}
-}
-
-func TestSeriesMeanFrom(t *testing.T) {
-	s := NewSeries("x")
-	for i := 0; i < 10; i++ {
-		s.Add(float64(i), float64(i))
-	}
-	if got := s.MeanFrom(5); got != 7 {
-		t.Errorf("MeanFrom(5) = %v, want 7", got)
-	}
-	if got := s.MeanFrom(100); got != 0 {
-		t.Errorf("MeanFrom past end = %v, want 0", got)
 	}
 }
 
@@ -200,20 +166,6 @@ func TestTableCSV(t *testing.T) {
 	}
 	if !strings.Contains(lines[2], `"has ""quote"", and comma"`) {
 		t.Errorf("quoting wrong: %q", lines[2])
-	}
-}
-
-func TestRegistry(t *testing.T) {
-	r := NewRegistry()
-	a := r.Series("b-series")
-	a.Add(0, 1)
-	if got := r.Series("b-series"); got != a {
-		t.Error("Series did not return the same instance")
-	}
-	r.Series("a-series")
-	names := r.Names()
-	if len(names) != 2 || names[0] != "a-series" || names[1] != "b-series" {
-		t.Errorf("Names = %v", names)
 	}
 }
 

@@ -150,12 +150,6 @@ func (s *State) Advance(p, dt float64) float64 {
 	return s.T
 }
 
-// OverLimit reports whether the device currently exceeds its thermal limit
-// by more than a hair of floating-point slack.
-func (s *State) OverLimit() bool {
-	return s.T > s.Model.Limit+1e-9
-}
-
 // Headroom returns the temperature margin to the limit (negative when
 // over the limit).
 func (s *State) Headroom() float64 { return s.Model.Limit - s.T }

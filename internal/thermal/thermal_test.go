@@ -196,9 +196,6 @@ func TestStateLifecycle(t *testing.T) {
 	if s.T != paperSim.Ambient {
 		t.Errorf("new state at %v °C, want ambient %v", s.T, paperSim.Ambient)
 	}
-	if s.OverLimit() {
-		t.Error("new state reports over limit")
-	}
 	s.Advance(400, 10)
 	if s.T <= paperSim.Ambient {
 		t.Error("temperature did not rise under load")
@@ -207,8 +204,8 @@ func TestStateLifecycle(t *testing.T) {
 		t.Errorf("Headroom = %v, want %v", got, paperSim.Limit-s.T)
 	}
 	s.T = paperSim.Limit + 1
-	if !s.OverLimit() {
-		t.Error("state at limit+1 does not report over limit")
+	if got := s.Headroom(); got >= 0 {
+		t.Errorf("Headroom at limit+1 = %v, want negative", got)
 	}
 }
 
