@@ -162,10 +162,17 @@ func captureScenario(t *testing.T, cfg Config) goldenScenario {
 	return goldenScenario{Result: shaHex(encodeResult(r)), Events: shaHex(stream.Bytes())}
 }
 
+// goldenShards are the shard counts every golden scenario runs at. The
+// paper fleet has six racks: 2 and 3 shards split them evenly, 6 gives
+// each rack its own shard. The chaos, resilient and policy-mpc
+// scenarios are the only sharded runs with failed PMUs, budget loss
+// and latency, leases, or a policy that divides budget.
+var goldenShards = []int{1, 2, 3, 6}
+
 // TestGoldenScenarioIdentity pins cluster.Run across the controller's
 // mode matrix — including chaos and sensor presets — to byte-identical
 // Results and JSONL event streams captured before the fleet-scale
-// hot-path refactor.
+// hot-path refactor, at every shard count in goldenShards.
 func TestGoldenScenarioIdentity(t *testing.T) {
 	golden := map[string]goldenScenario{}
 	if !*updateGolden {
@@ -179,17 +186,17 @@ func TestGoldenScenarioIdentity(t *testing.T) {
 	}
 
 	configs := goldenConfigs(t)
-	got := map[string]goldenScenario{}
 	names := make([]string, 0, len(configs))
 	for name := range configs {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	for _, name := range names {
-		got[name] = captureScenario(t, configs[name])
-	}
 
 	if *updateGolden {
+		got := map[string]goldenScenario{}
+		for _, name := range names {
+			got[name] = captureScenario(t, configs[name])
+		}
 		if err := os.MkdirAll(filepath.Dir(goldenScenariosPath), 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -215,20 +222,30 @@ func TestGoldenScenarioIdentity(t *testing.T) {
 		return
 	}
 
-	if len(got) != len(golden) {
-		t.Errorf("scenario count changed: golden has %d, test has %d", len(golden), len(got))
+	if len(configs) != len(golden) {
+		t.Errorf("scenario count changed: golden has %d, test has %d", len(golden), len(configs))
 	}
-	for name, want := range golden {
-		g, ok := got[name]
+	for _, name := range names {
+		want, ok := golden[name]
 		if !ok {
-			t.Errorf("%s: scenario disappeared", name)
+			t.Errorf("%s: scenario missing from the golden file", name)
 			continue
 		}
-		if g.Events != want.Events {
-			t.Errorf("%s: event stream diverged from pre-refactor golden", name)
+		for _, shards := range goldenShards {
+			cfg := configs[name]
+			cfg.Core.Shards = shards
+			g := captureScenario(t, cfg)
+			if g.Events != want.Events {
+				t.Errorf("%s, shards=%d: event stream diverged from pre-refactor golden", name, shards)
+			}
+			if g.Result != want.Result {
+				t.Errorf("%s, shards=%d: Result diverged from pre-refactor golden", name, shards)
+			}
 		}
-		if g.Result != want.Result {
-			t.Errorf("%s: Result diverged from pre-refactor golden", name)
+	}
+	for name := range golden {
+		if _, ok := configs[name]; !ok {
+			t.Errorf("%s: scenario disappeared", name)
 		}
 	}
 }
