@@ -92,13 +92,14 @@ bench-baseline:
 # Fleet-scale gate: shard-count invariance (byte-identical streams for
 # shards 1/2/3/4/8, on a 10k-server fleet and on noisy, sensed,
 # consolidating, QoS-shedding and deficit-with-estimator 1k fleets),
-# the incremental-vs-full aggregation oracle on a 10k-server fleet and
-# the allocation-free consume phase (servers shedding, estimator armed,
-# two shards), then a fleet tick benchmark pass through the allocation
-# guard.
+# the incremental-vs-full aggregation oracle on a 10k-server fleet, the
+# allocation-free consume phase (TestConsumeAllocFree: servers
+# shedding, estimator armed, two shards) and allocation pass
+# (TestAllocateAllocFree: two shards, leases, budget latency and loss),
+# then a fleet tick benchmark pass through the allocation guard.
 scale-smoke:
 	$(GO) test -run 'TestShardInvariance' ./internal/cluster
-	$(GO) test -run 'TestFullAggregationOracle|TestConsumeAllocFree' ./internal/core
+	$(GO) test -run 'TestFullAggregationOracle|TestConsumeAllocFree|TestAllocateAllocFree' ./internal/core
 	$(GO) test -run '^$$' -bench '^BenchmarkFleetTick$$/^10k$$' -benchtime 10x -benchmem ./internal/cluster > scale_smoke.txt
 	$(GO) run ./internal/tools/benchguard -input scale_smoke.txt -baseline docs/bench_baseline.txt
 

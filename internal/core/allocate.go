@@ -41,120 +41,296 @@ import (
 //     autonomously. Levels are visited root-down so an autonomous
 //     node's own directives land before its children are examined.
 //  3. Awake servers that heard nothing age their leases the same way.
+//
+// A rack PMU (level 1) divides its budget using only its own servers'
+// demands and hard caps, so once every rack holds its budget the racks'
+// divisions are independent. The stages therefore run in two parts.
+// The serial part runs stages 1 and 2 above the racks and, wherever a
+// rack would be granted or allocate autonomously, records a rack task
+// instead (addRackTask). Every shard then runs its own racks' tasks and
+// stage 3 for its own servers (allocateRacks), and the merge publishes
+// everything in the order the whole pass would have (mergeAllocation).
+// Three orders make that exact: a task's events splice in at the point
+// its rack's grant would have run, the serial part makes the loss draws
+// of a rack's server directives itself, and every shared counter is an
+// integer.
 func (c *Controller) allocateResilient(t int, window bool) {
+	p := &c.alloc
+	p.t, p.window = t, window
+	p.tasks = p.tasks[:0]
+	up := &p.upper
+	up.resetAlloc()
 	clear(c.delivered)
 	c.sumSubtrees()
 
 	if root := c.Tree.Root; !c.failedPMU[root.ID] {
 		// The root draws straight from the supply feed; its lease is
 		// perpetually fresh and it can never be degraded.
-		c.grantPMU(root, c.Supply.At(t/c.Cfg.Eta1), 0, t, window)
+		c.hear(up, root, c.Supply.At(t/c.Cfg.Eta1), 0)
 	}
-
-	for level := c.Tree.Height; level >= 1; level-- {
+	for level := c.Tree.Height; level >= 2; level-- {
 		for _, n := range c.levels[level] {
 			if c.delivered[n.ID] || c.failedPMU[n.ID] {
 				continue
 			}
 			if window {
-				c.agePMULease(n, t)
+				c.agePMULease(up, n, t)
 			}
-			c.allocateChildren(n, t, window)
+			c.allocateChildren(up, n)
+		}
+	}
+	for _, n := range c.levels[1] {
+		if !c.delivered[n.ID] && !c.failedPMU[n.ID] {
+			c.addRackTask(n, 0, 0, false)
 		}
 	}
 
-	if !window {
+	c.ForEachShard(c.allocateRacksFn)
+	c.mergeAllocation()
+}
+
+// allocPass is what one allocation pass's serial part and its sharded
+// rack phase share.
+type allocPass struct {
+	t      int
+	window bool
+	// tasks are the rack tasks in the order the whole pass would have
+	// reached them; upper holds the serial part's events and counters.
+	tasks []rackTask
+	upper shardOut
+	// lost holds, per server, whether the loss draw of this pass's
+	// directive to it came up lost (loss windows only).
+	lost []bool
+}
+
+// rackTask is one rack PMU's share of an allocation pass, recorded by
+// the serial part and run by the shard that owns the rack.
+type rackTask struct {
+	rack *topo.Node
+	// granted: the rack heard the directive tp, carrying its parent's
+	// budget parentTP. Otherwise it heard nothing and allocates its held
+	// budget autonomously.
+	granted      bool
+	tp, parentTP float64
+	// mark counts the serial part's events published before this
+	// task's; shard and [start, end) locate its own events in that
+	// shard's output.
+	mark, shard, start, end int
+}
+
+// addRackTask records rack n's share of the pass: granted with the
+// directive it heard, or autonomous. A granted rack is marked delivered
+// here, so stage 2 sees it as it would after the grant. On a loss
+// window every server directive of the rack draws once from the shared
+// stream; the draws are made here, in child order, where the grant
+// would have made them, and deliverServer reads them back.
+func (c *Controller) addRackTask(n *topo.Node, tp, parentTP float64, granted bool) {
+	p := &c.alloc
+	if granted {
+		c.delivered[n.ID] = true
+	}
+	p.tasks = append(p.tasks, rackTask{
+		rack: n, granted: granted, tp: tp, parentTP: parentTP,
+		mark: len(p.upper.events),
+	})
+	if loss := c.Cfg.BudgetLoss; p.window && loss > 0 {
+		first := n.Children[0].ServerIndex
+		for j := first; j < first+len(n.Children); j++ {
+			p.lost[j] = c.src.Float64() < loss
+		}
+	}
+}
+
+// allocateRacks is the allocation pass's sharded phase over servers
+// [lo, hi): it runs the tasks of the shard's racks — the grant or lease
+// aging, the division and the delivery to each server — and then, on a
+// window, ages the leases of the shard's awake servers that heard
+// nothing. Everything it would publish or count goes into the shard's
+// output; each rack writes only its own node's and its servers' slots.
+func (c *Controller) allocateRacks(shard, lo, hi int) {
+	p := &c.alloc
+	out := &c.out[shard]
+	out.resetAlloc()
+	for i := range p.tasks {
+		task := &p.tasks[i]
+		if first := task.rack.Children[0].ServerIndex; first < lo || first >= hi {
+			continue
+		}
+		task.shard, task.start = shard, len(out.events)
+		if task.granted {
+			c.grantPMU(out, task.rack, task.tp, task.parentTP)
+		} else {
+			if p.window {
+				c.agePMULease(out, task.rack, p.t)
+			}
+			c.allocateChildren(out, task.rack)
+		}
+		task.end = len(out.events)
+	}
+	out.aged = len(out.events)
+	if !p.window {
 		return
 	}
-	for _, s := range c.Servers {
-		if !c.delivered[s.Node.ID] && !s.Asleep() {
-			c.ageServerLease(s, t)
+	for j := lo; j < hi; j++ {
+		if !c.delivered[c.internalNodes+j] && !c.hot.asleep[j] {
+			c.ageServerLease(out, c.Servers[j], p.t)
 		}
+	}
+}
+
+// mergeAllocation folds what the pass's parts left, in the order the
+// whole pass would have produced it: the serial part's events with each
+// rack task's events spliced in at its mark, then every shard's
+// lease-aging events in shard order (server order). Counters are
+// integers, so their sums do not depend on order.
+func (c *Controller) mergeAllocation() {
+	p := &c.alloc
+	up := &p.upper
+	c.down.add(up.down)
+	c.Stats.LeaseExpiries += up.leaseExpiries
+	for k := range c.out {
+		c.down.add(c.out[k].down)
+		c.Stats.LeaseExpiries += c.out[k].leaseExpiries
+	}
+	if c.Sink == nil {
+		return // nothing was buffered
+	}
+	next := 0
+	for _, task := range p.tasks {
+		c.publishAll(up.events[next:task.mark])
+		c.publishAll(c.out[task.shard].events[task.start:task.end])
+		next = task.mark
+	}
+	c.publishAll(up.events[next:])
+	for k := range c.out {
+		out := &c.out[k]
+		c.publishAll(out.events[out.aged:])
 	}
 }
 
 // allocateChildren divides node's held budget among its children and
 // delivers the shares as directives.
-func (c *Controller) allocateChildren(node *topo.Node, t int, window bool) {
+func (c *Controller) allocateChildren(out *shardOut, node *topo.Node) {
 	if node.IsLeaf() {
 		return
 	}
 	budget := c.pmuTP[node.ID]
-	alloc := c.computeChildAllocations(node, budget)
+	sc := c.scratch[node.ID]
+	if node.Level == 1 {
+		sc = out.rack
+	}
+	alloc := c.computeChildAllocations(sc, node, budget)
+	if node.Level == 1 {
+		first := node.Children[0].ServerIndex
+		for i, v := range alloc {
+			c.deliverServer(out, first+i, v, budget)
+		}
+		return
+	}
 	for i, ch := range node.Children {
-		c.deliverBudget(ch, alloc[i], budget, t, window)
+		c.deliverPMU(out, ch, alloc[i], budget)
 	}
 }
 
-// deliverBudget sends one downward budget directive over the link to ch,
-// through the budget pipe (latency, loss) on lease-bookkeeping windows.
-// A delivered directive applies the budget and publishes the
-// BudgetChange event; on a window it also refreshes the child's lease
-// and clears degradation. An undelivered one leaves the child to the
-// autonomous stages of allocateResilient. Directives to dead PMUs go
-// nowhere.
-func (c *Controller) deliverBudget(ch *topo.Node, v, parentTP float64, t int, window bool) {
-	if !ch.IsLeaf() && c.failedPMU[ch.ID] {
+// deliverPMU sends one downward budget directive over the link to the
+// PMU n, through the budget pipe (latency, loss) on lease-bookkeeping
+// windows. A delivered directive is heard (hear); an undelivered one
+// leaves n to the autonomous stages of allocateResilient. Directives to
+// dead PMUs go nowhere.
+func (c *Controller) deliverPMU(out *shardOut, n *topo.Node, v, parentTP float64) {
+	if c.failedPMU[n.ID] {
 		return // a dead PMU hears nothing; its span rides its leases
 	}
-	c.countDown(ch)
+	p := &c.alloc
+	c.countDown(&out.down, n)
 	msg := budgetMsg{tp: v, parentTP: parentTP, ok: true}
-	if window && (c.Cfg.BudgetLatency > 0 || c.Cfg.BudgetLoss > 0) {
-		if c.Cfg.BudgetLoss > 0 && c.src.Float64() < c.Cfg.BudgetLoss {
-			msg.ok = false
+	if p.window && (c.Cfg.BudgetLatency > 0 || c.Cfg.BudgetLoss > 0) {
+		if loss := c.Cfg.BudgetLoss; loss > 0 {
+			msg.ok = !(c.src.Float64() < loss)
 		}
-		msg = c.budgetPipeFor(ch).push(msg)
+		msg = c.budgetPipeFor(n.ID).push(msg)
+	}
+	if msg.ok {
+		c.hear(out, n, msg.tp, msg.parentTP)
+	}
+}
+
+// deliverServer is deliverPMU for the directive to server j, whose loss
+// draw its rack task made. A delivered directive applies the budget and
+// publishes the BudgetChange event; on a window it also refreshes the
+// server's lease and clears degradation. It reads and writes only the
+// server's slots — its parent is the live rack running the task — so a
+// rack's delivery streams the slabs.
+func (c *Controller) deliverServer(out *shardOut, j int, v, parentTP float64) {
+	p, h := &c.alloc, c.hot
+	id := c.internalNodes + j
+	c.stampDown(&out.down, id, true)
+	msg := budgetMsg{tp: v, parentTP: parentTP, ok: true}
+	if p.window && (c.Cfg.BudgetLatency > 0 || c.Cfg.BudgetLoss > 0) {
+		if c.Cfg.BudgetLoss > 0 {
+			msg.ok = !p.lost[j] // drawn by addRackTask
+		}
+		msg = c.budgetPipeFor(id).push(msg)
 	}
 	if !msg.ok {
-		return // lost in transit: the child's lease ages
+		return // lost in transit: the server's lease ages
 	}
-	if !ch.IsLeaf() {
-		c.grantPMU(ch, msg.tp, msg.parentTP, t, window)
-		return
-	}
-	c.delivered[ch.ID] = true
-	s := c.Servers[ch.ServerIndex]
-	prev := s.TP()
-	s.reduced = c.isReduced(msg.tp, prev, s.CP())
-	s.setTP(msg.tp)
-	if window {
-		s.leaseTick = t
+	c.delivered[id] = true
+	prev := h.tp[j]
+	reduced := c.isReduced(msg.tp, prev, h.cp[j])
+	h.reduced[j] = reduced
+	h.tp[j] = msg.tp
+	if p.window {
+		s := c.Servers[j]
+		s.leaseTick = p.t
 		s.lastParentTP = msg.parentTP
-		c.clearServerDegraded(s, t)
+		c.clearServerDegraded(out, s, p.t)
 	}
 	if c.Sink != nil {
-		c.publish(telemetry.Event{
-			Tick: t, Kind: telemetry.KindBudgetChange,
-			Node: ch.ID, Level: ch.Level, Server: ch.ServerIndex,
-			Watts: msg.tp, Prev: prev, Demand: s.CP(),
-			Reduced: s.reduced,
+		out.events = append(out.events, telemetry.Event{
+			Tick: p.t, Kind: telemetry.KindBudgetChange,
+			Node: id, Server: j,
+			Watts: msg.tp, Prev: prev, Demand: h.cp[j],
+			Reduced: reduced,
 		})
 	}
 }
 
-// grantPMU applies a budget heard by the live PMU n — the supply for
-// the root, a delivered directive for any other — and divides it among
-// n's children. parentTP is the parent's budget the directive carried.
-func (c *Controller) grantPMU(n *topo.Node, tp, parentTP float64, t int, window bool) {
+// hear passes a budget heard by the live PMU n — the supply for the
+// root, a delivered directive for any other — to its grant: run at
+// once above the racks, recorded as a rack task at a rack.
+func (c *Controller) hear(out *shardOut, n *topo.Node, tp, parentTP float64) {
+	if n.Level == 1 {
+		c.addRackTask(n, tp, parentTP, true)
+		return
+	}
+	c.grantPMU(out, n, tp, parentTP)
+}
+
+// grantPMU applies a budget heard by the live PMU n and divides it
+// among n's children. parentTP is the parent's budget the directive
+// carried.
+func (c *Controller) grantPMU(out *shardOut, n *topo.Node, tp, parentTP float64) {
+	p := &c.alloc
 	id := n.ID
 	c.delivered[id] = true
 	prev := c.pmuTP[id]
 	c.pmuReduced[id] = c.isReduced(tp, prev, c.pmuCP[id])
 	c.pmuTP[id] = tp
-	if window {
-		c.pmuLeaseTick[id] = t
+	if p.window {
+		c.pmuLeaseTick[id] = p.t
 		c.pmuLastParentTP[id] = parentTP
-		c.clearPMUDegraded(n, t)
+		c.clearPMUDegraded(out, n, p.t)
 	}
 	if c.Sink != nil {
-		c.publish(telemetry.Event{
-			Tick: t, Kind: telemetry.KindBudgetChange,
+		out.events = append(out.events, telemetry.Event{
+			Tick: p.t, Kind: telemetry.KindBudgetChange,
 			Node: id, Level: n.Level,
 			Watts: tp, Prev: prev, Demand: c.pmuCP[id],
 			Reduced: c.pmuReduced[id],
 		})
 	}
-	c.allocateChildren(n, t, window)
+	c.allocateChildren(out, n)
 }
 
 // isReduced implements the unidirectional rule's trigger: a node counts
@@ -169,32 +345,44 @@ func (c *Controller) isReduced(newTP, oldTP, cp float64) bool {
 }
 
 // computeChildAllocations runs the three allocation rounds for one
-// internal node and returns the per-child budgets (backed by the node's
-// scratch buffer — valid until the next call for the same node). Fresh
+// internal node in the scratch buffers sc and returns the per-child
+// budgets (backed by sc — valid until sc's next division). Fresh
 // directives and degraded autonomous allocation both divide budget
 // through here, so the two are arithmetically identical.
-func (c *Controller) computeChildAllocations(node *topo.Node, budget float64) []float64 {
+func (c *Controller) computeChildAllocations(sc *allocScratch, node *topo.Node, budget float64) []float64 {
 	children := node.Children
-	sc := c.scratch[node.ID]
-	demands, caps, floors := sc.demands, sc.caps, sc.floors
-	var floorSum float64
-	for i, ch := range children {
-		demands[i] = c.demandOf(ch)
-		cap, f := c.capFloor(ch)
-		if f > cap {
-			f = cap
+	n := len(children)
+	demands, caps, floors := sc.demands[:n], sc.caps[:n], sc.floors[:n]
+	alloc, active := sc.alloc[:n], sc.active[:n]
+	if node.Level == 1 {
+		// A rack's children are the servers first, first+1, … in child
+		// order.
+		first := children[0].ServerIndex
+		for i := range children {
+			demands[i] = c.serverDemand(first + i)
+			caps[i], floors[i] = c.serverCapFloor(first + i)
 		}
-		caps[i] = cap
-		floors[i] = f
+	} else {
+		for i, ch := range children {
+			demands[i] = c.pmuCP[ch.ID]
+			caps[i], floors[i] = c.subCap[ch.ID], c.subFloor[ch.ID]
+		}
+	}
+	var floorSum float64
+	for i, f := range floors {
+		if f > caps[i] {
+			f = caps[i]
+			floors[i] = f
+		}
 		floorSum += f
 	}
 
 	// Budget-division seam: a bound policy may take over the division
 	// entirely (core still clamps the result into the hard envelope); a
 	// declining policy falls through to the paper's three rounds below.
-	if c.pol != nil && c.pol.DivideBudget(node.Level, budget, demands, caps, floors, sc.alloc) {
-		clampDivision(sc.alloc, budget, caps)
-		return sc.alloc
+	if c.pol != nil && c.pol.DivideBudget(node.Level, budget, demands, caps, floors, alloc) {
+		clampDivision(alloc, budget, caps)
+		return alloc
 	}
 
 	// Round 0: static floors. An awake server draws its static power no
@@ -202,9 +390,8 @@ func (c *Controller) computeChildAllocations(node *topo.Node, budget float64) []
 	// even the floors exceed the budget the children split it floor-
 	// proportionally — a regime only escapable by putting servers to
 	// sleep, which the demand side's drain-to-sleep path handles.
-	alloc := sc.alloc
 	if floorSum > budget {
-		waterfill(alloc, budget, floors, floors, sc.active)
+		waterfill(alloc, budget, floors, floors, active)
 		return alloc
 	}
 	copy(alloc, floors)
@@ -212,7 +399,7 @@ func (c *Controller) computeChildAllocations(node *topo.Node, budget float64) []
 
 	// Round A: meet dynamic demand above the floors, proportionally
 	// (waterfill handles children whose caps bind).
-	dynWants := sc.wants
+	dynWants := sc.wants[:n]
 	var dynSum float64
 	for i := range children {
 		w := demands[i]
@@ -233,7 +420,7 @@ func (c *Controller) computeChildAllocations(node *topo.Node, budget float64) []
 		}
 		leftover = remaining - dynSum
 	} else {
-		extra := waterfill(sc.extra, remaining, dynWants, dynWants, sc.active)
+		extra := waterfill(sc.extra[:n], remaining, dynWants, dynWants, active)
 		for i := range alloc {
 			alloc[i] += extra[i]
 		}
@@ -243,11 +430,11 @@ func (c *Controller) computeChildAllocations(node *topo.Node, budget float64) []
 	// Round B: distribute leftover proportionally to demand up to the
 	// hard caps. Budget beyond every cap stays stranded at this node.
 	if leftover > tolerance {
-		head := sc.head
+		head := sc.head[:n]
 		for i := range children {
 			head[i] = caps[i] - alloc[i]
 		}
-		extra := waterfill(sc.extra, leftover, demands, head, sc.active)
+		extra := waterfill(sc.extra[:n], leftover, demands, head, active)
 		for i := range alloc {
 			alloc[i] += extra[i]
 		}
@@ -258,40 +445,60 @@ func (c *Controller) computeChildAllocations(node *topo.Node, budget float64) []
 
 // sumSubtrees refreshes every internal node's subtree hard cap and
 // static floor in one bottom-up pass, run once per allocation pass
-// before any budget is divided. Each node sums its children in child
-// order from zero — the order a recursive descent adds them in, and the
-// order aggregate() uses for demand — so every sum is bit-identical to
-// recursing through the subtree at each level, at a single visit per
-// node. Nothing an allocation pass does (budgets, reduced flags, lease
-// state) moves a hard cap or a sleep flag, so the sums hold for the
-// whole pass.
+// before any budget is divided: the racks in a sharded phase (each
+// shard sums its own racks' servers), the levels above them serially.
+// Each node sums its children in child order from zero — the order a
+// recursive descent adds them in, and the order aggregate() uses for
+// demand — so every sum is bit-identical to recursing through the
+// subtree at each level, at a single visit per node. Nothing an
+// allocation pass does (budgets, reduced flags, lease state) moves a
+// hard cap or a sleep flag, so the sums hold for the whole pass.
 func (c *Controller) sumSubtrees() {
-	for level := 1; level <= c.Tree.Height; level++ {
+	c.ForEachShard(c.sumRacksFn)
+	for level := 2; level <= c.Tree.Height; level++ {
 		for _, n := range c.levels[level] {
-			var cap, floor float64
-			for _, ch := range n.Children {
-				chCap, chFloor := c.capFloor(ch)
-				cap += chCap
-				floor += chFloor
-			}
-			c.subCap[n.ID], c.subFloor[n.ID] = cap, floor
+			c.sumChildren(n)
 		}
 	}
 }
 
-// capFloor returns a node's hard constraint and static floor as its
-// parent divides budget: for a server its hard cap and static power, for
-// a PMU the sums over its subtree from the current sumSubtrees pass.
-// Sleeping servers contribute nothing — they cannot spend budget and
-// burn no static power. A server's figures come off the slab: its
-// cached hard cap is the one for Cfg.ThermalWindow (see fleetHot).
-func (c *Controller) capFloor(n *topo.Node) (cap, floor float64) {
-	if !n.IsLeaf() {
-		return c.subCap[n.ID], c.subFloor[n.ID]
+// sumRacks is sumSubtrees's sharded phase: it sums the racks of the
+// given shard.
+func (c *Controller) sumRacks(shard, _, _ int) {
+	for _, n := range c.shards.plan[shard].racks {
+		c.sumChildren(n)
 	}
-	h, i := c.hot, n.ServerIndex
-	if h.asleep[i] {
+}
+
+// sumChildren sets n's subtree hard cap and static floor from its
+// children's, added in child order from zero.
+func (c *Controller) sumChildren(n *topo.Node) {
+	var cap, floor float64
+	if n.Level == 1 {
+		first := n.Children[0].ServerIndex
+		for j := first; j < first+len(n.Children); j++ {
+			chCap, chFloor := c.serverCapFloor(j)
+			cap += chCap
+			floor += chFloor
+		}
+	} else {
+		for _, ch := range n.Children {
+			cap += c.subCap[ch.ID]
+			floor += c.subFloor[ch.ID]
+		}
+	}
+	c.subCap[n.ID], c.subFloor[n.ID] = cap, floor
+}
+
+// serverCapFloor returns server j's hard constraint and static floor as
+// its rack divides budget: its hard cap and static power, or nothing
+// while it sleeps — a sleeping server cannot spend budget and burns no
+// static power. Its cached hard cap is the one for Cfg.ThermalWindow
+// (see fleetHot).
+func (c *Controller) serverCapFloor(j int) (cap, floor float64) {
+	h := c.hot
+	if h.asleep[j] {
 		return 0, 0
 	}
-	return h.hardCap[i], h.static[i]
+	return h.hardCap[j], h.static[j]
 }

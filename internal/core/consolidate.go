@@ -83,7 +83,7 @@ func (c *Controller) consolidate(t int) {
 		}
 
 		ws := c.workingSurpluses(window)
-		delete(ws, victim.Node.ServerIndex)
+		ws.cand[victim.Node.ServerIndex] = false
 		items := make([]item, 0, victim.Apps.Len())
 		for _, a := range victim.Apps.Apps {
 			items = append(items, item{app: a, src: victim})

@@ -153,13 +153,11 @@ type Controller struct {
 	candidates []*Server
 
 	// Link-message accounting (state.go): downStamp is tick-stamped by
-	// child node ID; tickDown counts distinct links that carried a
-	// directive this step; bothDir records that some link carried both
-	// directions; liveUpLinks caches the structural report count.
+	// child node ID; down tallies this step's downward directives;
+	// liveUpLinks caches the structural report count.
 	downStamp   []int
 	stamp       int
-	tickDown    int
-	bothDir     bool
+	down        downTally
 	liveUpLinks int
 
 	// pipes delay upward reports per link when the asynchronous control
@@ -173,14 +171,20 @@ type Controller struct {
 	// aggregate reports nor issue budgets, and migrations never cross
 	// their span. All-false in the paper's fail-free regime. delivered
 	// is the allocation pass's scratch, marking which nodes heard a
-	// budget directive (allocate.go).
+	// budget directive, and alloc what the pass's serial part and its
+	// rack phase share (allocate.go).
 	failedPMU      []bool
 	failedPMUCount int
 	delivered      []bool
+	alloc          allocPass
+	// internalNodes counts the PMUs, the prefix of the node IDs: server
+	// j's node ID is internalNodes + j (topo.Node.ID).
+	internalNodes int
 
 	// levels caches the internal nodes per level (index = level) so the
 	// per-tick aggregation does not rescan the whole tree; scratch holds
-	// each internal node's preallocated allocation buffers (by node ID).
+	// the preallocated allocation buffers of each PMU above the racks
+	// (by node ID; racks divide in their shard's, scratch.go).
 	// subCap/subFloor hold each internal node's subtree hard cap and
 	// static floor for the current allocation pass (allocate.go), over
 	// the internal-node prefix of the node IDs.
@@ -212,12 +216,17 @@ type Controller struct {
 	noisyDemand bool
 
 	// shards forks the parallel tick phases over the rack-aligned
-	// partition of the fleet (state.go); observeFn/settleFn are those
+	// partition of the fleet (state.go); the *Fn fields are those
 	// phases, bound once so a tick allocates no method value. out holds
-	// what each shard's settle leaves for consumeAndHeat's merge.
-	shards              *shardRunner
-	observeFn, settleFn func(shard, lo, hi int)
-	out                 []shardOut
+	// what each shard's phase leaves for its sequential merge.
+	shards                      *shardRunner
+	observeFn, settleFn, scanFn func(shard, lo, hi int)
+	sumRacksFn, allocateRacksFn func(shard, lo, hi int)
+	out                         []shardOut
+
+	// ws is the working surpluses placement draws on (migrate.go),
+	// reused across calls.
+	ws surplusSet
 
 	// inStep gates telemetry batching; eventBuf is the step's pending
 	// batch (state.go).
@@ -249,16 +258,20 @@ type PhaseObserver interface {
 }
 
 // The tick phases a PhaseObserver hears, by name. Everything else a
-// Step does — wake-ups, transfer landings, orphan restarts, the demand
-// migration scan and packing, consolidation, the fleet energy fold and
+// Step does — wake-ups, transfer landings, the fleet energy fold and
 // the event flush — is untimed.
 const (
 	// PhaseObserve is demand observation: each server's Eq. 4 update
 	// (sharded when demand is noise-free) and the aggregation up the
 	// tree.
 	PhaseObserve = "observe"
-	// PhaseAllocate is the supply allocation pass, every η1 ticks.
+	// PhaseAllocate is the supply allocation pass, every η1 ticks: the
+	// division above the racks, the sharded rack phase and its merge.
 	PhaseAllocate = "allocate"
+	// PhaseMigrate is the demand side: orphan restarts, demand
+	// migration (the sharded deficit scan, then placement) and, every
+	// η2 ticks, consolidation.
+	PhaseMigrate = "migrate"
 	// PhaseConsume is consumeAndHeat: the sharded settle of every
 	// server's consumption, QoS shedding, heating, sensing and energy,
 	// then the sequential merge that publishes the shards' events and
@@ -323,10 +336,13 @@ func New(tree *topo.Tree, specs []ServerSpec, supply power.Supply, cfg Config, s
 	for _, n := range tree.Nodes {
 		if !n.IsLeaf() {
 			c.levels[n.Level] = append(c.levels[n.Level], n)
+		}
+		if n.Level >= 2 {
 			c.scratch[n.ID] = newAllocScratch(len(n.Children))
 		}
 	}
 	internal := numNodes - numServers
+	c.internalNodes = internal
 	sums := make([]float64, 2*internal)
 	c.subCap, c.subFloor = sums[:internal], sums[internal:]
 	priorities := 0
@@ -387,9 +403,13 @@ func New(tree *topo.Tree, specs []ServerSpec, supply power.Supply, cfg Config, s
 	c.prioDemand = make([]float64, priorities)
 	c.prioServed = make([]float64, priorities)
 	c.prioSeen = make([]bool, priorities)
-	c.shards = newShardRunner(planShards(tree, cfg.Shards, numServers))
+	c.shards = newShardRunner(planShards(tree, cfg.Shards))
 	c.observeFn = func(_, lo, hi int) { c.observeShard(lo, hi) }
 	c.settleFn = c.settleShard
+	c.scanFn = c.scanShard
+	c.sumRacksFn = c.sumRacks
+	c.allocateRacksFn = c.allocateRacks
+	c.alloc.lost = make([]bool, numServers)
 	// Each shard's service records start with room for every application
 	// it hosts, so a tick without migrations across shards allocates none.
 	c.out = make([]shardOut, len(c.shards.plan))
@@ -399,6 +419,11 @@ func New(tree *topo.Tree, specs []ServerSpec, supply power.Supply, cfg Config, s
 			apps += s.Apps.Len()
 		}
 		c.out[k].recs = make([]serviceRec, 0, apps)
+		widest := 0
+		for _, r := range sh.racks {
+			widest = max(widest, len(r.Children))
+		}
+		c.out[k].rack = newAllocScratch(widest)
 	}
 	c.energy = newEnergyAcc(c)
 	if cfg.Policy != nil {
@@ -426,7 +451,7 @@ func (c *Controller) Tick() int { return c.tick }
 func (c *Controller) Step() {
 	t := c.tick
 	c.stamp++
-	c.tickDown, c.bothDir = 0, false
+	c.down = downTally{}
 	c.inStep = true
 
 	c.wakeServers(t)
@@ -446,7 +471,7 @@ func (c *Controller) Step() {
 	if t%c.Cfg.Eta1 == 0 {
 		c.allocateResilient(t, c.resilienceEnabled())
 		if timed {
-			c.observePhase(PhaseAllocate, mark)
+			mark = c.observePhase(PhaseAllocate, mark)
 		}
 	}
 	c.restartOrphans(t)
@@ -455,7 +480,7 @@ func (c *Controller) Step() {
 		c.consolidate(t)
 	}
 	if timed {
-		mark = time.Now()
+		mark = c.observePhase(PhaseMigrate, mark)
 	}
 	c.consumeAndHeat()
 	if timed {
@@ -469,12 +494,12 @@ func (c *Controller) Step() {
 	// failures/repairs).
 	up := c.liveUpLinks
 	c.Stats.MessagesUp += int64(up)
-	c.Stats.MessagesDown += int64(c.tickDown)
-	if c.bothDir {
+	c.Stats.MessagesDown += int64(c.down.links)
+	if c.down.both {
 		if c.Stats.MaxLinkMessagesPerTick < 2 {
 			c.Stats.MaxLinkMessagesPerTick = 2
 		}
-	} else if (up > 0 || c.tickDown > 0) && c.Stats.MaxLinkMessagesPerTick < 1 {
+	} else if (up > 0 || c.down.links > 0) && c.Stats.MaxLinkMessagesPerTick < 1 {
 		c.Stats.MaxLinkMessagesPerTick = 1
 	}
 	c.tick++
@@ -603,10 +628,15 @@ func (c *Controller) demandOf(n *topo.Node) float64 {
 	if !n.IsLeaf() {
 		return c.pmuCP[n.ID]
 	}
+	return c.serverDemand(n.ServerIndex)
+}
+
+// serverDemand is demandOf for server j.
+func (c *Controller) serverDemand(j int) float64 {
 	if !c.asyncEnabled() {
-		return c.hot.cp[n.ServerIndex]
+		return c.hot.cp[j]
 	}
-	return c.viewCP(c.Servers[n.ServerIndex])
+	return c.viewCP(c.Servers[j])
 }
 
 // consumeAndHeat settles each server's consumed power against its
@@ -624,9 +654,7 @@ func (c *Controller) consumeAndHeat() {
 		out := &c.out[k]
 		// Each server buffered its events in decision order — throttle,
 		// then QoS, then sensor — and the shards drain in server order.
-		for _, e := range out.events {
-			c.publish(e)
-		}
+		c.publishAll(out.events)
 		// One record per application, in the order settleServer booked
 		// them: app order for a server served in full or browned out,
 		// priority-sorted order for one that shed.
@@ -705,25 +733,41 @@ func (c *Controller) settleServer(out *shardOut, recs []serviceRec, s *Server) [
 	return recs
 }
 
-// shardOut is what one shard's settle leaves for consumeAndHeat's merge,
-// in server order. services is settleQoS's reused scratch.
+// shardOut is what one shard's phase leaves for its sequential merge,
+// in server order: the settle's for consumeAndHeat's, the allocation
+// pass's rack phase's for mergeAllocation's, the deficit scan's items
+// for migrateDemand. services is settleQoS's reused scratch.
 type shardOut struct {
 	events   []telemetry.Event
 	recs     []serviceRec
 	drops    []float64
 	services []appService
+	items    []item
 
 	degradedTicks, degradedApps, shutdownApps, guardTicks int64
 	rejected, unhealthy                                   int
+
+	// The allocation pass: the buffers the shard's racks divide in,
+	// its downward directives, its lease expiries, and where its
+	// lease-aging events start in events.
+	rack          *allocScratch
+	down          downTally
+	leaseExpiries int
+	aged          int
 
 	// Every settled server writes its shard's output, so the padding
 	// keeps the next shard's off these cache lines.
 	_ [64]byte
 }
 
-// reset empties the output for a new tick, keeping its buffers.
+// reset empties the output for a new settle, keeping its buffers.
 func (o *shardOut) reset() {
-	*o = shardOut{events: o.events[:0], recs: o.recs[:0], drops: o.drops[:0], services: o.services}
+	*o = shardOut{events: o.events[:0], recs: o.recs[:0], drops: o.drops[:0], services: o.services, items: o.items, rack: o.rack}
+}
+
+// resetAlloc empties the output for a new allocation pass.
+func (o *shardOut) resetAlloc() {
+	o.events, o.down, o.leaseExpiries, o.aged = o.events[:0], downTally{}, 0, 0
 }
 
 // throttle buffers the thermal throttle event of an awake server

@@ -151,12 +151,14 @@ type Config struct {
 	// runs.
 	EnergyEvents bool
 	// Shards splits the per-server phases of each tick (demand
-	// observation, consumption/heating, and any a caller runs through
-	// Controller.ForEachShard) across up to Shards goroutines, one per
-	// contiguous rack-aligned server range. Results are byte-identical
-	// for any shard count: parallel phases touch only per-server state
-	// and every cross-server accumulation runs sequentially in server
-	// order. 0 or 1 runs the tick single-threaded.
+	// observation, the allocation pass's rack level, the demand-
+	// migration deficit scan, consumption/heating, and any a caller
+	// runs through Controller.ForEachShard) across up to Shards
+	// goroutines, one per contiguous rack-aligned server range. Results
+	// are byte-identical for any shard count: parallel phases touch
+	// only per-server state and their own racks' node state, and every
+	// cross-rack accumulation runs sequentially in server order. 0 or 1
+	// runs the tick single-threaded.
 	Shards int
 	// Policy plugs an alternative controller into the three control
 	// seams (see the Policy interface in policy.go). nil — the default
@@ -323,10 +325,6 @@ type Server struct {
 	// migCost is the pending migration cost to charge into the next
 	// tick's demand.
 	migCost float64
-
-	// reduced marks that the last supply event lowered this server's
-	// budget (unidirectional rule: such servers take no migrations).
-	reduced bool
 
 	// failed marks a crashed server (a failure-injection state, not a
 	// control decision); only RepairServer clears it.

@@ -77,12 +77,12 @@ func (p *budgetPipe) push(m budgetMsg) budgetMsg {
 }
 
 // budgetPipeFor returns (creating on demand) the budget pipe of the link
-// between n and its parent.
-func (c *Controller) budgetPipeFor(n *topo.Node) *budgetPipe {
-	p := c.budgetPipes[n.ID]
+// between the node with the given ID and its parent.
+func (c *Controller) budgetPipeFor(id int) *budgetPipe {
+	p := c.budgetPipes[id]
 	if p == nil {
 		p = &budgetPipe{buf: make([]budgetMsg, c.Cfg.BudgetLatency)}
-		c.budgetPipes[n.ID] = p
+		c.budgetPipes[id] = p
 	}
 	return p
 }
@@ -154,7 +154,7 @@ func (c *Controller) reachLimit(n *topo.Node) int {
 // and, once expired, enters degraded mode and decays the held budget
 // geometrically toward the autonomous safe floor. Budgets at or below
 // the floor are held, never raised.
-func (c *Controller) ageServerLease(s *Server, t int) {
+func (c *Controller) ageServerLease(out *shardOut, s *Server, t int) {
 	lease := c.Cfg.BudgetLeaseTicks
 	if lease <= 0 || t-s.leaseTick <= lease {
 		return
@@ -162,16 +162,16 @@ func (c *Controller) ageServerLease(s *Server, t int) {
 	entered := !s.Degraded()
 	if entered {
 		s.setDegraded(true)
-		c.Stats.LeaseExpiries++
+		out.leaseExpiries++
 	}
 	floor := c.serverFloor(s)
 	prev := s.TP()
 	if prev > floor {
 		s.setTP(floor + c.Cfg.DegradedDecay*(prev-floor))
 	}
-	s.reduced = c.isReduced(s.TP(), prev, s.CP())
+	c.hot.reduced[s.idx] = c.isReduced(s.TP(), prev, s.CP())
 	if entered && c.Sink != nil {
-		c.publish(telemetry.Event{
+		out.events = append(out.events, telemetry.Event{
 			Tick: t, Kind: telemetry.KindDegraded,
 			Node: s.Node.ID, Server: s.Node.ServerIndex,
 			Cause: "enter", Watts: s.TP(), Prev: prev,
@@ -180,7 +180,7 @@ func (c *Controller) ageServerLease(s *Server, t int) {
 }
 
 // agePMULease is ageServerLease for internal nodes.
-func (c *Controller) agePMULease(n *topo.Node, t int) {
+func (c *Controller) agePMULease(out *shardOut, n *topo.Node, t int) {
 	lease := c.Cfg.BudgetLeaseTicks
 	if lease <= 0 || t-c.pmuLeaseTick[n.ID] <= lease {
 		return
@@ -189,7 +189,7 @@ func (c *Controller) agePMULease(n *topo.Node, t int) {
 	entered := !c.pmuDegraded[id]
 	if entered {
 		c.pmuDegraded[id] = true
-		c.Stats.LeaseExpiries++
+		out.leaseExpiries++
 	}
 	floor := c.pmuFloor(n)
 	prev := c.pmuTP[id]
@@ -198,7 +198,7 @@ func (c *Controller) agePMULease(n *topo.Node, t int) {
 	}
 	c.pmuReduced[id] = c.isReduced(c.pmuTP[id], prev, c.pmuCP[id])
 	if entered && c.Sink != nil {
-		c.publish(telemetry.Event{
+		out.events = append(out.events, telemetry.Event{
 			Tick: t, Kind: telemetry.KindDegraded,
 			Node: id, Level: n.Level,
 			Cause: "enter", Watts: c.pmuTP[id], Prev: prev,
@@ -207,13 +207,13 @@ func (c *Controller) agePMULease(n *topo.Node, t int) {
 }
 
 // clearServerDegraded exits degraded mode on a freshly delivered lease.
-func (c *Controller) clearServerDegraded(s *Server, t int) {
+func (c *Controller) clearServerDegraded(out *shardOut, s *Server, t int) {
 	if !s.Degraded() {
 		return
 	}
 	s.setDegraded(false)
 	if c.Sink != nil {
-		c.publish(telemetry.Event{
+		out.events = append(out.events, telemetry.Event{
 			Tick: t, Kind: telemetry.KindDegraded,
 			Node: s.Node.ID, Server: s.Node.ServerIndex,
 			Cause: "exit", Watts: s.TP(),
@@ -222,13 +222,13 @@ func (c *Controller) clearServerDegraded(s *Server, t int) {
 }
 
 // clearPMUDegraded is clearServerDegraded for internal nodes.
-func (c *Controller) clearPMUDegraded(n *topo.Node, t int) {
+func (c *Controller) clearPMUDegraded(out *shardOut, n *topo.Node, t int) {
 	if !c.pmuDegraded[n.ID] {
 		return
 	}
 	c.pmuDegraded[n.ID] = false
 	if c.Sink != nil {
-		c.publish(telemetry.Event{
+		out.events = append(out.events, telemetry.Event{
 			Tick: t, Kind: telemetry.KindDegraded,
 			Node: n.ID, Level: n.Level,
 			Cause: "exit", Watts: c.pmuTP[n.ID],

@@ -167,7 +167,7 @@ func (c *Controller) restartOrphans(t int) {
 			waiting = append(waiting, o)
 			continue
 		}
-		ws[to.Node.ServerIndex] -= o.app.Mean
+		ws.watts[to.Node.ServerIndex] -= o.app.Mean
 		to.Apps.Add(o.app)
 		to.setCP(to.CP() + o.app.Mean)
 		to.smoother.Bias(o.app.Mean)
@@ -185,7 +185,7 @@ func (c *Controller) restartOrphans(t int) {
 		}
 		c.Stats.Migrations = append(c.Stats.Migrations, m)
 		c.Stats.Restarts++
-		c.countDown(to.Node)
+		c.countDown(&c.down, to.Node)
 		c.publishMigration(m)
 	}
 	c.orphans = waiting

@@ -33,14 +33,48 @@ type assignment struct {
 // power), waking a sleeping server, and finally shedding (dropping) the
 // excess.
 func (c *Controller) migrateDemand(t int) {
-	window := c.Cfg.ThermalWindow
+	// The deficit scan runs sharded; joining the shards' items in shard
+	// order, onto the first shard's buffer, gives them in server order.
+	c.ForEachShard(c.scanFn)
+	items := c.out[0].items
+	for k := 1; k < len(c.out); k++ {
+		items = append(items, c.out[k].items...)
+	}
+	c.out[0].items = items
+	if len(items) == 0 {
+		return
+	}
 
+	ws := c.workingSurpluses(c.Cfg.ThermalWindow)
+	plan, unplaced := c.planPlacement(items, ws, false, false)
+	c.applyAssignments(plan, CauseDemand, t)
+
+	if len(unplaced) > 0 {
+		unplaced = c.drainToSleep(unplaced, t)
+	}
+	if len(unplaced) > 0 {
+		c.tryWake(t)
+	}
+	// Anything still unplaced stays on its source and is shed when the
+	// server settles against its budget (Section IV-E: excess demand is
+	// simply dropped).
+}
+
+// scanShard is migrateDemand's deficit scan over servers [lo, hi): each
+// server whose migration trigger fires peels applications, largest
+// first, into the shard's item buffer, in server order. It reads shared
+// state only (the transfer list, the in-flight set) and calls the
+// PeelTarget seam, which may touch only the passed server's slots.
+func (c *Controller) scanShard(shard, lo, hi int) {
+	out := &c.out[shard]
+	items := out.items[:0]
+	window := c.Cfg.ThermalWindow
 	// With synchronous reporting a parent sees each server's own CP, so
 	// Eq. 5 reads straight off the slab; the asynchronous plane reads the
 	// server through its report pipe.
 	async, h := c.asyncEnabled(), c.hot
-	var items []item
-	for i, s := range c.Servers {
+	for i := lo; i < hi; i++ {
+		s := c.Servers[i]
 		var def float64
 		if async {
 			def = c.viewDeficit(s, window)
@@ -66,36 +100,45 @@ func (c *Controller) migrateDemand(t int) {
 			peeled += a.Mean
 		}
 	}
-	if len(items) == 0 {
-		return
-	}
+	out.items = items
+}
 
-	ws := c.workingSurpluses(window)
-	plan, unplaced := c.planPlacement(items, ws, false, false)
-	c.applyAssignments(plan, CauseDemand, t)
+// surplusSet is the working surplus placement draws on, by server
+// index: watts[i] is what server i can still absorb, and only a server
+// marked in cand is a candidate target at all. Placement lowers watts
+// as it places. One set is reused across calls; each fill starts it
+// afresh.
+type surplusSet struct {
+	watts []float64
+	cand  []bool
+}
 
-	if len(unplaced) > 0 {
-		unplaced = c.drainToSleep(unplaced, t)
+// reset returns the set with no candidate, sized for n servers.
+func (ws *surplusSet) reset(n int) *surplusSet {
+	if len(ws.cand) != n {
+		ws.watts, ws.cand = make([]float64, n), make([]bool, n)
+	} else {
+		clear(ws.cand)
 	}
-	if len(unplaced) > 0 {
-		c.tryWake(t)
-	}
-	// Anything still unplaced stays on its source and is shed when the
-	// server settles against its budget (Section IV-E: excess demand is
-	// simply dropped).
+	return ws
+}
+
+// add makes server i a candidate that can absorb v watts.
+func (ws *surplusSet) add(i int, v float64) {
+	ws.watts[i], ws.cand[i] = v, true
 }
 
 // workingSurpluses returns, per eligible receiving server, the watts it
 // can absorb while keeping the P_min margin.
-func (c *Controller) workingSurpluses(window float64) map[int]float64 {
-	ws := make(map[int]float64, len(c.Servers))
-	for _, s := range c.Servers {
+func (c *Controller) workingSurpluses(window float64) *surplusSet {
+	ws := c.ws.reset(len(c.Servers))
+	for i, s := range c.Servers {
 		if !c.receiverEligible(s) {
 			continue
 		}
 		v := c.viewSurplus(s, window) - c.Cfg.PMin - c.reservedFor(s)
 		if v > tolerance {
-			ws[s.Node.ServerIndex] = v
+			ws.add(i, v)
 		}
 	}
 	return ws
@@ -109,7 +152,7 @@ func (c *Controller) receiverEligible(s *Server) bool {
 	if c.failedPMUCount > 0 && c.underDeadPMU(s.Node) {
 		return false
 	}
-	return !s.Asleep() && !c.draining[s.Node.ServerIndex] && !s.reduced
+	return !s.Asleep() && !c.draining[s.Node.ServerIndex] && !c.hot.reduced[s.idx]
 }
 
 // planPlacement assigns items to servers level by level: every item first
@@ -117,8 +160,8 @@ func (c *Controller) receiverEligible(s *Server) bool {
 // remain escalate one level at a time. Within a level, candidate targets
 // are ordered by ascending working surplus — the finite-bin equivalent of
 // FFDLR's repack step ("we try to run every server at full utilization"),
-// so large surpluses stay empty and can be deactivated later. The ws map
-// is mutated as items are placed.
+// so large surpluses stay empty and can be deactivated later. ws is
+// lowered as items are placed.
 // When ignoreReduced is true the unidirectional rule is bypassed — used
 // only by the drain-to-sleep emergency path, where every subtree looks
 // squeezed by definition (the whole facility just lost supply).
@@ -132,7 +175,7 @@ func (c *Controller) receiverEligible(s *Server) bool {
 // load, so consolidation in a heterogeneous fleet packs onto wimpy nodes
 // and lets power-hungry-at-idle servers sleep. For homogeneous fleets the
 // preference is a no-op and the FFDLR-repack best-fit rule decides.
-func (c *Controller) planPlacement(items []item, ws map[int]float64, ignoreReduced, preferEfficient bool) ([]assignment, []item) {
+func (c *Controller) planPlacement(items []item, ws *surplusSet, ignoreReduced, preferEfficient bool) ([]assignment, []item) {
 	slices.SortStableFunc(items, func(a, b item) int {
 		switch {
 		case a.app.Mean != b.app.Mean:
@@ -172,7 +215,7 @@ func (c *Controller) planPlacement(items []item, ws map[int]float64, ignoreReduc
 				next = append(next, it)
 				continue
 			}
-			ws[to.Node.ServerIndex] -= it.app.Mean
+			ws.watts[to.Node.ServerIndex] -= it.app.Mean
 			plan = append(plan, assignment{it: it, to: to})
 		}
 		pending = next
@@ -193,7 +236,7 @@ func ancestorAt(n *topo.Node, level int) *topo.Node {
 // the already-searched exclude subtree and any squeezed subtree between
 // target and scope. Among fitting candidates it picks the smallest
 // adequate surplus (ties by server index, for determinism).
-func (c *Controller) pickTarget(it item, scope, exclude *topo.Node, ws map[int]float64, ignoreReduced, preferEfficient bool) *Server {
+func (c *Controller) pickTarget(it item, scope, exclude *topo.Node, ws *surplusSet, ignoreReduced, preferEfficient bool) *Server {
 	var best *Server
 	bestWS := 0.0
 	bestEff := 0.0
@@ -228,8 +271,8 @@ func (c *Controller) pickTarget(it item, scope, exclude *topo.Node, ws map[int]f
 			if s == it.src || n.ServerIndex == pingPong {
 				return
 			}
-			v, ok := ws[n.ServerIndex]
-			if !ok || v+tolerance < it.app.Mean {
+			v := ws.watts[n.ServerIndex]
+			if !ws.cand[n.ServerIndex] || v+tolerance < it.app.Mean {
 				return
 			}
 			better := false
@@ -318,8 +361,8 @@ func (c *Controller) applyAssignments(plan []assignment, cause Cause, t int) {
 		}
 		// The migration directive reaches both endpoints over their tree
 		// links, batched with any budget update issued this window.
-		c.countDown(src.Node)
-		c.countDown(dst.Node)
+		c.countDown(&c.down, src.Node)
+		c.countDown(&c.down, dst.Node)
 		c.publishMigration(m)
 	}
 }
@@ -371,7 +414,7 @@ func (c *Controller) drainToSleep(unplaced []item, t int) []item {
 		// Place the victim's applications into the others' physical
 		// headroom (hard cap minus current demand): budgets are about to
 		// be re-derived, so budget surpluses are not the constraint here.
-		ws := make(map[int]float64, len(awake))
+		ws := c.ws.reset(len(c.Servers))
 		for _, s := range awake {
 			if s == victim || c.draining[s.Node.ServerIndex] {
 				continue
@@ -381,7 +424,7 @@ func (c *Controller) drainToSleep(unplaced []item, t int) []item {
 			}
 			room := s.HardCap(c.Cfg.ThermalWindow) - c.viewCP(s) - c.Cfg.PMin - c.reservedFor(s)
 			if room > tolerance {
-				ws[s.Node.ServerIndex] = room
+				ws.add(s.Node.ServerIndex, room)
 			}
 		}
 		items := make([]item, 0, victim.Apps.Len())

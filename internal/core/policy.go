@@ -19,11 +19,15 @@ package core
 //     which case the built-in Willow arithmetic runs bit-for-bit. A
 //     policy that declines everything — policy.Willow — is
 //     byte-identical to leaving Config.Policy nil.
-//   - Sharding. ThermalCap is called from the parallel tick phases: an
-//     implementation may touch only state private to the server passed
-//     in (per-server slots indexed by Server.Index). DivideBudget,
-//     PeelTarget and ConsolidateEligible run on the sequential control
-//     path and may keep shared scratch.
+//   - Sharding. ThermalCap, PeelTarget and DivideBudget are called from
+//     the parallel tick phases: ThermalCap from the consume phase,
+//     PeelTarget from the demand-migration deficit scan, DivideBudget
+//     at rack PMUs (level 1) from the allocation pass's rack phase.
+//     ThermalCap and PeelTarget may touch only state private to the
+//     server passed in (per-server slots indexed by Server.Index);
+//     DivideBudget may write only its alloc argument, at every level.
+//     ConsolidateEligible runs on the sequential control path and may
+//     keep shared scratch.
 //   - Ownership. A policy instance is stateful and owned by exactly one
 //     Controller: Bind is called once, during New. Never share an
 //     instance across controllers; rebuild from its Spec instead.
@@ -45,7 +49,8 @@ type Policy interface {
 	// (already clamped to caps). Returning false delegates to the
 	// built-in proportional waterfill. Core clamps the result into
 	// [0, caps] and rescales if it overspends budget, so a policy can
-	// never violate the hard constraints.
+	// never violate the hard constraints. Racks divide in parallel, so
+	// an implementation writes nothing but alloc.
 	DivideBudget(level int, budget float64, demands, caps, floors, alloc []float64) bool
 
 	// ThermalCap returns the server's thermal power cap (watts) for the
@@ -60,7 +65,8 @@ type Policy interface {
 	// how many watts of demand the server should peel off for
 	// migration; target <= 0 peels nothing. Returning ok=false keeps
 	// the built-in rule (peel iff deficit > PMin, target = deficit +
-	// PMin).
+	// PMin). The deficit scan runs sharded, so an implementation
+	// touches only s's own slots.
 	PeelTarget(s *Server, deficit float64) (target float64, ok bool)
 
 	// ConsolidateEligible decides the consolidation trigger: whether an

@@ -1,11 +1,14 @@
 package core
 
-// Per-node scratch buffers for the supply allocation. Dividing a node's
-// budget (computeChildAllocations) needs several float slices sized to
-// the node's child count on every pass; since the tree shape is fixed at
-// construction, each internal node gets its buffers once and the hot
-// path allocates nothing. The allocation pass is sequential, so reuse is
-// safe.
+// Scratch buffers for the supply allocation. Dividing a node's budget
+// (computeChildAllocations) needs several float slices as long as the
+// node's child count on every pass; since the tree shape is fixed at
+// construction, the buffers are sized once and the hot path allocates
+// nothing. A PMU above the racks owns its buffers, because its division
+// stays in use while its children divide theirs. A rack's division is
+// used up before the next rack divides, so each shard divides all its
+// racks in one set of buffers, sized to its widest rack, which stays in
+// cache across them.
 type allocScratch struct {
 	demands, caps, floors, wants, alloc, head, extra []float64
 	active                                           []bool

@@ -18,7 +18,9 @@ package core
 //     hard-cap cache, the aggregation dirty bits) can never go stale.
 //   - All result-affecting floating-point accumulation stays in server
 //     order regardless of shard count: parallel phases only ever write
-//     per-server slots, and cross-server folds run sequentially.
+//     per-server slots and the node slots of the racks they own, a
+//     rack's sums run within its one shard, and every other
+//     cross-server fold runs sequentially.
 //   - The incremental aggregator re-sums a dirty PMU's direct children
 //     in child order from zero — never applies partial-sum deltas — so
 //     its bits match the full recompute exactly (float addition is not
@@ -51,6 +53,9 @@ type fleetHot struct {
 	static   []float64 // Power.Static, never written after New
 	asleep   []bool
 	degraded []bool
+	// reduced marks servers whose budget the last supply event lowered
+	// (unidirectional rule: such servers take no migrations).
+	reduced []bool
 
 	// settled marks servers whose smoother reached an exact fixed point:
 	// feeding it the same raw demand again is guaranteed (bitwise) to
@@ -72,7 +77,7 @@ type fleetHot struct {
 
 func newFleetHot(servers, nodes int) *fleetHot {
 	f := make([]float64, 9*servers)
-	b := make([]bool, 3*servers)
+	b := make([]bool, 4*servers)
 	h := &fleetHot{
 		rawDemand: f[0*servers : 1*servers],
 		cp:        f[1*servers : 2*servers],
@@ -86,6 +91,7 @@ func newFleetHot(servers, nodes int) *fleetHot {
 		asleep:    b[0*servers : 1*servers],
 		degraded:  b[1*servers : 2*servers],
 		settled:   b[2*servers : 3*servers],
+		reduced:   b[3*servers : 4*servers],
 		dirty:     make([]bool, nodes),
 	}
 	return h
@@ -291,18 +297,40 @@ func (c *Controller) aggregate() {
 // or through a pipe — so it is a cached integer recounted only when a
 // PMU fails or repairs.
 
+// downTally counts one tick's downward directives: links is the number
+// of distinct links that carried one, both records that some link also
+// carried that tick's upward report. The sharded rack phase of the
+// allocation pass keeps a tally per shard (each link is stamped by the
+// one shard that owns its child), and the merge adds them up.
+type downTally struct {
+	links int
+	both  bool
+}
+
+// add folds another tally into d.
+func (d *downTally) add(o downTally) {
+	d.links += o.links
+	d.both = d.both || o.both
+}
+
 // countDown records a downward directive on the link between n and its
-// parent. Directives within a tick batch into a single message; a link
-// that also carries this tick's upward report carries both directions.
-func (c *Controller) countDown(n *topo.Node) {
-	if n.Parent == nil {
-		return
+// parent into d. Directives within a tick batch into a single message;
+// a link that also carries this tick's upward report carries both
+// directions.
+func (c *Controller) countDown(d *downTally, n *topo.Node) {
+	if n.Parent != nil {
+		c.stampDown(d, n.ID, c.upLinkLive(n))
 	}
-	if c.downStamp[n.ID] != c.stamp {
-		c.downStamp[n.ID] = c.stamp
-		c.tickDown++
-		if c.upLinkLive(n) {
-			c.bothDir = true
+}
+
+// stampDown counts a directive on the link above node id once per tick;
+// upLive says the link also carries this tick's upward report.
+func (c *Controller) stampDown(d *downTally, id int, upLive bool) {
+	if c.downStamp[id] != c.stamp {
+		c.downStamp[id] = c.stamp
+		d.links++
+		if upLive {
+			d.both = true
 		}
 	}
 }
@@ -351,6 +379,20 @@ func (c *Controller) publish(e telemetry.Event) {
 	c.Sink.Publish(e)
 }
 
+// publishAll delivers events in order, as publish delivers each.
+func (c *Controller) publishAll(events []telemetry.Event) {
+	if c.Sink == nil {
+		return
+	}
+	if c.inStep {
+		c.eventBuf = append(c.eventBuf, events...)
+		return
+	}
+	for _, e := range events {
+		c.Sink.Publish(e)
+	}
+}
+
 // flushEvents hands the step's buffered events to the sink as one batch.
 func (c *Controller) flushEvents() {
 	if len(c.eventBuf) == 0 {
@@ -362,56 +404,43 @@ func (c *Controller) flushEvents() {
 
 // --- Sharded tick execution -------------------------------------------
 
-// shardRange is a contiguous, rack-aligned span of server indices.
-type shardRange struct{ lo, hi int } // [lo, hi)
+// shardRange is a contiguous, rack-aligned span of server indices and
+// the rack PMUs (level-1 nodes) whose servers it covers.
+type shardRange struct {
+	lo, hi int // [lo, hi)
+	racks  []*topo.Node
+}
 
 // planShards splits the fleet into up to shards contiguous server
 // ranges aligned to rack (level-1 subtree) boundaries. Rack alignment
-// keeps every writer of a rack's dirty bit inside one shard, so the
-// parallel phase needs no synchronization; contiguity means replaying
-// shards in shard order during the sequential merge phase is exactly
-// server order, which is what makes results byte-identical for any
-// shard count.
-func planShards(tree *topo.Tree, shards, servers int) []shardRange {
-	if shards <= 1 || servers == 0 {
-		return []shardRange{{0, servers}}
-	}
-	// Rack extents: children of level-1 nodes are contiguous server
-	// spans under the BFS numbering.
-	var rackEnds []int
+// keeps every writer of a rack's dirty bit — and every per-node slot a
+// rack's budget division writes — inside one shard, so the parallel
+// phases need no synchronization; contiguity means replaying shards in
+// shard order during the sequential merge phase is exactly server
+// order, which is what makes results byte-identical for any shard
+// count.
+func planShards(tree *topo.Tree, shards int) []shardRange {
+	// Under the BFS numbering the racks come in server order, each over
+	// a contiguous span of servers.
+	var racks []*topo.Node
 	for _, n := range tree.Nodes {
-		if n.Level != 1 {
-			continue
+		if n.Level == 1 {
+			racks = append(racks, n)
 		}
-		end := 0
-		for _, ch := range n.Children {
-			if ch.ServerIndex+1 > end {
-				end = ch.ServerIndex + 1
-			}
-		}
-		rackEnds = append(rackEnds, end)
 	}
-	if len(rackEnds) == 0 {
-		return []shardRange{{0, servers}}
+	if len(racks) == 0 {
+		return []shardRange{{0, tree.NumServers(), nil}}
 	}
-	if shards > len(rackEnds) {
-		shards = len(rackEnds)
-	}
-	var out []shardRange
+	shards = max(1, min(shards, len(racks)))
+	out := make([]shardRange, 0, shards)
 	lo := 0
-	racksLeft, shardsLeft := len(rackEnds), shards
-	i := 0
-	for shardsLeft > 0 {
-		take := racksLeft / shardsLeft
-		if racksLeft%shardsLeft != 0 {
-			take++
-		}
-		i += take
-		hi := rackEnds[i-1]
-		out = append(out, shardRange{lo, hi})
-		lo = hi
-		racksLeft -= take
-		shardsLeft--
+	for shardsLeft := shards; shardsLeft > 0; shardsLeft-- {
+		take := (len(racks) + shardsLeft - 1) / shardsLeft
+		span := racks[:take]
+		last := span[take-1].Children
+		hi := last[len(last)-1].ServerIndex + 1
+		out = append(out, shardRange{lo, hi, span})
+		lo, racks = hi, racks[take:]
 	}
 	return out
 }
@@ -420,9 +449,9 @@ func planShards(tree *topo.Tree, shards, servers int) []shardRange {
 // without allocating: shard 0 runs on the caller's goroutine, and every
 // other shard on a goroutine started from a thunk built once, at
 // construction. A phase must only touch per-server state within its
-// range (plus per-server slots of shared slabs and its own per-shard
-// partials) — the race detector enforces this in the shard-invariance
-// tests.
+// range (plus per-server slots of shared slabs, the node slots of its
+// racks and its own per-shard partials) — the race detector enforces
+// this in the shard-invariance tests.
 type shardRunner struct {
 	plan   []shardRange
 	thunks []func() // thunks[k-1] runs the current phase over plan[k]

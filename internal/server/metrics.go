@@ -34,6 +34,7 @@ type daemonMetrics struct {
 	// Wall-clock histograms (live-daemon only; see package comment).
 	phaseObserve  *obs.Histogram
 	phaseAllocate *obs.Histogram
+	phaseMigrate  *obs.Histogram
 	phaseConsume  *obs.Histogram
 	publish       *obs.Histogram
 	snapshot      *obs.Histogram
@@ -69,6 +70,7 @@ func newDaemonMetrics() *daemonMetrics {
 		reg:           reg,
 		phaseObserve:  phase(core.PhaseObserve),
 		phaseAllocate: phase(core.PhaseAllocate),
+		phaseMigrate:  phase(core.PhaseMigrate),
 		phaseConsume:  phase(core.PhaseConsume),
 		publish: reg.Histogram("willow_hub_publish_seconds",
 			"wall-clock time per hub fan-out publish", obs.LatencyBuckets),
@@ -89,6 +91,8 @@ func (m *daemonMetrics) ObservePhase(phase string, seconds float64) {
 		m.phaseObserve.Observe(seconds)
 	case core.PhaseAllocate:
 		m.phaseAllocate.Observe(seconds)
+	case core.PhaseMigrate:
+		m.phaseMigrate.Observe(seconds)
 	case core.PhaseConsume:
 		m.phaseConsume.Observe(seconds)
 	}

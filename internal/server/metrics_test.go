@@ -80,7 +80,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if typ := scrape.Types["willow_tick_phase_seconds"]; typ != "histogram" {
 		t.Errorf("tick phase type = %q, want histogram", typ)
 	}
-	for _, phase := range []string{"observe", "consume"} {
+	for _, phase := range []string{"observe", "migrate", "consume"} {
 		v, ok := scrape.Value("willow_tick_phase_seconds_count", obs.Label{Name: "phase", Value: phase})
 		if !ok || v != 80 {
 			t.Errorf("phase %s count = %v/%v, want 80", phase, v, ok)

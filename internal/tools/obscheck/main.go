@@ -138,7 +138,7 @@ func checkMetrics(s *obs.Scrape) error {
 	}
 
 	// The live daemon's wall-clock histograms must be seeing real ticks.
-	for _, phase := range []string{"observe", "allocate", "consume"} {
+	for _, phase := range []string{"observe", "allocate", "migrate", "consume"} {
 		n, ok := s.Value("willow_tick_phase_seconds_count", obs.Label{Name: "phase", Value: phase})
 		if !ok || n <= 0 {
 			return fmt.Errorf("phase %q histogram count = %v/%v, want > 0", phase, n, ok)

@@ -47,7 +47,9 @@ type Node struct {
 	// ID is below every server's: the internal nodes are exactly the
 	// prefix [0, len(Nodes)-len(Servers)), and a server's ID is that
 	// count plus its ServerIndex. Per-switch state can therefore live in
-	// a slice over the ID prefix.
+	// a slice over the ID prefix. BFS numbers siblings consecutively, so
+	// the servers under one level-1 node are consecutive in child order,
+	// ServerIndex and ID.
 	ID       int
 	Kind     Kind  // PMU (internal) or server (leaf)
 	Level    int   // 0 for servers, increasing toward the root

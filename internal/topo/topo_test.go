@@ -352,8 +352,9 @@ func TestBuildMatchesIrregularEquivalent(t *testing.T) {
 }
 
 // TestInternalNodesPrecedeServers pins the ID layout Node.ID documents:
-// internal nodes take the ID prefix and a server's ID is the internal
-// count plus its ServerIndex, for regular and irregular trees alike.
+// internal nodes take the ID prefix, a server's ID is the internal
+// count plus its ServerIndex, and siblings take consecutive IDs, for
+// regular and irregular trees alike.
 func TestInternalNodesPrecedeServers(t *testing.T) {
 	regular, err := Build([]int{2, 3, 3})
 	if err != nil {
@@ -374,6 +375,13 @@ func TestInternalNodesPrecedeServers(t *testing.T) {
 		for i, s := range tr.Servers {
 			if s.ID != internal+i {
 				t.Errorf("server %d has ID %d, want %d", i, s.ID, internal+i)
+			}
+		}
+		for _, n := range tr.Nodes {
+			for i, ch := range n.Children {
+				if ch.ID != n.Children[0].ID+i {
+					t.Errorf("child %d of %s has ID %d, want %d", i, n.Name(), ch.ID, n.Children[0].ID+i)
+				}
 			}
 		}
 	}
