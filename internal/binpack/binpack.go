@@ -11,15 +11,11 @@
 // capacity within (3/2)·OPT + 1 of optimal (in units where the largest
 // bin has size 1).
 //
-// Two problem variants live here:
-//
-//   - The classic formulation with an unlimited supply of each bin size
-//     (FFDLR, NextFit, FirstFitDecreasing baselines, and an exact
-//     branch-and-bound solver used by property tests to check the FFDLR
-//     bound).
-//   - The finite-bin matching Willow actually performs at each PMU: each
-//     surplus is a single bin that can be used at most once (MatchFFD,
-//     MatchBFD).
+// This package holds the classic formulation, with an unlimited supply
+// of each bin size: FFDLR, and an exact branch-and-bound solver that the
+// prop-binpack experiment and the property tests check the FFDLR bound
+// against. The finite-bin matching the controller performs at each PMU,
+// where each surplus is one bin used at most once, is core.planPlacement.
 //
 // First-fit queries use a tournament tree over open bins so packing n
 // items costs O(n log n) rather than O(n²).
@@ -138,59 +134,6 @@ func smallestFitting(sizes []float64, used float64) float64 {
 		return sizes[len(sizes)-1]
 	}
 	return sizes[i]
-}
-
-// NextFit packs items (in the given order) into bins of the largest size
-// only, opening a new bin whenever the current one cannot take the next
-// item. It is the weakest of the classic heuristics and serves as an
-// ablation baseline.
-func NextFit(items, sizes []float64) (Packing, error) {
-	maxSize, err := validateInstance(items, sizes)
-	if err != nil {
-		return Packing{}, err
-	}
-	var out Packing
-	var cur *PackedBin
-	for idx, size := range items {
-		if cur == nil || cur.Used+size > maxSize+epsilon {
-			out.Bins = append(out.Bins, PackedBin{Size: maxSize})
-			out.TotalCapacity += maxSize
-			cur = &out.Bins[len(out.Bins)-1]
-		}
-		cur.Items = append(cur.Items, idx)
-		cur.Used += size
-	}
-	return out, nil
-}
-
-// FirstFitDecreasing packs items FFD into largest-size bins without the
-// repack step — i.e. FFDLR steps 1–2 only. Comparing it with FFDLR
-// isolates the benefit of repacking ("running every server at full
-// utilization", as the paper motivates).
-func FirstFitDecreasing(items, sizes []float64) (Packing, error) {
-	maxSize, err := validateInstance(items, sizes)
-	if err != nil {
-		return Packing{}, err
-	}
-	if len(items) == 0 {
-		return Packing{}, nil
-	}
-	order := decreasingOrder(items)
-	tree := newFitTree(len(items))
-	var out Packing
-	for _, idx := range order {
-		size := items[idx]
-		b := tree.firstFit(size)
-		if b == len(out.Bins) {
-			out.Bins = append(out.Bins, PackedBin{Size: maxSize})
-			out.TotalCapacity += maxSize
-			tree.open(maxSize)
-		}
-		out.Bins[b].Items = append(out.Bins[b].Items, idx)
-		out.Bins[b].Used += size
-		tree.consume(b, size)
-	}
-	return out, nil
 }
 
 // decreasingOrder returns item indices sorted by decreasing size

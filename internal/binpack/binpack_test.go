@@ -108,37 +108,6 @@ func TestFFDLRRejectsBadSizes(t *testing.T) {
 	}
 }
 
-func TestNextFitOrderSensitive(t *testing.T) {
-	sizes := []float64{1}
-	// Alternating big/small defeats NextFit.
-	items := []float64{0.6, 0.5, 0.6, 0.5}
-	nf, err := NextFit(items, sizes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkPacking(t, "NextFit", items, nf)
-	ffd, err := FirstFitDecreasing(items, sizes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkPacking(t, "FFD", items, ffd)
-	if nf.TotalCapacity < ffd.TotalCapacity {
-		t.Errorf("NextFit (%v) beat FFD (%v) on its worst case", nf.TotalCapacity, ffd.TotalCapacity)
-	}
-}
-
-func TestFFDClassicExample(t *testing.T) {
-	// 6 items of 0.5 into unit bins -> exactly 3 bins.
-	items := []float64{0.5, 0.5, 0.5, 0.5, 0.5, 0.5}
-	p, err := FirstFitDecreasing(items, []float64{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Bins) != 3 {
-		t.Errorf("FFD used %d bins, want 3", len(p.Bins))
-	}
-}
-
 func TestExactSmallInstances(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -246,124 +215,6 @@ func TestFFDLRValidQuick(t *testing.T) {
 	}
 }
 
-func TestMatchFFDBasics(t *testing.T) {
-	items := []Item{{ID: 1, Size: 5}, {ID: 2, Size: 3}, {ID: 3, Size: 8}}
-	bins := []Bin{{ID: 10, Capacity: 9}, {ID: 20, Capacity: 8}}
-	m := MatchFFD(items, bins)
-	if len(m.Unplaced) != 0 {
-		t.Fatalf("unplaced: %v", m.Unplaced)
-	}
-	// Decreasing order: 8 -> bin 10 (first fit), 5 -> bin 20, 3 -> bin 20.
-	if m.Assigned[3] != 10 {
-		t.Errorf("item 3 -> bin %d, want 10", m.Assigned[3])
-	}
-	if m.Assigned[1] != 20 || m.Assigned[2] != 20 {
-		t.Errorf("items 1,2 -> bins %d,%d, want 20,20", m.Assigned[1], m.Assigned[2])
-	}
-	if got := m.Residual[10]; math.Abs(got-1) > 1e-9 {
-		t.Errorf("bin 10 residual %v, want 1", got)
-	}
-	if got := m.Residual[20]; math.Abs(got-0) > 1e-9 {
-		t.Errorf("bin 20 residual %v, want 0", got)
-	}
-}
-
-func TestMatchFFDPrefersEarlierBins(t *testing.T) {
-	// Bin order encodes Willow's locality preference; equal-capacity bins
-	// must fill in order.
-	items := []Item{{ID: 1, Size: 2}}
-	bins := []Bin{{ID: 100, Capacity: 5}, {ID: 200, Capacity: 5}}
-	m := MatchFFD(items, bins)
-	if m.Assigned[1] != 100 {
-		t.Errorf("item went to bin %d, want first-listed bin 100", m.Assigned[1])
-	}
-}
-
-func TestMatchFFDUnplaced(t *testing.T) {
-	items := []Item{{ID: 1, Size: 10}, {ID: 2, Size: 1}}
-	bins := []Bin{{ID: 10, Capacity: 2}}
-	m := MatchFFD(items, bins)
-	if len(m.Unplaced) != 1 || m.Unplaced[0].ID != 1 {
-		t.Fatalf("unplaced = %v, want item 1", m.Unplaced)
-	}
-	if m.Assigned[2] != 10 {
-		t.Errorf("item 2 -> %d, want 10", m.Assigned[2])
-	}
-}
-
-func TestMatchFFDNoBins(t *testing.T) {
-	m := MatchFFD([]Item{{ID: 1, Size: 1}}, nil)
-	if len(m.Unplaced) != 1 {
-		t.Errorf("item placed with no bins: %+v", m)
-	}
-}
-
-func TestMatchZeroSizeItem(t *testing.T) {
-	m := MatchFFD([]Item{{ID: 1, Size: 0}}, []Bin{{ID: 9, Capacity: 0}})
-	if _, ok := m.Assigned[1]; !ok {
-		t.Error("zero-size item not assigned despite available bin")
-	}
-}
-
-func TestMatchBFDMinimizesSlack(t *testing.T) {
-	items := []Item{{ID: 1, Size: 4}}
-	bins := []Bin{{ID: 10, Capacity: 100}, {ID: 20, Capacity: 5}}
-	m := MatchBFD(items, bins)
-	if m.Assigned[1] != 20 {
-		t.Errorf("BFD chose bin %d, want tightest bin 20", m.Assigned[1])
-	}
-}
-
-// Property: MatchFFD never overfills a bin and places every item that the
-// total-capacity argument says must be placeable alone.
-func TestMatchFFDQuick(t *testing.T) {
-	f := func(seed uint64, rawItems, rawBins uint8) bool {
-		src := dist.NewSource(seed)
-		ni := int(rawItems%20) + 1
-		nb := int(rawBins % 10)
-		items := make([]Item, ni)
-		for i := range items {
-			items[i] = Item{ID: i, Size: src.Uniform(0, 10)}
-		}
-		bins := make([]Bin, nb)
-		for i := range bins {
-			bins[i] = Bin{ID: 1000 + i, Capacity: src.Uniform(0, 20)}
-		}
-		m := MatchFFD(items, bins)
-		// Residuals non-negative.
-		for _, r := range m.Residual {
-			if r < -1e-6 {
-				return false
-			}
-		}
-		// Every item either assigned or unplaced, never both.
-		unplaced := map[int]bool{}
-		for _, it := range m.Unplaced {
-			unplaced[it.ID] = true
-		}
-		for _, it := range items {
-			_, assigned := m.Assigned[it.ID]
-			if assigned == unplaced[it.ID] {
-				return false
-			}
-		}
-		// An unplaced item must genuinely not fit in any bin's residual
-		// plus what smaller items consumed... weaker check: it must exceed
-		// every bin's full capacity or all residuals must be smaller.
-		for _, it := range m.Unplaced {
-			for _, r := range m.Residual {
-				if r >= it.Size+1e-6 {
-					return false // bin had room yet item was dropped
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestFitTree(t *testing.T) {
 	tr := newFitTree(8)
 	if got := tr.firstFit(1); got != 0 {
@@ -450,21 +301,5 @@ func BenchmarkFFDLR1000(b *testing.B) {
 		if _, err := FFDLR(items, sizes); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkMatchFFD(b *testing.B) {
-	src := dist.NewSource(2)
-	items := make([]Item, 200)
-	for i := range items {
-		items[i] = Item{ID: i, Size: src.Uniform(0, 10)}
-	}
-	bins := make([]Bin, 50)
-	for i := range bins {
-		bins[i] = Bin{ID: i, Capacity: src.Uniform(5, 50)}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatchFFD(items, bins)
 	}
 }

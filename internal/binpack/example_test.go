@@ -26,26 +26,3 @@ func ExampleFFDLR() {
 	//   bin size 1.0 holds 0.9
 	//   bin size 0.6 holds 0.5
 }
-
-// ExampleMatchFFD matches deficits against the finite surpluses actually
-// available on sibling servers — Willow's per-PMU decision. The bin
-// order encodes the locality preference.
-func ExampleMatchFFD() {
-	deficits := []binpack.Item{
-		{ID: 1, Size: 40},
-		{ID: 2, Size: 25},
-	}
-	surpluses := []binpack.Bin{
-		{ID: 100, Capacity: 30}, // nearest sibling first
-		{ID: 200, Capacity: 50},
-	}
-	m := binpack.MatchFFD(deficits, surpluses)
-	fmt.Printf("app 1 -> server %d\n", m.Assigned[1])
-	fmt.Printf("app 2 -> server %d\n", m.Assigned[2])
-	fmt.Printf("unplaced: %d\n", len(m.Unplaced))
-
-	// Output:
-	// app 1 -> server 200
-	// app 2 -> server 100
-	// unplaced: 0
-}

@@ -66,45 +66,3 @@ func FuzzFFDLR(f *testing.F) {
 		}
 	})
 }
-
-// FuzzMatchFFD checks the finite-bin matcher never overfills, loses or
-// double-places items for arbitrary instances.
-func FuzzMatchFFD(f *testing.F) {
-	f.Add([]byte{50, 20, 90}, []byte{100, 60})
-	f.Add([]byte{0}, []byte{})
-	// Zero-capacity bins must take nothing; zero-size items must still be
-	// accounted exactly once; and the empty/empty instance must not panic.
-	f.Add([]byte{}, []byte{})
-	f.Add([]byte{10, 20}, []byte{0, 0})
-	f.Add([]byte{0, 0, 0}, []byte{0})
-	f.Add([]byte{255, 255}, []byte{255, 0, 1})
-	f.Fuzz(func(t *testing.T, rawItems, rawBins []byte) {
-		if len(rawItems) > 64 || len(rawBins) > 32 {
-			return
-		}
-		items := make([]Item, len(rawItems))
-		for i, b := range rawItems {
-			items[i] = Item{ID: i, Size: float64(b)}
-		}
-		bins := make([]Bin, len(rawBins))
-		for i, b := range rawBins {
-			bins[i] = Bin{ID: 1000 + i, Capacity: float64(b)}
-		}
-		m := MatchFFD(items, bins)
-		unplaced := map[int]bool{}
-		for _, it := range m.Unplaced {
-			unplaced[it.ID] = true
-		}
-		for _, it := range items {
-			_, assigned := m.Assigned[it.ID]
-			if assigned == unplaced[it.ID] {
-				t.Fatalf("item %d neither or both assigned/unplaced", it.ID)
-			}
-		}
-		for id, r := range m.Residual {
-			if r < -1e-6 {
-				t.Fatalf("bin %d overfilled: residual %v", id, r)
-			}
-		}
-	})
-}
