@@ -71,31 +71,6 @@ func (n *Node) Name() string { return n.name }
 // IsLeaf reports whether the node is a server.
 func (n *Node) IsLeaf() bool { return n.Kind == KindServer }
 
-// Siblings returns the node's siblings (children of the same parent,
-// excluding the node itself). The root has none.
-func (n *Node) Siblings() []*Node {
-	if n.Parent == nil {
-		return nil
-	}
-	out := make([]*Node, 0, len(n.Parent.Children)-1)
-	for _, c := range n.Parent.Children {
-		if c != n {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// PathToRoot returns the nodes from n (inclusive) up to the root
-// (inclusive).
-func (n *Node) PathToRoot() []*Node {
-	var path []*Node
-	for cur := n; cur != nil; cur = cur.Parent {
-		path = append(path, cur)
-	}
-	return path
-}
-
 // Tree is a complete PMU hierarchy.
 type Tree struct {
 	Root    *Node

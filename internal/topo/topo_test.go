@@ -78,42 +78,6 @@ func TestServerNamesAreOneBased(t *testing.T) {
 	}
 }
 
-func TestSiblings(t *testing.T) {
-	tr := paperTree(t)
-	s := tr.Servers[0]
-	sib := s.Siblings()
-	if len(sib) != 2 {
-		t.Fatalf("server-1 has %d siblings, want 2", len(sib))
-	}
-	for _, x := range sib {
-		if x == s {
-			t.Error("Siblings includes the node itself")
-		}
-		if x.Parent != s.Parent {
-			t.Error("sibling with different parent")
-		}
-	}
-	if got := tr.Root.Siblings(); got != nil {
-		t.Errorf("root has siblings: %v", got)
-	}
-}
-
-func TestPathToRoot(t *testing.T) {
-	tr := paperTree(t)
-	path := tr.Servers[0].PathToRoot()
-	if len(path) != 4 {
-		t.Fatalf("path length %d, want 4", len(path))
-	}
-	if path[0] != tr.Servers[0] || path[3] != tr.Root {
-		t.Error("path endpoints wrong")
-	}
-	for i := 1; i < len(path); i++ {
-		if path[i] != path[i-1].Parent {
-			t.Error("path link broken")
-		}
-	}
-}
-
 func TestLCA(t *testing.T) {
 	tr := paperTree(t)
 	s := tr.Servers
