@@ -39,16 +39,6 @@ func SimClasses() []Class {
 	}
 }
 
-// TestbedClasses returns the paper's testbed applications A1, A2, A3
-// whose measured power increments are 8, 10 and 15 W (Table II).
-func TestbedClasses() []Class {
-	return []Class{
-		{Name: "A1", Weight: 8},
-		{Name: "A2", Weight: 10},
-		{Name: "A3", Weight: 15},
-	}
-}
-
 // App is one application instance hosted in a VM — Willow's unit of
 // migration.
 type App struct {
@@ -163,7 +153,6 @@ func (s *Set) SortedByMeanDesc() []*App {
 // Placement holds the initial assignment of apps to servers.
 type Placement struct {
 	Sets []*Set // indexed by server
-	next int    // next app ID
 }
 
 // PlaceRandomMix builds the paper's simulation workload: each of
@@ -182,53 +171,15 @@ func PlaceRandomMix(numServers, appsPerServer int, classes []Class, unitWatts, n
 		for a := 0; a < appsPerServer; a++ {
 			cls := classes[src.Intn(len(classes))]
 			set.Add(&App{
-				ID:          p.next,
+				ID:          s*appsPerServer + a,
 				Class:       cls,
 				Mean:        cls.Weight * unitWatts,
 				NoiseLambda: noiseLambda,
 			})
-			p.next++
 		}
 		p.Sets = append(p.Sets, set)
 	}
 	return p, nil
-}
-
-// ScaleToMeanPerServer rescales every app's mean so that the average
-// server's total mean demand equals target watts, preserving the relative
-// weights. This is how a utilization sweep sets the operating point: the
-// demand at utilization U is U times the server's power capacity.
-func (p *Placement) ScaleToMeanPerServer(target float64) {
-	var total float64
-	for _, set := range p.Sets {
-		total += set.MeanTotal()
-	}
-	if total <= 0 {
-		return
-	}
-	factor := target * float64(len(p.Sets)) / total
-	for _, set := range p.Sets {
-		for _, a := range set.Apps {
-			a.Mean *= factor
-		}
-	}
-}
-
-// TotalMean returns the summed mean demand across all servers.
-func (p *Placement) TotalMean() float64 {
-	var sum float64
-	for _, set := range p.Sets {
-		sum += set.MeanTotal()
-	}
-	return sum
-}
-
-// NewApp mints a new application with the next free ID (used by tests and
-// by dynamic arrival scenarios).
-func (p *Placement) NewApp(cls Class, mean, noiseLambda float64) *App {
-	a := &App{ID: p.next, Class: cls, Mean: mean, NoiseLambda: noiseLambda}
-	p.next++
-	return a
 }
 
 // Smoother implements the exponential smoothing of the paper's Eq. 4:

@@ -21,19 +21,6 @@ func TestSimClassesMatchPaper(t *testing.T) {
 	}
 }
 
-func TestTestbedClassesMatchTableII(t *testing.T) {
-	classes := TestbedClasses()
-	want := map[string]float64{"A1": 8, "A2": 10, "A3": 15}
-	if len(classes) != 3 {
-		t.Fatalf("got %d classes, want 3", len(classes))
-	}
-	for _, c := range classes {
-		if want[c.Name] != c.Weight {
-			t.Errorf("%s weight %v, want %v", c.Name, c.Weight, want[c.Name])
-		}
-	}
-}
-
 func TestAppDemandMean(t *testing.T) {
 	src := dist.NewSource(1)
 	a := &App{Mean: 50, NoiseLambda: 20}
@@ -180,52 +167,6 @@ func TestPlaceRandomMixRejectsBadArgs(t *testing.T) {
 	}
 	if _, err := PlaceRandomMix(1, 1, nil, 1, 0, src); err == nil {
 		t.Error("no classes accepted")
-	}
-}
-
-func TestScaleToMeanPerServer(t *testing.T) {
-	src := dist.NewSource(7)
-	p, err := PlaceRandomMix(10, 4, SimClasses(), 1, 0, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.ScaleToMeanPerServer(180) // 40% of a 450 W server
-	got := p.TotalMean() / 10
-	if math.Abs(got-180) > 1e-9 {
-		t.Errorf("average per-server mean = %v, want 180", got)
-	}
-	// Relative weights preserved within a server.
-	for _, set := range p.Sets {
-		for _, a := range set.Apps {
-			ratio := a.Mean / a.Class.Weight
-			ref := set.Apps[0].Mean / set.Apps[0].Class.Weight
-			if math.Abs(ratio-ref) > 1e-9 {
-				t.Fatal("scaling broke relative weights")
-			}
-		}
-	}
-}
-
-func TestScaleToMeanPerServerZeroTotal(t *testing.T) {
-	p := &Placement{Sets: []*Set{{}}}
-	p.ScaleToMeanPerServer(100) // must not panic or divide by zero
-	if p.TotalMean() != 0 {
-		t.Error("scaling an empty placement changed totals")
-	}
-}
-
-func TestPlacementNewApp(t *testing.T) {
-	src := dist.NewSource(8)
-	p, err := PlaceRandomMix(2, 2, SimClasses(), 1, 0, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := p.NewApp(SimClasses()[0], 42, 0)
-	if a.ID != 4 {
-		t.Errorf("NewApp ID = %d, want 4 (after 4 placed apps)", a.ID)
-	}
-	if a.Mean != 42 {
-		t.Errorf("NewApp mean = %v", a.Mean)
 	}
 }
 
