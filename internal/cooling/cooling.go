@@ -116,16 +116,3 @@ func (p *Plant) PUE(perServerWatts []float64) float64 {
 	}
 	return (it + p.CoolingPower(perServerWatts)) / it
 }
-
-// ZoneHeat returns the IT heat per zone, in zone order.
-func (p *Plant) ZoneHeat(perServerWatts []float64) []float64 {
-	out := make([]float64, len(p.Zones))
-	for zi, z := range p.Zones {
-		for _, s := range z.Servers {
-			if s >= 0 && s < len(perServerWatts) {
-				out[zi] += perServerWatts[s]
-			}
-		}
-	}
-	return out
-}

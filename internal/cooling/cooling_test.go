@@ -98,27 +98,15 @@ func TestPUE(t *testing.T) {
 	}
 }
 
-func TestZoneHeat(t *testing.T) {
-	plant, err := NewPlant(PaperZones())
-	if err != nil {
-		t.Fatal(err)
-	}
-	heat := make([]float64, 18)
-	heat[0], heat[17] = 50, 70
-	zh := plant.ZoneHeat(heat)
-	if zh[0] != 50 || zh[1] != 70 {
-		t.Errorf("ZoneHeat = %v, want [50 70]", zh)
-	}
-}
-
 func TestOutOfRangeServersIgnored(t *testing.T) {
 	plant, err := NewPlant([]Zone{{Name: "a", SupplyTemp: 25, Servers: []int{0, 5}}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	plant.FanOverhead = 0
 	// Only index 0 exists in the slice; index 5 must be ignored.
-	if got := plant.ZoneHeat([]float64{40}); got[0] != 40 {
-		t.Errorf("ZoneHeat = %v", got)
+	if got, want := plant.CoolingPower([]float64{40}), 40/MooreCOP(25); math.Abs(got-want) > 1e-9 {
+		t.Errorf("CoolingPower = %v, want %v", got, want)
 	}
 }
 

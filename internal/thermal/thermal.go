@@ -100,22 +100,6 @@ func (m Model) PowerLimit(t0, dt float64) float64 {
 	return p
 }
 
-// TimeToLimit returns how long the device can hold power p before reaching
-// its thermal limit, starting from t0. It returns +Inf when the steady
-// state under p stays below the limit, and 0 when t0 already exceeds it.
-func (m Model) TimeToLimit(t0, p float64) float64 {
-	if t0 >= m.Limit {
-		return 0
-	}
-	ss := m.SteadyState(p)
-	if ss <= m.Limit {
-		return math.Inf(1)
-	}
-	// Solve Ta + (t0-Ta)e^(-c2 t) + (ss-Ta)(1-e^(-c2 t)) = Limit for t.
-	// e^(-c2 t) = (ss - Limit) / (ss - t0)
-	return -math.Log((ss-m.Limit)/(ss-t0)) / m.C2
-}
-
 // State tracks the evolving temperature of one device under a Model.
 type State struct {
 	Model Model

@@ -168,29 +168,6 @@ func TestSteadyStatePowerLimit(t *testing.T) {
 	}
 }
 
-func TestTimeToLimit(t *testing.T) {
-	m := paperSim
-	// Sustainable power: never reaches the limit.
-	if v := m.TimeToLimit(25, m.SteadyStatePowerLimit()*0.9); !math.IsInf(v, 1) {
-		t.Errorf("TimeToLimit under sustainable power = %v, want +Inf", v)
-	}
-	// Already over the limit.
-	if v := m.TimeToLimit(75, 10); v != 0 {
-		t.Errorf("TimeToLimit when already over = %v, want 0", v)
-	}
-	// Over-limit power: stepping for the returned time must land on the
-	// limit.
-	p := m.SteadyStatePowerLimit() * 3
-	tt := m.TimeToLimit(25, p)
-	if math.IsInf(tt, 1) || tt <= 0 {
-		t.Fatalf("TimeToLimit = %v, want finite positive", tt)
-	}
-	end := m.Step(25, p, tt)
-	if math.Abs(end-m.Limit) > 1e-6 {
-		t.Errorf("temp after TimeToLimit = %v, want %v", end, m.Limit)
-	}
-}
-
 func TestStateLifecycle(t *testing.T) {
 	s := NewState(paperSim)
 	if s.T != paperSim.Ambient {
