@@ -172,6 +172,3 @@ func (h *Histogram) Quantile(q float64) float64 {
 
 // Total returns the accumulated weight.
 func (h *Histogram) Total() float64 { return h.total }
-
-// Max returns the largest value observed.
-func (h *Histogram) Max() float64 { return h.maxSeen }

@@ -1,7 +1,7 @@
 // Package metrics provides the measurement plumbing shared by all Willow
-// experiments: time series, online mean/variance accumulators, counters,
-// and table rendering (plain text and CSV) for regenerating the paper's
-// tables and figure series.
+// experiments: online mean/variance accumulators, counters, weighted
+// histograms, and table rendering (plain text and CSV) for regenerating
+// the paper's tables and figure series.
 package metrics
 
 import (
@@ -10,71 +10,6 @@ import (
 	"strings"
 	"unicode/utf8"
 )
-
-// Series is an append-only sequence of (time, value) samples.
-type Series struct {
-	Name   string
-	Times  []float64
-	Values []float64
-}
-
-// NewSeries returns an empty named series.
-func NewSeries(name string) *Series { return &Series{Name: name} }
-
-// Add appends one sample.
-func (s *Series) Add(t, v float64) {
-	s.Times = append(s.Times, t)
-	s.Values = append(s.Values, v)
-}
-
-// Len returns the number of samples.
-func (s *Series) Len() int { return len(s.Values) }
-
-// Mean returns the arithmetic mean of the values (0 for an empty series).
-func (s *Series) Mean() float64 {
-	if len(s.Values) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range s.Values {
-		sum += v
-	}
-	return sum / float64(len(s.Values))
-}
-
-// Sum returns the sum of the values.
-func (s *Series) Sum() float64 {
-	var sum float64
-	for _, v := range s.Values {
-		sum += v
-	}
-	return sum
-}
-
-// Max returns the maximum value. An empty series yields the −Inf
-// identity — callers that fold partial maxima rely on it; check Len
-// when a finite answer must be guaranteed.
-func (s *Series) Max() float64 {
-	max := math.Inf(-1)
-	for _, v := range s.Values {
-		if v > max {
-			max = v
-		}
-	}
-	return max
-}
-
-// Min returns the minimum value. An empty series yields the +Inf
-// identity — see Max.
-func (s *Series) Min() float64 {
-	min := math.Inf(1)
-	for _, v := range s.Values {
-		if v < min {
-			min = v
-		}
-	}
-	return min
-}
 
 // Welford accumulates mean and variance online in a single pass
 // (numerically stable, Welford 1962). The zero value is ready to use.
@@ -165,17 +100,6 @@ func (t *Table) AddRow(cells ...string) {
 		panic(fmt.Sprintf("metrics: row has %d cells, table has %d columns", len(cells), len(t.Columns)))
 	}
 	t.Rows = append(t.Rows, cells)
-}
-
-// AddFloats appends a row of numeric cells formatted with %.4g after a
-// leading label cell.
-func (t *Table) AddFloats(label string, vals ...float64) {
-	cells := make([]string, 0, len(vals)+1)
-	cells = append(cells, label)
-	for _, v := range vals {
-		cells = append(cells, fmt.Sprintf("%.4g", v))
-	}
-	t.AddRow(cells...)
 }
 
 // String renders the table as aligned plain text. Widths count runes so
