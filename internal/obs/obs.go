@@ -109,9 +109,6 @@ func (h *Histogram) Observe(v float64) {
 // Count returns the total number of observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 { return h.sum.Load() }
-
 // snapshot returns cumulative bucket counts (per bound, then total).
 func (h *Histogram) snapshot() (cum []uint64, sum float64, count uint64) {
 	cum = make([]uint64, len(h.bounds))
