@@ -77,18 +77,6 @@ type UtilPower struct {
 	Watts float64
 }
 
-// TableI returns the reconstructed Table I rows at the paper's 10 %
-// utilization steps.
-func TableI() []UtilPower {
-	m := TestbedServer()
-	rows := make([]UtilPower, 0, 11)
-	for u := 0; u <= 10; u++ {
-		f := float64(u) / 10
-		rows = append(rows, UtilPower{Util: f, Watts: m.Power(f)})
-	}
-	return rows
-}
-
 // SwitchModel maps switch traffic to power. The paper's model
 // (Section V-B5) has a small fixed static part plus a dynamic part
 // directly proportional to traffic handled.
@@ -158,17 +146,6 @@ func (tr Trace) Mean() float64 {
 		s += v
 	}
 	return s / float64(len(tr))
-}
-
-// Min returns the minimum of the trace (+Inf for an empty trace).
-func (tr Trace) Min() float64 {
-	min := math.Inf(1)
-	for _, v := range tr {
-		if v < min {
-			min = v
-		}
-	}
-	return min
 }
 
 // Sine is a sinusoidal supply, the canonical stand-in for diurnal

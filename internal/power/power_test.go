@@ -2,6 +2,7 @@ package power
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -79,23 +80,6 @@ func TestTableIReconstruction(t *testing.T) {
 	}
 }
 
-func TestTableIRows(t *testing.T) {
-	rows := TableI()
-	if len(rows) != 11 {
-		t.Fatalf("TableI has %d rows, want 11", len(rows))
-	}
-	prev := -1.0
-	for _, r := range rows {
-		if r.Watts <= prev {
-			t.Errorf("TableI not strictly increasing at u=%v", r.Util)
-		}
-		prev = r.Watts
-	}
-	if rows[0].Util != 0 || rows[10].Util != 1 {
-		t.Error("TableI endpoints wrong")
-	}
-}
-
 func TestSwitchModel(t *testing.T) {
 	m := SwitchModel{Static: 5, PerTraffic: 2, MaxTraffic: 100}
 	if err := m.Validate(); err != nil {
@@ -155,14 +139,8 @@ func TestTraceStats(t *testing.T) {
 	if got := tr.Mean(); math.Abs(got-4) > 1e-12 {
 		t.Errorf("Mean = %v, want 4", got)
 	}
-	if got := tr.Min(); got != 2 {
-		t.Errorf("Min = %v, want 2", got)
-	}
 	if got := Trace(nil).Mean(); got != 0 {
 		t.Errorf("empty Mean = %v", got)
-	}
-	if got := Trace(nil).Min(); !math.IsInf(got, 1) {
-		t.Errorf("empty Min = %v, want +Inf", got)
 	}
 }
 
@@ -235,8 +213,8 @@ func TestPlentyTraceShape(t *testing.T) {
 		t.Errorf("plenty trace mean %v, want ~750 W", mean)
 	}
 	full := 3 * TestbedServer().Power(1.0) // 696 W
-	if tr.Min() < full {
-		t.Errorf("plenty trace min %v dips below full-load demand %v", tr.Min(), full)
+	if low := slices.Min(tr); low < full {
+		t.Errorf("plenty trace min %v dips below full-load demand %v", low, full)
 	}
 }
 
