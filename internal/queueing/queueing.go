@@ -15,28 +15,10 @@
 package queueing
 
 import (
-	"fmt"
 	"math"
 
 	"willow/internal/metrics"
 )
-
-// ResponseTime returns the mean response time of an M/G/1-PS server at
-// utilization rho with mean service time service. It returns +Inf at or
-// beyond saturation, and panics on a non-positive service time or a
-// negative utilization (programming errors, not load conditions).
-func ResponseTime(rho, service float64) float64 {
-	if service <= 0 {
-		panic(fmt.Sprintf("queueing: non-positive service time %v", service))
-	}
-	if rho < 0 {
-		panic(fmt.Sprintf("queueing: negative utilization %v", rho))
-	}
-	if rho >= 1 {
-		return math.Inf(1)
-	}
-	return service / (1 - rho)
-}
 
 // Stretch returns the slowdown factor T/S at utilization rho — how many
 // times longer a request takes than its bare service time.
@@ -95,7 +77,6 @@ type Tracker struct {
 	okWeight        float64
 	missWeight      float64
 	shedWeight      float64
-	observations    int
 	hist            *metrics.Histogram // stretch distribution, demand-weighted
 }
 
@@ -159,7 +140,6 @@ func (t *Tracker) Sample(rho, servedWatts, shedWatts float64) Sample {
 
 // Add records one prepared server-tick.
 func (t *Tracker) Add(s Sample) {
-	t.observations++
 	if s.shed > 0 {
 		t.shedWeight += s.shed
 	}
@@ -208,6 +188,3 @@ func (t *Tracker) StretchQuantile(q float64) float64 {
 	}
 	return t.hist.Quantile(q)
 }
-
-// Observations returns how many server-ticks were recorded.
-func (t *Tracker) Observations() int { return t.observations }

@@ -9,7 +9,6 @@ import (
 // refObserve is Tracker.Observe as one function, before it split into
 // Sample and Add: the reference the split must match bit for bit.
 func refObserve(t *Tracker, rho, servedWatts, shedWatts float64) {
-	t.observations++
 	if shedWatts > 0 {
 		t.shedWeight += shedWatts
 	}
@@ -76,8 +75,16 @@ func TestSampleAddMatchesObserve(t *testing.T) {
 
 	bits := math.Float64bits
 	for name, tr := range map[string]*Tracker{"Add(Sample)": split, "Observe": observe} {
-		if tr.Observations() != ref.Observations() {
-			t.Errorf("%s: %d observations, reference %d", name, tr.Observations(), ref.Observations())
+		for i, sum := range [][2]float64{
+			{tr.weightedStretch, ref.weightedStretch},
+			{tr.stretchWeight, ref.stretchWeight},
+			{tr.okWeight, ref.okWeight},
+			{tr.missWeight, ref.missWeight},
+			{tr.shedWeight, ref.shedWeight},
+		} {
+			if bits(sum[0]) != bits(sum[1]) {
+				t.Errorf("%s: running sum %d is %v, reference %v", name, i, sum[0], sum[1])
+			}
 		}
 		if got, want := tr.MeanStretch(), ref.MeanStretch(); bits(got) != bits(want) {
 			t.Errorf("%s: MeanStretch %v, reference %v", name, got, want)
