@@ -102,12 +102,6 @@ func (s Spec) String() string {
 	return strings.Join(parts, ",")
 }
 
-// Enabled reports whether the spec can inject anything: a fault process
-// (MTBF > 0) and at least one enabled mode.
-func (s Spec) Enabled() bool {
-	return s.MTBF > 0 && (s.Noise > 0 || s.Bias > 0 || s.Drift > 0 || s.Stuck > 0 || s.Dropout > 0)
-}
-
 // Presets are the named sensor-fault intensity levels, calibrated for
 // runs of a few hundred ticks over tens of servers.
 var Presets = map[string]Spec{
