@@ -207,10 +207,6 @@ func (a *Aggregator) SensorFaults() int64 { return a.sensorInjects }
 // model-predicted fallback temperature plus guard band.
 func (a *Aggregator) SensorGuardTicks() int64 { return a.sensorGuard }
 
-// EnergyJoules returns the fleet-wide joules consumed, summed over the
-// "fleet" energy window records.
-func (a *Aggregator) EnergyJoules() float64 { return a.energyJ }
-
 // WorkJoules returns the fleet-wide useful-work joules (dynamic power
 // serving demand × tick duration).
 func (a *Aggregator) WorkJoules() float64 { return a.workJ }

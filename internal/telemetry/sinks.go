@@ -113,60 +113,3 @@ func (b *Buffer) ReplayTo(dst Sink) {
 
 // Reset drops the buffered events, keeping the capacity.
 func (b *Buffer) Reset() { b.Events = b.Events[:0] }
-
-// Ring keeps the most recent events up to a fixed capacity — the test
-// sink: cheap, allocation-stable, and inspectable after a run.
-type Ring struct {
-	buf     []Event
-	next    int
-	wrapped bool
-	dropped int
-}
-
-// NewRing returns a ring buffer holding up to n events (n must be > 0).
-func NewRing(n int) *Ring {
-	if n <= 0 {
-		panic("telemetry: NewRing capacity must be positive")
-	}
-	return &Ring{buf: make([]Event, 0, n)}
-}
-
-// Publish implements Sink.
-func (r *Ring) Publish(e Event) {
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, e)
-		return
-	}
-	r.buf[r.next] = e
-	r.next = (r.next + 1) % cap(r.buf)
-	r.wrapped = true
-	r.dropped++
-}
-
-// Events returns the retained events, oldest first.
-func (r *Ring) Events() []Event {
-	if !r.wrapped {
-		return append([]Event(nil), r.buf...)
-	}
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
-}
-
-// Len returns how many events are retained.
-func (r *Ring) Len() int { return len(r.buf) }
-
-// Dropped returns how many events were evicted to make room.
-func (r *Ring) Dropped() int { return r.dropped }
-
-// Count returns how many retained events have the given kind.
-func (r *Ring) Count(k Kind) int {
-	n := 0
-	for _, e := range r.buf {
-		if e.Kind == k {
-			n++
-		}
-	}
-	return n
-}

@@ -1,8 +1,8 @@
 // Package telemetry is the controller's observability spine: a
 // zero-overhead-when-disabled event stream that internal/core publishes
 // into at every decision point, plus the sinks that consume it — a JSONL
-// writer for files, a ring buffer for tests, and an aggregator that
-// folds a stream into metrics.Table rows.
+// writer for files, an in-memory buffer, and an aggregator that folds a
+// stream into metrics.Table rows.
 //
 // Determinism contract: every event is stamped with the simulation tick
 // at which the decision was made — never wall clock — and publication

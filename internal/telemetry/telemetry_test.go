@@ -129,25 +129,6 @@ func TestBufferReplay(t *testing.T) {
 	}
 }
 
-func TestRing(t *testing.T) {
-	r := NewRing(3)
-	for tick := 0; tick < 5; tick++ {
-		r.Publish(Event{Tick: tick, Kind: KindMigration})
-	}
-	if r.Len() != 3 || r.Dropped() != 2 {
-		t.Fatalf("Len %d Dropped %d", r.Len(), r.Dropped())
-	}
-	got := r.Events()
-	for i, want := range []int{2, 3, 4} {
-		if got[i].Tick != want {
-			t.Errorf("event %d tick %d, want %d", i, got[i].Tick, want)
-		}
-	}
-	if r.Count(KindMigration) != 3 || r.Count(KindFailure) != 0 {
-		t.Error("Count wrong")
-	}
-}
-
 func TestAggregator(t *testing.T) {
 	var a Aggregator
 	if a.TickSpan() != 0 || a.ThrottleDutyCycle() != 0 {
@@ -192,9 +173,6 @@ func TestAggregatorEnergyRows(t *testing.T) {
 	a.Publish(Event{Tick: 15, Kind: KindEnergy, Cause: "rack", Node: 4, Count: 16, Watts: 6000, Demand: 3500, Prev: 5400, Bytes: 80})
 	a.Publish(Event{Tick: 15, Kind: KindEnergy, Cause: "fleet", Node: 0, Count: 16, Watts: 10000, Demand: 6000, Prev: 9000, Bytes: 200})
 
-	if got := a.EnergyJoules(); got != 10000 {
-		t.Errorf("EnergyJoules = %v, want 10000 (fleet record only)", got)
-	}
 	if wpj, ok := a.WorkPerJoule(); !ok || wpj != 0.6 {
 		t.Errorf("WorkPerJoule = %v/%v, want 0.6", wpj, ok)
 	}
