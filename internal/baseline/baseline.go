@@ -43,11 +43,6 @@ const (
 	Oracle Variant = "oracle"
 )
 
-// Variants lists all variants in presentation order.
-func Variants() []Variant {
-	return []Variant{Willow, NoControl, NoMargin, LocalOnly, Centralized, Oracle}
-}
-
 // Configure mutates a cluster configuration to implement the variant.
 func Configure(v Variant, cfg *cluster.Config) error {
 	switch v {
