@@ -75,7 +75,8 @@ func ReadFile(path string) (power.Trace, error) {
 	return Read(f)
 }
 
-// Write emits the trace as `time,watts` CSV with a header.
+// Write emits the trace as `time,watts` CSV with a header, the form Read
+// parses back; it is kept as Read's round-trip partner.
 func Write(w io.Writer, tr power.Trace) error {
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintln(bw, "time,watts"); err != nil {
@@ -90,17 +91,4 @@ func Write(w io.Writer, tr power.Trace) error {
 		return fmt.Errorf("trace: %w", err)
 	}
 	return nil
-}
-
-// WriteFile emits the trace to a file.
-func WriteFile(path string, tr power.Trace) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("trace: %w", err)
-	}
-	if err := Write(f, tr); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

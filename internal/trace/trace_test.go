@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -90,7 +91,11 @@ func TestWriteReadRoundTrip(t *testing.T) {
 
 func TestFileRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "supply.csv")
-	if err := WriteFile(path, power.PlentyTrace()); err != nil {
+	var buf bytes.Buffer
+	if err := Write(&buf, power.PlentyTrace()); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	tr, err := ReadFile(path)
