@@ -6,13 +6,13 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"willow/internal/chaos"
 	"willow/internal/core"
 	"willow/internal/netsim"
+	"willow/internal/parallel"
 	"willow/internal/power"
 	"willow/internal/queueing"
 	"willow/internal/telemetry"
@@ -235,14 +235,7 @@ type EnergyReport struct {
 // daemon and the offline simulator share one code path — and one event
 // stream, byte for byte.
 func Run(cfg Config) (*Result, error) {
-	m, err := NewMachine(cfg)
-	if err != nil {
-		return nil, err
-	}
-	for !m.Done() {
-		m.Step()
-	}
-	return m.Result(), nil
+	return RunContext(context.Background(), cfg)
 }
 
 // UtilizationSweep runs the paper configuration across the given target
@@ -284,23 +277,17 @@ func RunAll(configs []Config) ([]*Result, error) {
 	}
 
 	out := make([]*Result, len(configs))
-	errs := make([]error, len(configs))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i := range configs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			out[i], errs[i] = Run(configs[i])
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("cluster: run %d (U=%v): %w", i, configs[i].Utilization, err)
+	// Each run ignores the pool's context: a failure must not cancel a
+	// lower-index run whose own error would then be lost.
+	err := parallel.ForEach(context.Background(), len(configs), 0, func(_ context.Context, i int) error {
+		var err error
+		if out[i], err = Run(configs[i]); err != nil {
+			return fmt.Errorf("cluster: run %d (U=%v): %w", i, configs[i].Utilization, err)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	for i, buf := range buffers {
 		if buf != nil {
