@@ -224,13 +224,13 @@ func (f *Follower) Run(ctx context.Context) error {
 	}
 }
 
-// tookRecords reports whether the last stream delivered anything,
-// resetting the marker.
+// tookRecords reports whether the link has worked recently: the
+// follower has connected at least once and heard from the primary
+// within the idle timeout.
 func (f *Follower) tookRecords() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	took := f.everConnect && time.Since(f.lastContact) < f.opts.IdleTimeout
-	return took
+	return f.everConnect && time.Since(f.lastContact) < f.opts.IdleTimeout
 }
 
 // shouldAutoPromote checks the heartbeat-loss window: armed, spec
@@ -544,37 +544,28 @@ func NewFollowerHandler(f *Follower, onPromote func(*Daemon)) http.Handler {
 	return mux
 }
 
-// SwitchHandler atomically swaps one http.Handler for another — the
+// SwitchHandler swaps one http.Handler for another — the
 // follower→primary transition without restarting the listener.
 type SwitchHandler struct {
-	h atomicHandler
-}
-
-// atomicHandler wraps the untyped atomic.Value with the one type it
-// ever holds.
-type atomicHandler struct {
 	mu sync.RWMutex
 	h  http.Handler
 }
 
 // NewSwitchHandler starts with h.
-func NewSwitchHandler(h http.Handler) *SwitchHandler {
-	s := &SwitchHandler{}
-	s.h.h = h
-	return s
-}
+func NewSwitchHandler(h http.Handler) *SwitchHandler { return &SwitchHandler{h: h} }
 
 // Set replaces the active handler; in-flight requests finish on the old
 // one.
 func (s *SwitchHandler) Set(h http.Handler) {
-	s.h.mu.Lock()
-	s.h.h = h
-	s.h.mu.Unlock()
+	s.mu.Lock()
+	s.h = h
+	s.mu.Unlock()
 }
 
+// ServeHTTP serves r on the active handler.
 func (s *SwitchHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.h.mu.RLock()
-	h := s.h.h
-	s.h.mu.RUnlock()
+	s.mu.RLock()
+	h := s.h
+	s.mu.RUnlock()
 	h.ServeHTTP(w, r)
 }
