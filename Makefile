@@ -146,12 +146,13 @@ obs-smoke:
 	$(GO) build -race -o bin/race/ ./cmd/willowd ./cmd/willow-crash
 	$(RACE_HARNESS) -mode obs -tick 2ms -ticks 5000
 
-# Crash-safety gate: the WAL framing, torn-tail, and recovery pins
-# under -race (corrupt-input tables included), then the harness in
-# crash mode — willowd SIGKILLed five times mid-run at seeded points
-# and restarted, with the final state, stats, journal, and assembled
-# event stream required byte-identical to an uninterrupted replay of
-# the same mutation history. Both seeds ack 11 mutations; seed 1's mix
+# Crash-safety gate: the journal format pins — framing, torn tail, the
+# record bound, the committed version-2 snapshot (TestWALFormatPin) and
+# the corrupt WAL and snapshot tables — and the recovery pins under
+# -race, then the harness in crash mode — willowd SIGKILLed five times
+# mid-run at seeded points and restarted, with the final state, stats,
+# journal, and assembled event stream required byte-identical to an
+# uninterrupted replay of the same mutation history. Both seeds ack 11 mutations; seed 1's mix
 # holds 2 live chaos injections and seed 4's holds 1, so chaos-mutation
 # recovery is always exercised.
 crash-smoke:
@@ -161,7 +162,9 @@ crash-smoke:
 	$(RACE_HARNESS) -mode crash -cycles 5 -seed 4
 
 # Hot-standby gate: the replication, promotion, drain-ordering, and
-# Retry-After contract pins under -race, then the harness in failover
+# Retry-After contract pins under -race (a standby's WAL must equal the
+# primary's byte for byte, and a mutation's frame be the same bytes in
+# a WAL, a snapshot and the stream), then the harness in failover
 # mode — a primary killed at seeded ticks across three promote cycles
 # while the replication link is partitioned and stalled (seed 2 runs
 # five disruption rounds per cycle) — and in migrate mode, a scripted
@@ -196,8 +199,9 @@ report:
 	$(GO) run ./cmd/willow-exp -report docs/REPORT.md
 
 # Short fuzz pass over the parser, packer, placement, seed-derivation
-# and spec-decoding targets, the fault-plan validator and the
-# histogram's edge table.
+# and spec-decoding targets, the journal decoder every WAL, snapshot
+# and replication stream goes through, the fault-plan validator and
+# the histogram's edge table.
 fuzz:
 	$(GO) test -fuzz=FuzzFFDLR -fuzztime=10s ./internal/binpack
 	$(GO) test -fuzz=FuzzHistogramIndex -fuzztime=10s ./internal/metrics
@@ -212,6 +216,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzIncrementalAggregation -fuzztime=10s ./internal/core
 	$(GO) test -fuzz=FuzzFaultPlan -fuzztime=10s ./internal/cluster
 	$(GO) test -fuzz=FuzzSpecDecode -fuzztime=10s ./internal/server
+	$(GO) test -fuzz=FuzzJournal -fuzztime=10s ./internal/server
 
 examples:
 	$(GO) run ./examples/quickstart

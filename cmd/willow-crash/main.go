@@ -513,9 +513,13 @@ func (h *harness) finish(p *proc, what string) error {
 	if _, err := h.call(http.MethodGet, p.base+"/v1/stats", nil, &stats); err != nil {
 		return err
 	}
-	var snap server.Snapshot
-	if _, err := h.call(http.MethodPost, p.base+"/v1/snapshot", nil, &snap); err != nil {
+	snapRaw, err := h.call(http.MethodPost, p.base+"/v1/snapshot", nil, nil)
+	if err != nil {
 		return err
+	}
+	snap, err := server.DecodeSnapshot(bytes.NewReader(snapRaw))
+	if err != nil {
+		return fmt.Errorf("POST /v1/snapshot: %w", err)
 	}
 	if err := p.stop(); err != nil {
 		return fmt.Errorf("final incarnation: %w", err)

@@ -33,7 +33,7 @@ const (
 // it with SIGTERM, and requires a complete event file and a snapshot
 // that a fast-forward restore runs to completion.
 func (h *harness) serveSmoke() error {
-	snap := filepath.Join(h.dir, "snap.json")
+	snap := filepath.Join(h.dir, "run.snap")
 	p, err := h.spawn(0, "-ticks", fmt.Sprint(h.ticks), "-lease", "8", "-snapshot", snap)
 	if err != nil {
 		return err
@@ -90,7 +90,7 @@ func (h *harness) serveSmoke() error {
 // land, so under a -race build the scrape path races the tick loop —
 // then drains it with SIGTERM and requires the final snapshot.
 func (h *harness) obsSmoke() error {
-	snap := filepath.Join(h.dir, "snap.json")
+	snap := filepath.Join(h.dir, "run.snap")
 	p, err := h.spawn(0, "-ticks", fmt.Sprint(h.ticks), "-energy", "-pprof", "-snapshot", snap)
 	if err != nil {
 		return err

@@ -6,7 +6,7 @@
 //
 //	willowd -addr 127.0.0.1:8080 -tick 50ms
 //	willowd -addr 127.0.0.1:0 -port-file /tmp/port -events run.jsonl
-//	willowd -restore snap.json -ff            # resume a run to completion
+//	willowd -restore run.snap -ff             # resume a run to completion
 //	willowd -follow http://primary:8080 -wal standby.wal -promote-after 3s
 //
 // With -follow, willowd boots as a hot standby: it tails the primary's
@@ -61,8 +61,8 @@ func run() error {
 
 		events       = flag.String("events", "", "stream every event as JSONL to this file (plus a .summary.txt report)")
 		eventsFilter = flag.String("events-filter", "", "comma-separated event kinds to keep in the -events file (default all)")
-		snapshotPath = flag.String("snapshot", "", "write a final snapshot here on shutdown")
-		restorePath  = flag.String("restore", "", "boot from a snapshot instead of flags (spec comes from the snapshot)")
+		snapshotPath = flag.String("snapshot", "", "write a final snapshot here on shutdown: the WAL's framed records (spec, mutations) plus a closing tick boundary")
+		restorePath  = flag.String("restore", "", "boot from a snapshot written by -snapshot or POST /v1/snapshot instead of flags (spec comes from the snapshot)")
 
 		walPath     = flag.String("wal", "", "write-ahead journal: fsync every mutation here before acknowledging; on restart, recover from it (plus -restore as the base snapshot)")
 		maxInflight = flag.Int("max-inflight", server.DefaultMaxInflight, "admission gate: max concurrent mutations holding the tick path")

@@ -1,9 +1,10 @@
 package server
 
 import (
+	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -14,10 +15,6 @@ import (
 	"willow/internal/core"
 	"willow/internal/telemetry"
 )
-
-// SnapshotVersion is the wire version of the snapshot format; Restore
-// rejects anything else.
-const SnapshotVersion = 1
 
 // Mutation is one live change accepted over the API, journaled so a
 // snapshot can replay it. Tick is the boundary it landed on (the
@@ -38,26 +35,37 @@ type Mutation struct {
 	Sensor bool   `json:"sensor,omitempty"`
 }
 
-// Snapshot is the daemon's complete serializable state: the build
-// spec, the tick reached, and every mutation accepted along the way.
-// Restoring replays the journal against a freshly built machine —
-// event-sourced, so no controller internals ever hit the wire and the
-// restored state is identical by construction.
+// Snapshot is the daemon's complete state: the build spec, the tick
+// reached, and every mutation accepted along the way. Restoring replays
+// the journal against a freshly built machine — event-sourced, so no
+// controller internals ever hit the wire and the restored state is
+// identical by construction. On disk and over POST /v1/snapshot it is a
+// journal (wal.go): the records a WAL of the same history holds, then
+// one boundary record at Tick.
 type Snapshot struct {
-	Version int        `json:"version"`
-	Spec    Spec       `json:"spec"`
-	Tick    int        `json:"tick"`
-	Journal []Mutation `json:"journal,omitempty"`
+	Spec    Spec
+	Tick    int
+	Journal []Mutation
 }
 
-// WriteFile atomically and durably writes the snapshot as JSON:
-// write to a temp file, fsync it, rename over the target, then fsync
-// the parent directory. Without the two fsyncs the rename gives only
+// encode returns the snapshot's journal bytes.
+func (s Snapshot) encode() ([]byte, error) {
+	buf, err := encodeJournal(s.Spec, 0, s.Journal)
+	if err != nil {
+		return nil, err
+	}
+	return appendFrame(buf, record{Type: recBoundary, boundary: boundary{Tick: s.Tick, Records: len(s.Journal)}})
+}
+
+// WriteFile atomically and durably writes the snapshot: encode it, write
+// a temp file, fsync it, rename it over the target, then fsync the
+// parent directory. Encoding comes first, so a snapshot that cannot be
+// encoded creates no file. Without the two fsyncs the rename gives only
 // atomicity against process death — a power cut could surface the
 // renamed entry pointing at unwritten blocks, which is exactly the
 // acknowledged-but-lost state a snapshot exists to prevent.
 func (s Snapshot) WriteFile(path string) error {
-	data, err := json.MarshalIndent(s, "", "  ")
+	data, err := s.encode()
 	if err != nil {
 		return err
 	}
@@ -66,34 +74,41 @@ func (s Snapshot) WriteFile(path string) error {
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(append(data, '\n')); err != nil {
-		f.Close()
-		return err
+	if _, err = f.Write(data); err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		return err
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err != nil {
+		os.Remove(tmp)
 		return err
 	}
 	return syncDir(filepath.Dir(path))
 }
 
-// ReadSnapshot loads a snapshot written by WriteFile (or by hand).
+// ReadSnapshot loads a snapshot written by WriteFile.
 func ReadSnapshot(path string) (Snapshot, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return Snapshot{}, err
 	}
-	var snap Snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return Snapshot{}, fmt.Errorf("server: bad snapshot %s: %w", path, err)
+	defer f.Close()
+	snap, err := DecodeSnapshot(bufio.NewReader(f))
+	if err != nil {
+		return Snapshot{}, fmt.Errorf("server: snapshot %s: %w", path, err)
 	}
 	return snap, nil
+}
+
+// DecodeSnapshot reads a snapshot from r: the bytes WriteFile writes and
+// POST /v1/snapshot returns. A torn record is an error here.
+func DecodeSnapshot(r io.Reader) (Snapshot, error) {
+	snap, _, err := readHistory(r, true)
+	return snap, err
 }
 
 // Daemon is a live Willow run: one cluster.Machine advanced by a
@@ -216,14 +231,7 @@ func (d *Daemon) AttachWAL(w *WAL) {
 // during replay (those events were already published by the previous
 // incarnation); the hub and sink see only post-restore ticks.
 func Restore(snap Snapshot) (*Daemon, error) {
-	if err := validateSnapshot(snap); err != nil {
-		return nil, err
-	}
-	cfg, err := snap.Spec.Build()
-	if err != nil {
-		return nil, err
-	}
-	m, err := newReplayedMachine(cfg, snap, nil)
+	m, err := replayMachine(snap, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -232,36 +240,29 @@ func Restore(snap Snapshot) (*Daemon, error) {
 	return d, nil
 }
 
-// validateSnapshot checks the wire-level invariants Restore and Replay
-// both depend on: version, tick bounds, and journal ordering.
-func validateSnapshot(snap Snapshot) error {
-	if snap.Version != SnapshotVersion {
-		return fmt.Errorf("server: snapshot version %d, want %d", snap.Version, SnapshotVersion)
-	}
-	cfg, err := snap.Spec.Build()
-	if err != nil {
-		return err
-	}
-	if snap.Tick < 0 || snap.Tick > cfg.Ticks {
-		return fmt.Errorf("server: snapshot tick %d outside [0, %d]", snap.Tick, cfg.Ticks)
-	}
-	prev := -1
-	for i, mut := range snap.Journal {
-		if mut.Tick < prev || mut.Tick > snap.Tick {
-			return fmt.Errorf("server: journal entry %d at tick %d breaks ordering (prev %d, snapshot %d)",
-				i, mut.Tick, prev, snap.Tick)
-		}
-		prev = mut.Tick
-	}
-	return nil
-}
-
-// newReplayedMachine builds a fresh machine and fast-forwards it to
+// replayMachine checks what Restore and Replay both depend on — a spec
+// that builds, the tick within the run, journal ticks in order and none
+// beyond it — then builds a fresh machine and fast-forwards it to
 // snap.Tick, applying each journaled mutation at its original boundary.
 // A nil sink replays silently (Restore: a live predecessor already
 // published those events); a non-nil sink receives the replayed stream
 // (Replay: the uninterrupted-run oracle).
-func newReplayedMachine(cfg cluster.Config, snap Snapshot, sink telemetry.Sink) (*cluster.Machine, error) {
+func replayMachine(snap Snapshot, sink telemetry.Sink) (*cluster.Machine, error) {
+	cfg, err := snap.Spec.Build()
+	if err != nil {
+		return nil, err
+	}
+	if snap.Tick < 0 || snap.Tick > cfg.Ticks {
+		return nil, fmt.Errorf("server: snapshot tick %d outside [0, %d]", snap.Tick, cfg.Ticks)
+	}
+	prev := 0
+	for i, mut := range snap.Journal {
+		if mut.Tick < prev || mut.Tick > snap.Tick {
+			return nil, fmt.Errorf("server: journal entry %d at tick %d breaks ordering (previous %d, boundary %d) — not an append-only history",
+				i, mut.Tick, prev, snap.Tick)
+		}
+		prev = mut.Tick
+	}
 	m, err := cluster.NewMachine(cfg)
 	if err != nil {
 		return nil, err
@@ -286,12 +287,10 @@ func newReplayedMachine(cfg cluster.Config, snap Snapshot, sink telemetry.Sink) 
 		m.Step()
 	}
 	// Mutations accepted at the snapshot boundary itself land before
-	// the next tick runs, exactly as they did live.
+	// the next tick runs, exactly as they did live. Ordering was checked
+	// above, so every entry has landed by now.
 	if err := replay(); err != nil {
 		return nil, err
-	}
-	if ji != len(snap.Journal) {
-		return nil, fmt.Errorf("server: %d journal entries beyond snapshot tick %d", len(snap.Journal)-ji, snap.Tick)
 	}
 	return m, nil
 }
@@ -305,10 +304,6 @@ func (d *Daemon) publish(e telemetry.Event) {
 		d.sink.Publish(e)
 	}
 	d.history.add(e)
-	if d.metrics == nil {
-		d.hub.Publish(e)
-		return
-	}
 	start := time.Now()
 	d.hub.Publish(e)
 	d.metrics.publish.Observe(time.Since(start).Seconds())
@@ -334,13 +329,6 @@ func (d *Daemon) NextTick() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.m.NextTick()
-}
-
-// Done reports whether every configured tick has run.
-func (d *Daemon) Done() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.m.Done()
 }
 
 // Step advances one tick and reports whether the run is now done. On a
@@ -371,9 +359,7 @@ func (d *Daemon) StepN(n int) {
 // ring's cumulative energy reading). Called with d.mu held after every
 // Step.
 func (d *Daemon) afterTick() {
-	if d.metrics != nil {
-		d.metrics.push(d.m.NextTick(), d.m.Controller().EnergyTotals())
-	}
+	d.metrics.push(d.m.NextTick(), d.m.Controller().EnergyTotals())
 	// With a WAL attached, the crash contract extends to the event
 	// stream: hand the lossless sink's userspace buffers to the kernel
 	// at every tick boundary, so a kill -9 loses at most the tick in
@@ -388,12 +374,13 @@ func (d *Daemon) afterTick() {
 	// follower that heard "tick T" may assume the primary's event file
 	// holds every completed tick before T, which is what makes the
 	// promoted follower's event stream splice byte-exact.
-	d.rep.publish(RepRecord{
-		Type:    "hb",
-		Tick:    d.m.NextTick(),
-		Records: len(d.journal),
-		Done:    d.m.Done(),
-	})
+	d.rep.publish(record{Type: recBoundary, boundary: d.boundary()})
+}
+
+// boundary is the tick boundary the daemon rests at. Called with d.mu
+// held.
+func (d *Daemon) boundary() boundary {
+	return boundary{Tick: d.m.NextTick(), Records: len(d.journal), Done: d.m.Done(), Frozen: d.frozen}
 }
 
 // Run drives the machine to completion: one tick per tickEvery of wall
@@ -483,27 +470,17 @@ func (d *Daemon) journalMutation(mut Mutation) error {
 	if d.wal != nil {
 		start := time.Now()
 		err := d.wal.Append(mut)
-		if d.metrics != nil {
-			d.metrics.walAppend.Observe(time.Since(start).Seconds())
-		}
+		d.metrics.walAppend.Observe(time.Since(start).Seconds())
 		if err != nil {
 			d.walErr = err
-			if d.metrics != nil {
-				d.metrics.walErrors.Inc()
-			}
+			d.metrics.walErrors.Inc()
 			return fmt.Errorf("server: mutation applied but not durable: %w", err)
 		}
 	}
 	// Replicate only after the mutation is durable (or durability is not
 	// armed): a follower must never hold a record the primary could
 	// still lose.
-	d.rep.publish(RepRecord{
-		Type:    "mut",
-		Index:   len(d.journal) - 1,
-		Mut:     &mut,
-		Tick:    mut.Tick,
-		Records: len(d.journal),
-	})
+	d.rep.publish(record{Type: recMut, Index: len(d.journal) - 1, Mut: &mut})
 	return nil
 }
 
@@ -570,12 +547,7 @@ func applyMutation(m *cluster.Machine, mut Mutation) error {
 func (d *Daemon) Snapshot() Snapshot {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return Snapshot{
-		Version: SnapshotVersion,
-		Spec:    d.spec,
-		Tick:    d.m.NextTick(),
-		Journal: append([]Mutation(nil), d.journal...),
-	}
+	return Snapshot{Spec: d.spec, Tick: d.m.NextTick(), Journal: append([]Mutation(nil), d.journal...)}
 }
 
 // WriteSnapshot captures the current snapshot and writes it to path,
@@ -585,9 +557,7 @@ func (d *Daemon) WriteSnapshot(path string) (Snapshot, error) {
 	snap := d.Snapshot()
 	start := time.Now()
 	err := snap.WriteFile(path)
-	if d.metrics != nil {
-		d.metrics.snapshot.Observe(time.Since(start).Seconds())
-	}
+	d.metrics.snapshot.Observe(time.Since(start).Seconds())
 	return snap, err
 }
 

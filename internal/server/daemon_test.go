@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -41,6 +42,21 @@ func encodeStream(t *testing.T, events []telemetry.Event) []byte {
 		buf.WriteByte('\n')
 	}
 	return buf.Bytes()
+}
+
+// wireSnapshot round-trips a snapshot through its encoding, as a
+// restart or POST /v1/snapshot would.
+func wireSnapshot(t *testing.T, snap Snapshot) Snapshot {
+	t.Helper()
+	data, err := snap.encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := DecodeSnapshot(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return back
 }
 
 // sameResult compares run measurements with Config zeroed (it carries
@@ -154,16 +170,9 @@ func snapshotRestoreRoundTrip(t *testing.T, energy bool) {
 		t.Fatalf("snapshot at tick %d with %d journal entries, want 80 with 3", snap.Tick, len(snap.Journal))
 	}
 
-	// Round-trip through JSON: what the API serves is what restores.
-	wire, err := json.Marshal(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded Snapshot
-	if err := json.Unmarshal(wire, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	r, err := Restore(decoded)
+	// Round-trip through the encoding: what the API serves is what
+	// restores.
+	r, err := Restore(wireSnapshot(t, snap))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,13 +208,12 @@ func snapshotRestoreRoundTrip(t *testing.T, energy bool) {
 
 func TestRestoreRejectsBadSnapshots(t *testing.T) {
 	base := func() Snapshot {
-		return Snapshot{Version: SnapshotVersion, Spec: testSpec(), Tick: 10}
+		return Snapshot{Spec: testSpec(), Tick: 10}
 	}
 	cases := []struct {
 		name string
 		mut  func(*Snapshot)
 	}{
-		{"wrong version", func(s *Snapshot) { s.Version = 99 }},
 		{"tick beyond horizon", func(s *Snapshot) { s.Tick = 10_000 }},
 		{"negative tick", func(s *Snapshot) { s.Tick = -1 }},
 		{"journal out of order", func(s *Snapshot) {
@@ -327,8 +335,8 @@ func TestHubBoundedFanout(t *testing.T) {
 	if published != 5 || subs != 2 {
 		t.Fatalf("published=%d subs=%d, want 5 and 2", published, subs)
 	}
-	if dropped != 3 || h.Dropped(slow) != 3 {
-		t.Fatalf("dropped=%d (slow %d), want 3 for the buffer-2 subscriber", dropped, h.Dropped(slow))
+	if st := h.SubscriberStats(); dropped != 3 || st[1].Dropped != 3 {
+		t.Fatalf("dropped=%d (slow %d), want 3 for the buffer-2 subscriber", dropped, st[1].Dropped)
 	}
 	if len(fast.C) != 5 || len(slow.C) != 2 {
 		t.Fatalf("buffers hold %d and %d, want 5 and 2", len(fast.C), len(slow.C))
@@ -370,10 +378,10 @@ func TestSlowSubscriberNeverStallsTicks(t *testing.T) {
 	if err := d.Run(context.Background(), 0); err != nil { // would deadlock if Publish blocked
 		t.Fatal(err)
 	}
-	if !d.Done() {
+	if !d.Stats().Done {
 		t.Fatalf("run did not complete")
 	}
-	if d.Hub().Dropped(stuck) == 0 {
+	if _, dropped, _ := d.Hub().Stats(); dropped == 0 {
 		t.Fatalf("stuck subscriber dropped nothing — publish must have blocked somewhere")
 	}
 }
@@ -389,6 +397,12 @@ func TestSpecBuildValidation(t *testing.T) {
 		{Spec{Util: 0.5, Fanout: []int{2, 3}, Ticks: 0}, "ticks"},
 		{Spec{Util: 0.5, Fanout: []int{2, 3}, Ticks: -5}, "ticks"},
 		{Spec{Util: 0.5, Ticks: 100}, "fanout"},
+		{Spec{Util: math.NaN(), Fanout: []int{2, 3}, Ticks: 100}, "util"},
+		{Spec{Util: 0, Fanout: []int{2, 3}, Ticks: 100}, "util"},
+		{Spec{Util: 1.5, Fanout: []int{2, 3}, Ticks: 100}, "util"},
+		{Spec{Util: 0.5, Fanout: []int{2, 3}, Ticks: 100, TickSeconds: math.NaN()}, "tick_seconds"},
+		{Spec{Util: 0.5, Fanout: []int{2, 3}, Ticks: 100, TickSeconds: -5}, "tick_seconds"},
+		{Spec{Util: 0.5, Fanout: []int{2, 3}, Ticks: 100, TickSeconds: math.Inf(1)}, "tick_seconds"},
 	}
 	for i, c := range bad {
 		_, err := c.spec.Build()
@@ -409,7 +423,7 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		snap := d.Snapshot()
-		path := t.TempDir() + "/snap.json"
+		path := t.TempDir() + "/run.snap"
 		if err := snap.WriteFile(path); err != nil {
 			t.Fatal(err)
 		}

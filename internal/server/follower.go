@@ -1,15 +1,16 @@
 package server
 
 // Hot-standby follower: the consumer side of /v1/replicate. A follower
-// tails a primary's replication stream, makes every record durable in
-// its OWN WAL before advancing its cursor (so the standby's durability
-// guarantee is exactly the primary's), and tracks how far behind it is
-// in both records and ticks. Promotion — manual via POST /v1/promote or
-// automatic after a configurable heartbeat-loss window — replays the
-// follower's journal through the PR 8 Restore path and hands back a
-// live Daemon resting at the primary's last proven boundary; the
-// deterministic replay contract makes the promoted run byte-identical
-// to the primary's, which is the whole point.
+// decodes the stream with the journal reader every WAL and snapshot
+// goes through (wal.go), makes every mutation durable in its OWN WAL
+// before advancing its cursor (so the standby's durability guarantee is
+// exactly the primary's, and its WAL the same bytes), and tracks how far
+// behind it is in both records and ticks. Promotion — manual via POST
+// /v1/promote or automatic after a configurable heartbeat-loss window —
+// replays the follower's journal through the crash-recovery Restore
+// path and hands back a live Daemon resting at the primary's last
+// proven boundary; the deterministic replay contract makes the promoted
+// run byte-identical to the primary's, which is the whole point.
 //
 // The tail loop is built for bad networks: every connection attempt has
 // a jittered exponential backoff, an idle watchdog tears down streams
@@ -19,13 +20,12 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"math/rand"
 	"net/http"
-	"os"
 	"reflect"
 	"strconv"
 	"strings"
@@ -91,7 +91,9 @@ func (o *FollowerOptions) defaults() {
 }
 
 // errFollowerFatal marks conditions retrying cannot fix (WAL append
-// failure, spec mismatch); Run stops instead of spinning on them.
+// failure, spec mismatch, a stream in another journal format or with a
+// spec this binary cannot decode); Run stops instead of spinning on
+// them.
 var errFollowerFatal = errors.New("follower: fatal")
 
 // Follower is a hot standby tailing one primary. Create with
@@ -165,11 +167,12 @@ func NewFollower(opts FollowerOptions) (*Follower, error) {
 			"replication stream re-establishes after the first connect"),
 	}
 	if opts.WALPath != "" {
-		if _, err := os.Stat(opts.WALPath); err == nil {
-			wal, st, err := OpenWAL(opts.WALPath)
-			if err != nil {
-				return nil, fmt.Errorf("follower: reopening wal: %w", err)
-			}
+		switch wal, st, err := OpenWAL(opts.WALPath); {
+		case errors.Is(err, fs.ErrNotExist):
+			// A fresh standby: the spec record creates the WAL.
+		case err != nil:
+			return nil, fmt.Errorf("follower: reopening wal: %w", err)
+		default:
 			f.wal = wal
 			f.spec, f.haveSpec = st.Spec, true
 			f.muts = st.Mutations
@@ -178,8 +181,6 @@ func NewFollower(opts FollowerOptions) (*Follower, error) {
 			}
 			f.recordsG.Set(float64(len(f.muts)))
 			f.resumeG.Set(float64(f.resumeTick))
-		} else if !os.IsNotExist(err) {
-			return nil, fmt.Errorf("follower: stat wal: %w", err)
 		}
 	}
 	return f, nil
@@ -304,24 +305,19 @@ func (f *Follower) tail(ctx context.Context) error {
 	watchdog := time.AfterFunc(f.opts.IdleTimeout, cancel)
 	defer watchdog.Stop()
 
-	dec := json.NewDecoder(resp.Body)
-	for {
-		var rec RepRecord
-		if err := dec.Decode(&rec); err != nil {
-			if cerr := cctx.Err(); cerr != nil {
-				return cerr // cancelled: shutdown, promotion, or watchdog
-			}
-			if errors.Is(err, errSpecJSON) {
-				// A spec this binary cannot decode will not decode on retry.
-				return fmt.Errorf("%w: %v", errFollowerFatal, err)
-			}
-			return err // EOF (primary drained) or a broken link
-		}
+	_, err = decodeJournal(resp.Body, func(rec record) error {
 		watchdog.Reset(f.opts.IdleTimeout)
-		if err := f.apply(rec); err != nil {
-			return err
-		}
+		return f.apply(rec)
+	})
+	if cerr := cctx.Err(); cerr != nil {
+		return cerr // cancelled: shutdown, promotion, or watchdog
 	}
+	if errors.Is(err, errSpecJSON) || errors.Is(err, errFormat) {
+		// Another format, or a spec this binary cannot decode, will not
+		// decode on retry.
+		return fmt.Errorf("%w: %v", errFollowerFatal, err)
+	}
+	return err // nil when the primary drained; else a broken link
 }
 
 // setConnected flips the link gauge and counts re-establishes.
@@ -341,16 +337,15 @@ func (f *Follower) setConnected(up bool) {
 }
 
 // apply folds one replication record into the follower's durable state.
-func (f *Follower) apply(rec RepRecord) error {
+// The decoder has already checked that each stream opens with the spec
+// and carries it once.
+func (f *Follower) apply(rec record) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.lastContact = time.Now()
 
 	switch rec.Type {
-	case "spec":
-		if rec.Spec == nil {
-			return errors.New("follower: spec record without a spec")
-		}
+	case recSpec:
 		if f.haveSpec {
 			if !reflect.DeepEqual(*rec.Spec, f.spec) {
 				// The primary is running a different run than the one we
@@ -368,10 +363,7 @@ func (f *Follower) apply(rec RepRecord) error {
 			}
 			f.wal = wal
 		}
-	case "mut":
-		if rec.Mut == nil {
-			return errors.New("follower: mut record without a mutation")
-		}
+	case recMut:
 		switch {
 		case rec.Index < len(f.muts):
 			// Duplicate from a resumed stream's backlog; already durable.
@@ -383,36 +375,32 @@ func (f *Follower) apply(rec RepRecord) error {
 		default:
 			if f.wal != nil {
 				// Durability before cursor advance: the standby's promise is
-				// exactly the primary's (fsync before ack).
+				// exactly the primary's (fsync before ack). The WAL frames
+				// the mutation at the same index, so its bytes are the
+				// primary's.
 				if err := f.wal.Append(*rec.Mut); err != nil {
 					return fmt.Errorf("%w: wal append: %v", errFollowerFatal, err)
 				}
 			}
 			f.muts = append(f.muts, *rec.Mut)
-			if rec.Mut.Tick > f.resumeTick {
-				f.resumeTick = rec.Mut.Tick
-			}
+			f.resumeTick = max(f.resumeTick, rec.Mut.Tick)
 		}
-	case "hb":
+		f.primaryRecords = max(f.primaryRecords, rec.Index+1)
+		f.primaryTick = max(f.primaryTick, rec.Mut.Tick)
+	case recBoundary:
 		f.primaryFrozen = rec.Frozen
 		f.primaryDone = rec.Done
-		// A heartbeat proves the primary completed every tick before
-		// rec.Tick with rec.Records journal records. Only adopt the
-		// boundary once we hold all those records: promotion replays our
-		// journal, and a boundary beyond our records would skip history.
-		if rec.Records <= len(f.muts) && rec.Tick > f.resumeTick {
-			f.resumeTick = rec.Tick
+		// A boundary proves the primary completed every tick before
+		// rec.Tick with rec.Records journal records. Only adopt it once we
+		// hold all those records: promotion replays our journal, and a
+		// boundary beyond our records would skip history.
+		if rec.Records <= len(f.muts) {
+			f.resumeTick = max(f.resumeTick, rec.Tick)
 		}
-	default:
-		return fmt.Errorf("follower: unknown record type %q", rec.Type)
+		f.primaryTick = max(f.primaryTick, rec.Tick)
+		f.primaryRecords = max(f.primaryRecords, rec.Records)
 	}
 
-	if rec.Tick > f.primaryTick {
-		f.primaryTick = rec.Tick
-	}
-	if rec.Records > f.primaryRecords {
-		f.primaryRecords = rec.Records
-	}
 	f.recordsG.Set(float64(len(f.muts)))
 	f.resumeG.Set(float64(f.resumeTick))
 	f.lagRecordsG.Set(float64(f.primaryRecords - len(f.muts)))
@@ -425,7 +413,7 @@ func (f *Follower) apply(rec RepRecord) error {
 // follower's WAL attached so the promoted run keeps the durability
 // contract without a WAL rewrite (the follower's WAL already holds the
 // complete history from tick 0 — it IS the primary's WAL, byte for
-// byte in content). Idempotent: later calls return the same daemon.
+// byte). Idempotent: later calls return the same daemon.
 func (f *Follower) Promote() (*Daemon, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -435,12 +423,7 @@ func (f *Follower) Promote() (*Daemon, error) {
 	if !f.haveSpec {
 		return nil, errors.New("follower: nothing replicated yet (no spec)")
 	}
-	d, err := Restore(Snapshot{
-		Version: SnapshotVersion,
-		Spec:    f.spec,
-		Tick:    f.resumeTick,
-		Journal: append([]Mutation(nil), f.muts...),
-	})
+	d, err := Restore(Snapshot{Spec: f.spec, Tick: f.resumeTick, Journal: append([]Mutation(nil), f.muts...)})
 	if err != nil {
 		return nil, fmt.Errorf("follower: promoting at tick %d: %w", f.resumeTick, err)
 	}

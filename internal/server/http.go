@@ -12,8 +12,7 @@ import (
 )
 
 // HandlerOptions tunes the HTTP layer's overload protection. The zero
-// value takes the defaults, so NewHandler(d) keeps its historical
-// behavior (generously gated, never unbounded).
+// value takes the defaults (generously gated, never unbounded).
 type HandlerOptions struct {
 	// MaxInflight bounds mutations concurrently holding the admission
 	// gate (default DefaultMaxInflight).
@@ -26,7 +25,8 @@ type HandlerOptions struct {
 	RetryAfter time.Duration
 }
 
-// NewHandler exposes a daemon over HTTP/JSON:
+// NewHandlerOpts exposes a daemon over HTTP, the mutation admission
+// gate bounded by opts:
 //
 //	GET  /healthz      readiness view: role, tick, wal health, gate
 //	                   saturation, replication subscribers (HealthView)
@@ -38,15 +38,17 @@ type HandlerOptions struct {
 //	                   joules, work/joule, per-rack and per-class rows
 //	POST /v1/demand    {"server": -1, "factor": 1.5} scale demand
 //	POST /v1/chaos     {"spec": "medium", "seed": 7, "sensor": false}
-//	POST /v1/snapshot  returns the full snapshot JSON
+//	POST /v1/snapshot  the snapshot: the journal bytes (wal.go) a
+//	                   snapshot file written now would hold
 //	GET  /v1/events    telemetry stream, JSONL (or SSE with
 //	                   Accept: text/event-stream); ?kinds=budget,...
 //	                   filters; ?buffer=N sizes the subscription;
 //	                   ?from=T replays retained history from tick T
 //	                   before going live (reconnect resume)
-//	GET  /v1/replicate NDJSON replication stream: spec record, journal
-//	                   backlog from ?from=<index>, then live mutations
-//	                   and tick heartbeats (hot-standby feed)
+//	GET  /v1/replicate replication stream in the journal format: spec
+//	                   record, journal backlog from ?from=<index>, a
+//	                   boundary, then live mutations and one boundary
+//	                   per tick (hot-standby feed)
 //	POST /v1/handoff   freeze the run at the current tick boundary for
 //	                   a migration cutover; returns {tick, records}
 //	POST /v1/promote   409 on a primary (meaningful only on a follower)
@@ -58,11 +60,6 @@ type HandlerOptions struct {
 // gate (see gate.go): beyond the configured in-flight and queue bounds
 // they are shed with 429 + Retry-After instead of piling goroutines on
 // the tick mutex.
-func NewHandler(d *Daemon) http.Handler {
-	return NewHandlerOpts(d, HandlerOptions{})
-}
-
-// NewHandlerOpts is NewHandler with explicit overload bounds.
 func NewHandlerOpts(d *Daemon, opts HandlerOptions) http.Handler {
 	g := newGate(opts.MaxInflight, opts.MaxQueue, d.metrics.reg)
 	retryAfter := opts.RetryAfter
@@ -156,7 +153,14 @@ func NewHandlerOpts(d *Daemon, opts HandlerOptions) http.Handler {
 		})
 	}))
 	mux.HandleFunc("POST /v1/snapshot", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, d.Snapshot())
+		data, err := d.Snapshot().encode()
+		if err != nil {
+			writeError(w, http.StatusInternalServerError, err)
+			return
+		}
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(data)
 	})
 	mux.HandleFunc("GET /v1/replicate", func(w http.ResponseWriter, r *http.Request) {
 		serveReplicate(d, w, r)

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -64,7 +66,7 @@ func TestConcurrentAPIHammer(t *testing.T) {
 	spec := testSpec()
 	spec.Ticks = 100_000 // effectively unbounded for the test's duration
 	d := newTestDaemon(t, spec)
-	ts := httptest.NewServer(NewHandler(d))
+	ts := httptest.NewServer(NewHandlerOpts(d, HandlerOptions{}))
 	defer ts.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -135,7 +137,7 @@ func TestConcurrentAPIHammer(t *testing.T) {
 func TestGracefulShutdownSnapshotRoundTrip(t *testing.T) {
 	spec := testSpec()
 	d := newTestDaemon(t, spec)
-	ts := httptest.NewServer(NewHandler(d))
+	ts := httptest.NewServer(NewHandlerOpts(d, HandlerOptions{}))
 	defer ts.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -158,12 +160,21 @@ func TestGracefulShutdownSnapshotRoundTrip(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("snapshot: %s", resp.Status)
 	}
-	var snap Snapshot
-	if err := json.Unmarshal(body, &snap); err != nil {
+	snap, err := DecodeSnapshot(bytes.NewReader(body))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if snap.Tick < 20 || len(snap.Journal) == 0 {
 		t.Fatalf("snapshot at tick %d with %d journal entries", snap.Tick, len(snap.Journal))
+	}
+	// The endpoint and WriteSnapshot share one encoder: at the same
+	// boundary the body is the file, byte for byte.
+	path := filepath.Join(t.TempDir(), "run.snap")
+	if _, err := d.WriteSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	if file, err := os.ReadFile(path); err != nil || !bytes.Equal(file, body) {
+		t.Fatalf("POST /v1/snapshot body differs from the WriteSnapshot file (%v)", err)
 	}
 
 	r, err := Restore(snap)
@@ -186,7 +197,7 @@ func TestGracefulShutdownSnapshotRoundTrip(t *testing.T) {
 
 func TestEventsStreaming(t *testing.T) {
 	d := newTestDaemon(t, testSpec())
-	ts := httptest.NewServer(NewHandler(d))
+	ts := httptest.NewServer(NewHandlerOpts(d, HandlerOptions{}))
 	defer ts.Close()
 
 	resp, err := http.Get(ts.URL + "/v1/events")
@@ -217,7 +228,7 @@ func TestEventsStreaming(t *testing.T) {
 
 func TestEventsStreamingSSEAndFilters(t *testing.T) {
 	d := newTestDaemon(t, testSpec())
-	ts := httptest.NewServer(NewHandler(d))
+	ts := httptest.NewServer(NewHandlerOpts(d, HandlerOptions{}))
 	defer ts.Close()
 
 	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/events?kinds=budget", nil)
@@ -275,7 +286,7 @@ func TestEventsStreamingSSEAndFilters(t *testing.T) {
 
 func TestHandlerErrors(t *testing.T) {
 	d := newTestDaemon(t, testSpec())
-	ts := httptest.NewServer(NewHandler(d))
+	ts := httptest.NewServer(NewHandlerOpts(d, HandlerOptions{}))
 	defer ts.Close()
 
 	cases := []struct {
@@ -311,7 +322,7 @@ func TestHandlerErrors(t *testing.T) {
 func TestStatsEndpoint(t *testing.T) {
 	d := newTestDaemon(t, testSpec())
 	d.StepN(60)
-	ts := httptest.NewServer(NewHandler(d))
+	ts := httptest.NewServer(NewHandlerOpts(d, HandlerOptions{}))
 	defer ts.Close()
 
 	var st StatsView
@@ -333,7 +344,7 @@ func TestRunLoad(t *testing.T) {
 	spec := testSpec()
 	spec.Ticks = 100_000
 	d := newTestDaemon(t, spec)
-	ts := httptest.NewServer(NewHandler(d))
+	ts := httptest.NewServer(NewHandlerOpts(d, HandlerOptions{}))
 	defer ts.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -374,7 +385,7 @@ func TestStateResponseCompactJSON(t *testing.T) {
 	d := newTestDaemon(t, testSpec())
 	d.StepN(60)
 	rec := httptest.NewRecorder()
-	NewHandler(d).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/state", nil))
+	NewHandlerOpts(d, HandlerOptions{}).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/state", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET /v1/state: status %d", rec.Code)
 	}
@@ -473,7 +484,7 @@ func TestEventsStreamOneFlushPerBatch(t *testing.T) {
 			served := make(chan struct{})
 			go func() {
 				defer close(served)
-				NewHandler(d).ServeHTTP(w, req)
+				NewHandlerOpts(d, HandlerOptions{}).ServeHTTP(w, req)
 			}()
 			select {
 			case <-w.opened:

@@ -94,13 +94,6 @@ func (h *Hub) Unsubscribe(s *Subscription) {
 	close(s.C)
 }
 
-// Dropped returns how many events this subscriber's buffer overflowed.
-func (h *Hub) Dropped(s *Subscription) int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return s.dropped
-}
-
 // Close terminates every subscription and rejects future publishes.
 // Idempotent.
 func (h *Hub) Close() {

@@ -190,11 +190,7 @@ func (d *Daemon) Efficiency() EfficiencyView {
 	}
 	racks := ctrl.RackEnergy()
 	classes := ctrl.ClassEnergy()
-	var oldest, newest energySample
-	var haveWindow bool
-	if d.metrics != nil {
-		oldest, newest, haveWindow = d.metrics.windowSpan()
-	}
+	oldest, newest, haveWindow := d.metrics.windowSpan()
 	d.mu.Unlock()
 
 	if haveWindow {
@@ -250,10 +246,8 @@ func (d *Daemon) WriteMetrics(w io.Writer) error {
 	started := d.started
 	d.mu.Unlock()
 
-	if d.metrics != nil {
-		if err := d.metrics.reg.WriteText(w); err != nil {
-			return err
-		}
+	if err := d.metrics.reg.WriteText(w); err != nil {
+		return err
 	}
 
 	e := obs.NewEncoder(w)

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -51,7 +50,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	defer d.Close()
 	d.StepN(80)
 
-	ts := httptest.NewServer(NewHandler(d))
+	ts := httptest.NewServer(NewHandlerOpts(d, HandlerOptions{}))
 	defer ts.Close()
 	scrape := scrapeMetrics(t, ts)
 
@@ -102,7 +101,7 @@ func TestMetricsSubscriberBackpressure(t *testing.T) {
 	defer d.Hub().Unsubscribe(sub)
 	d.StepN(20)
 
-	ts := httptest.NewServer(NewHandler(d))
+	ts := httptest.NewServer(NewHandlerOpts(d, HandlerOptions{}))
 	defer ts.Close()
 	scrape := scrapeMetrics(t, ts)
 
@@ -144,7 +143,7 @@ func TestEfficiencyEndpoint(t *testing.T) {
 	defer d.Close()
 	d.StepN(EfficiencyWindow + 40)
 
-	ts := httptest.NewServer(NewHandler(d))
+	ts := httptest.NewServer(NewHandlerOpts(d, HandlerOptions{}))
 	defer ts.Close()
 	var eff EfficiencyView
 	getJSON(t, ts.URL+"/v1/efficiency", &eff)
@@ -197,16 +196,8 @@ func TestEnergySnapshotRestoreIdentity(t *testing.T) {
 		}
 		d.StepN(40)
 		if split {
-			snap := d.Snapshot()
-			// Round-trip through JSON exactly as a restart would.
-			data, err := json.Marshal(snap)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var back Snapshot
-			if err := json.Unmarshal(data, &back); err != nil {
-				t.Fatal(err)
-			}
+			// Round-trip through the encoding exactly as a restart would.
+			back := wireSnapshot(t, d.Snapshot())
 			d.Close()
 			if d, err = Restore(back); err != nil {
 				t.Fatal(err)

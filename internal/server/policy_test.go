@@ -31,15 +31,7 @@ func TestSnapshotCarriesPolicy(t *testing.T) {
 			t.Fatalf("snapshot records policy %q, want %q", snap.Spec.Policy, pol)
 		}
 
-		wire, err := json.Marshal(snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var decoded Snapshot
-		if err := json.Unmarshal(wire, &decoded); err != nil {
-			t.Fatal(err)
-		}
-		r, err := Restore(decoded)
+		r, err := Restore(wireSnapshot(t, snap))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,20 +3,23 @@ package server
 // Crash recovery: rebuilding a daemon from durable state after an
 // ungraceful death. The recovery order is fixed and matters:
 //
-//  1. Open the WAL. Its header record carries the Spec the run was
+//  1. Open the WAL. Its first record carries the Spec the run was
 //     built from (command-line flags are ignored on recovery — the WAL
-//     is authoritative), and its body carries every acknowledged
+//     is authoritative), and the rest carry every acknowledged
 //     mutation. A torn tail record is truncated, never fatal.
 //  2. If a base snapshot is supplied, load it and verify consistency:
 //     same Spec, and the snapshot's journal must be a prefix of the
 //     WAL's mutations (the WAL holds the complete history from tick 0,
-//     so a snapshot can only ever summarize a prefix of it).
+//     so a snapshot can only ever summarize a prefix of it). Both files
+//     are journals in one format (wal.go); the snapshot adds a closing
+//     boundary record.
 //  3. Rebuild through Restore at the recovery tick — the furthest
 //     boundary durable state proves the old incarnation reached:
-//     max(snapshot tick, last WAL mutation tick). Ticks the dead
-//     incarnation ran beyond that boundary re-execute live after
-//     recovery; determinism makes the re-execution bit-identical, so
-//     the run's final state is byte-identical to one that never died.
+//     max(snapshot tick, last WAL mutation tick). Restore refuses a
+//     journal whose ticks go backwards. Ticks the dead incarnation ran
+//     beyond that boundary re-execute live after recovery; determinism
+//     makes the re-execution bit-identical, so the run's final state is
+//     byte-identical to one that never died.
 //
 // The base snapshot never changes the outcome — Restore replays the
 // same journal either way — it only documents the operator workflow
@@ -67,52 +70,36 @@ func Recover(snapPath, walPath string) (*Daemon, *WAL, RecoveryInfo, error) {
 		return nil, nil, RecoveryInfo{}, err
 	}
 
+	// Restore checks that the mutation ticks never go backwards.
 	tick := 0
-	for i, mut := range st.Mutations {
-		if mut.Tick < tick {
-			return fail(fmt.Errorf("server: wal %s mutation %d at tick %d precedes tick %d — not an append-only history",
-				walPath, i, mut.Tick, tick))
-		}
-		tick = mut.Tick
+	if n := len(st.Mutations); n > 0 {
+		tick = st.Mutations[n-1].Tick
 	}
 
 	if snapPath != "" {
-		snap, rerr := ReadSnapshot(snapPath)
-		if rerr != nil {
-			if os.IsNotExist(rerr) {
-				// No base snapshot yet (none was ever written): WAL-only
-				// recovery is the normal young-run case.
-				snapPath = ""
-			} else {
-				return fail(rerr)
-			}
-		} else {
-			if !reflect.DeepEqual(snap.Spec, st.Spec) {
-				return fail(fmt.Errorf("server: snapshot %s and wal %s describe different runs (specs differ)", snapPath, walPath))
-			}
-			if len(snap.Journal) > len(st.Mutations) {
-				return fail(fmt.Errorf("server: snapshot %s has %d journal entries but wal %s holds only %d — the wal is not this run's journal",
-					snapPath, len(snap.Journal), walPath, len(st.Mutations)))
-			}
+		switch snap, err := ReadSnapshot(snapPath); {
+		case os.IsNotExist(err):
+			// No base snapshot yet (none was ever written): WAL-only
+			// recovery is the normal young-run case.
+		case err != nil:
+			return fail(err)
+		case !reflect.DeepEqual(snap.Spec, st.Spec):
+			return fail(fmt.Errorf("server: snapshot %s and wal %s describe different runs (specs differ)", snapPath, walPath))
+		case len(snap.Journal) > len(st.Mutations):
+			return fail(fmt.Errorf("server: snapshot %s has %d journal entries but wal %s holds only %d — the wal is not this run's journal",
+				snapPath, len(snap.Journal), walPath, len(st.Mutations)))
+		default:
 			for i, mut := range snap.Journal {
 				if !reflect.DeepEqual(mut, st.Mutations[i]) {
 					return fail(fmt.Errorf("server: snapshot %s journal entry %d disagrees with wal %s — refusing to guess which history is real",
 						snapPath, i, walPath))
 				}
 			}
-			info.SnapshotTick = snap.Tick
-			if snap.Tick > tick {
-				tick = snap.Tick
-			}
+			info.SnapshotTick, tick = snap.Tick, max(tick, snap.Tick)
 		}
 	}
 
-	d, err := Restore(Snapshot{
-		Version: SnapshotVersion,
-		Spec:    st.Spec,
-		Tick:    tick,
-		Journal: st.Mutations,
-	})
+	d, err := Restore(Snapshot{Spec: st.Spec, Tick: tick, Journal: st.Mutations})
 	if err != nil {
 		return fail(fmt.Errorf("server: recovering from wal %s: %w", walPath, err))
 	}
@@ -130,14 +117,7 @@ func Recover(snapPath, walPath string) (*Daemon, *WAL, RecoveryInfo, error) {
 // have produced. The crash harness compares a kill/recover run's
 // surviving stream fragments against this.
 func Replay(snap Snapshot, sink telemetry.Sink) (*Daemon, error) {
-	if err := validateSnapshot(snap); err != nil {
-		return nil, err
-	}
-	cfg, err := snap.Spec.Build()
-	if err != nil {
-		return nil, err
-	}
-	m, err := newReplayedMachine(cfg, snap, sink)
+	m, err := replayMachine(snap, sink)
 	if err != nil {
 		return nil, err
 	}

@@ -94,12 +94,8 @@ func TestRecoverMatchesUninterrupted(t *testing.T) {
 	}
 
 	// And through to completion: the whole run, not just tick 70.
-	for !rec.Done() {
-		rec.Step()
-	}
-	for !oracle.Done() {
-		oracle.Step()
-	}
+	rec.StepN(spec.Ticks)
+	oracle.StepN(spec.Ticks)
 	sameResult(t, rec.Result(), oracle.Result(), "recovered run to completion")
 }
 
@@ -110,7 +106,7 @@ func TestRecoverWithBaseSnapshot(t *testing.T) {
 	spec := testSpec()
 	dead, _, walPath := crashWALDaemon(t, spec)
 	mutateScript(t, dead)
-	snapPath := filepath.Join(filepath.Dir(walPath), "snap.json")
+	snapPath := filepath.Join(filepath.Dir(walPath), "snap.snap")
 	if _, err := dead.WriteSnapshot(snapPath); err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +127,7 @@ func TestRecoverWithBaseSnapshot(t *testing.T) {
 	sameResult(t, rec.Result(), dead.Result(), "recovered with base snapshot")
 
 	// A missing snapshot file is the normal young-run case, not an error.
-	rec2, wal2, info2, err := Recover(filepath.Join(filepath.Dir(walPath), "never-written.json"), walPath)
+	rec2, wal2, info2, err := Recover(filepath.Join(filepath.Dir(walPath), "never-written.snap"), walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,15 +149,15 @@ func TestRecoverRejectsMismatchedSnapshot(t *testing.T) {
 
 	otherSpec := testSpec()
 	otherSpec.Seed++
-	wrongSpec := filepath.Join(dir, "wrong-spec.json")
-	if err := (Snapshot{Version: SnapshotVersion, Spec: otherSpec, Tick: 10}).WriteFile(wrongSpec); err != nil {
+	wrongSpec := filepath.Join(dir, "wrong-spec.snap")
+	if err := (Snapshot{Spec: otherSpec, Tick: 10}).WriteFile(wrongSpec); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, _, err := Recover(wrongSpec, walPath); err == nil || !strings.Contains(err.Error(), "specs differ") {
 		t.Fatalf("mismatched spec: got %v", err)
 	}
 
-	wrongJournal := filepath.Join(dir, "wrong-journal.json")
+	wrongJournal := filepath.Join(dir, "wrong-journal.snap")
 	snap := dead.Snapshot()
 	snap.Journal[0].Factor = 99 // not the history the WAL recorded
 	if err := snap.WriteFile(wrongJournal); err != nil {
@@ -171,7 +167,7 @@ func TestRecoverRejectsMismatchedSnapshot(t *testing.T) {
 		t.Fatalf("mismatched journal: got %v", err)
 	}
 
-	longJournal := filepath.Join(dir, "long-journal.json")
+	longJournal := filepath.Join(dir, "long-journal.snap")
 	snap = dead.Snapshot()
 	snap.Journal = append(snap.Journal, Mutation{Tick: snap.Tick, Kind: "demand", Server: -1, Factor: 1.01})
 	if err := snap.WriteFile(longJournal); err != nil {

@@ -8,15 +8,16 @@ package server
 // the run and take over on promotion without losing anything the
 // primary ever acknowledged.
 //
-// Wire format: NDJSON, one RepRecord per line.
-//
-//	{"type":"spec","spec":{...},"tick":T,"records":N}   stream opener
-//	{"type":"mut","index":i,"mut":{...},"tick":T,...}   journal entry i
-//	{"type":"hb","tick":T,"records":N,...}              tick heartbeat
+// Wire format: the journal format of wal.go, header and CRC frames
+// included. The body opens with the spec record, the journal backlog
+// from ?from=<index> and a boundary record carrying the primary's
+// (tick, records); live mutation records and one boundary per tick
+// follow. A mutation's frame is the same bytes as in the primary's WAL,
+// so the follower's WAL equals the primary's by construction.
 //
 // Ordering contract: a mutation record is published only after the
 // primary made it durable (WAL fsync) — a follower can never observe
-// state the primary could lose — and the heartbeat for tick T is
+// state the primary could lose — and the boundary for tick T is
 // published after the primary flushed its telemetry stream for tick T,
 // so a follower that has heard "tick T, records N" and holds N durable
 // records may safely resume at boundary T: determinism re-executes
@@ -28,10 +29,10 @@ package server
 // skipped — record loss must be visible as a dropped connection, which
 // the follower heals by reconnecting with ?from=<durable count>. The
 // resume cursor is a journal index, so catch-up never re-sends what
-// the follower already fsync'd.
+// the follower already fsync'd. Records travel the feed unencoded and
+// each handler frames them, off the tick lock.
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -42,29 +43,6 @@ import (
 // burst larger than this (a follower stalled mid-catch-up) drops the
 // connection; the follower resumes from its durable cursor.
 const repBuffer = 256
-
-// RepRecord is one line of the /v1/replicate NDJSON stream.
-type RepRecord struct {
-	// Type discriminates: "spec" (stream opener), "mut" (one journal
-	// entry), "hb" (tick heartbeat).
-	Type string `json:"type"`
-	// Spec is the run spec ("spec" records only) — the same JSON the
-	// WAL's header record carries.
-	Spec *Spec `json:"spec,omitempty"`
-	// Index is the journal position of a "mut" record (0-based), the
-	// follower's resume cursor.
-	Index int `json:"index,omitempty"`
-	// Mut is the journal entry ("mut" records only).
-	Mut *Mutation `json:"mut,omitempty"`
-	// Tick is the primary's tick boundary when the record was produced.
-	Tick int `json:"tick"`
-	// Records is the primary's journal length at that boundary.
-	Records int `json:"records"`
-	// Done reports the primary's run has completed every configured
-	// tick; Frozen that it handed off (tick loop stopped for migration).
-	Done   bool `json:"done,omitempty"`
-	Frozen bool `json:"frozen,omitempty"`
-}
 
 // repFeed fans replication records out to the /v1/replicate handlers.
 // Like the telemetry Hub it never blocks the tick loop, but unlike the
@@ -79,7 +57,7 @@ type repFeed struct {
 // repSub is one replication subscriber's bounded record feed; C closes
 // on overflow or feed shutdown.
 type repSub struct {
-	C chan RepRecord
+	C chan record
 }
 
 func newRepFeed() *repFeed {
@@ -89,7 +67,7 @@ func newRepFeed() *repFeed {
 // publish delivers rec to every subscriber, disconnecting any whose
 // buffer is full. Called under the daemon's tick lock, so records reach
 // every subscriber in journal order.
-func (f *repFeed) publish(rec RepRecord) {
+func (f *repFeed) publish(rec record) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
@@ -109,7 +87,7 @@ func (f *repFeed) publish(rec RepRecord) {
 
 // subscribe registers a new bounded subscriber.
 func (f *repFeed) subscribe() *repSub {
-	s := &repSub{C: make(chan RepRecord, repBuffer)}
+	s := &repSub{C: make(chan record, repBuffer)}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
@@ -161,10 +139,7 @@ type repSnapshot struct {
 	spec    Spec
 	backlog []Mutation // journal[from:]
 	from    int        // index of backlog[0]
-	tick    int
-	records int
-	done    bool
-	frozen  bool
+	at      boundary
 }
 
 // subscribeReplication atomically snapshots the journal suffix from
@@ -181,10 +156,7 @@ func (d *Daemon) subscribeReplication(from int) (repSnapshot, *repSub, error) {
 		spec:    d.spec,
 		backlog: append([]Mutation(nil), d.journal[from:]...),
 		from:    from,
-		tick:    d.m.NextTick(),
-		records: len(d.journal),
-		done:    d.m.Done(),
-		frozen:  d.frozen,
+		at:      d.boundary(),
 	}
 	return snap, d.rep.subscribe(), nil
 }
@@ -192,19 +164,16 @@ func (d *Daemon) subscribeReplication(from int) (repSnapshot, *repSub, error) {
 // Freeze stops the daemon at the current tick boundary for a migration
 // handoff: the tick driver steps no further and every subsequent
 // mutation is refused, so the journal is final. The frozen boundary is
-// announced on the replication feed (heartbeat with Frozen set), which
+// announced on the replication feed (a boundary with Frozen set), which
 // is what lets a follower prove it holds the complete run. Freeze is
 // idempotent and returns the frozen tick and journal length.
 func (d *Daemon) Freeze() (tick, records int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.frozen = true
-	tick, records = d.m.NextTick(), len(d.journal)
-	d.rep.publish(RepRecord{
-		Type: "hb", Tick: tick, Records: records,
-		Done: d.m.Done(), Frozen: true,
-	})
-	return tick, records
+	b := d.boundary()
+	d.rep.publish(record{Type: recBoundary, boundary: b})
+	return b.Tick, b.Records
 }
 
 // Frozen reports whether a handoff has stopped the tick loop.
@@ -215,8 +184,9 @@ func (d *Daemon) Frozen() bool {
 }
 
 // serveReplicate streams the run's durable history — spec, journal
-// backlog from ?from, then live records — as NDJSON until the client
-// disconnects, the subscriber overflows, or the daemon drains.
+// backlog from ?from, the current boundary, then live records — until
+// the client disconnects, the subscriber overflows, or the daemon
+// drains.
 func serveReplicate(d *Daemon, w http.ResponseWriter, r *http.Request) {
 	from := 0
 	if q := r.URL.Query().Get("from"); q != "" {
@@ -234,40 +204,31 @@ func serveReplicate(d *Daemon, w http.ResponseWriter, r *http.Request) {
 	}
 	defer d.rep.unsubscribe(sub)
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-
-	enc := json.NewEncoder(w)
-	send := func(rec RepRecord) bool {
-		if err := enc.Encode(rec); err != nil {
-			return false
+	send := func(frames []byte, err error) bool {
+		if err == nil {
+			_, err = w.Write(frames)
 		}
-		if flusher != nil {
+		if err == nil && flusher != nil {
 			flusher.Flush()
 		}
-		return true
+		return err == nil
 	}
 
-	if !send(RepRecord{Type: "spec", Spec: &snap.spec, Tick: snap.tick, Records: snap.records}) {
+	// The opening boundary tells the follower the primary's position
+	// even on a quiet run, so resume ticks advance without waiting for
+	// the next step.
+	opening, err := encodeJournal(snap.spec, snap.from, snap.backlog)
+	if err == nil {
+		opening, err = appendFrame(opening, record{Type: recBoundary, boundary: snap.at})
+	}
+	if !send(opening, err) {
 		return
 	}
-	sent := snap.from
-	for i, mut := range snap.backlog {
-		m := mut
-		if !send(RepRecord{Type: "mut", Index: snap.from + i, Mut: &m, Tick: m.Tick, Records: snap.records}) {
-			return
-		}
-		sent = snap.from + i + 1
-	}
-	// Initial heartbeat: the follower learns the primary's boundary even
-	// on a quiet run, so resume ticks advance without waiting for the
-	// next step.
-	if !send(RepRecord{Type: "hb", Tick: snap.tick, Records: snap.records, Done: snap.done, Frozen: snap.frozen}) {
-		return
-	}
-
+	sent := snap.from + len(snap.backlog)
 	for {
 		select {
 		case <-r.Context().Done():
@@ -276,7 +237,7 @@ func serveReplicate(d *Daemon, w http.ResponseWriter, r *http.Request) {
 			if !ok {
 				return // feed closed (drain) or this subscriber overflowed
 			}
-			if rec.Type == "mut" {
+			if rec.Type == recMut {
 				if rec.Index < sent {
 					continue // already sent from the backlog snapshot
 				}
@@ -286,9 +247,9 @@ func serveReplicate(d *Daemon, w http.ResponseWriter, r *http.Request) {
 					// drop the connection rather than ship a hole.
 					return
 				}
-				sent = rec.Index + 1
+				sent++
 			}
-			if !send(rec) {
+			if !send(appendFrame(nil, rec)) {
 				return
 			}
 		}

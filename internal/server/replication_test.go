@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -20,11 +22,10 @@ import (
 	"willow/internal/telemetry"
 )
 
-// repDecoder reads one NDJSON replication stream in a test.
+// repDecoder reads one replication stream in a test.
 type repDecoder struct {
 	t    *testing.T
 	resp *http.Response
-	dec  *json.Decoder
 }
 
 func openReplicate(t *testing.T, base string, from int) *repDecoder {
@@ -37,20 +38,54 @@ func openReplicate(t *testing.T, base string, from int) *repDecoder {
 		resp.Body.Close()
 		t.Fatalf("GET /v1/replicate: %s", resp.Status)
 	}
-	return &repDecoder{t: t, resp: resp, dec: json.NewDecoder(resp.Body)}
+	if err := readHeader(resp.Body); err != nil {
+		resp.Body.Close()
+		t.Fatalf("replication stream header: %v", err)
+	}
+	return &repDecoder{t: t, resp: resp}
 }
 
 // close ends the stream; callers defer it AFTER the server's own defer
 // so the connection is gone before the server waits for it.
 func (r *repDecoder) close() { r.resp.Body.Close() }
 
-func (r *repDecoder) next() RepRecord {
+func (r *repDecoder) next() record {
 	r.t.Helper()
-	var rec RepRecord
-	if err := r.dec.Decode(&rec); err != nil {
+	rec, _, err := readRecord(r.resp.Body)
+	if err != nil {
 		r.t.Fatalf("decoding replication record: %v", err)
 	}
 	return rec
+}
+
+// recordStream records a /v1/replicate body: the opening (spec, a
+// one-mutation backlog, the boundary), then a live mutation and two
+// ticks, ended by the daemon draining.
+func recordStream(t testing.TB) []byte {
+	d, err := New(testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.StepN(10)
+	if _, err := d.ScaleDemand(-1, 1.1); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		serveReplicate(d, rec, httptest.NewRequest(http.MethodGet, "/v1/replicate?from=0", nil))
+	}()
+	for d.rep.count() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := d.ScaleDemand(2, 0.9); err != nil {
+		t.Fatal(err)
+	}
+	d.StepN(2)
+	d.Close() // the handler drains what the feed holds, then returns
+	<-served
+	return rec.Body.Bytes()
 }
 
 // TestReplicationStreamBackfillAndLive pins the /v1/replicate wire
@@ -60,7 +95,7 @@ func (r *repDecoder) next() RepRecord {
 // the run advances.
 func TestReplicationStreamBackfillAndLive(t *testing.T) {
 	d := newTestDaemon(t, testSpec())
-	ts := httptest.NewServer(NewHandler(d))
+	ts := httptest.NewServer(NewHandlerOpts(d, HandlerOptions{}))
 	defer ts.Close()
 
 	d.StepN(10)
@@ -71,19 +106,16 @@ func TestReplicationStreamBackfillAndLive(t *testing.T) {
 	rd := openReplicate(t, ts.URL, 0)
 	defer rd.close()
 	spec := rd.next()
-	if spec.Type != "spec" || spec.Spec == nil || !reflect.DeepEqual(*spec.Spec, d.Spec()) {
+	if spec.Type != recSpec || !reflect.DeepEqual(*spec.Spec, d.Spec()) {
 		t.Fatalf("first record = %+v, want the run spec", spec)
 	}
-	if spec.Records != 1 || spec.Tick != 10 {
-		t.Fatalf("spec record boundary = (tick %d, records %d), want (10, 1)", spec.Tick, spec.Records)
-	}
 	mut := rd.next()
-	if mut.Type != "mut" || mut.Index != 0 || mut.Mut == nil || mut.Mut.Kind != "demand" {
+	if mut.Type != recMut || mut.Index != 0 || mut.Mut.Kind != "demand" {
 		t.Fatalf("backlog record = %+v, want journal entry 0", mut)
 	}
 	hb := rd.next()
-	if hb.Type != "hb" || hb.Tick != 10 || hb.Records != 1 {
-		t.Fatalf("initial heartbeat = %+v, want tick 10 records 1", hb)
+	if hb.Type != recBoundary || hb.Tick != 10 || hb.Records != 1 {
+		t.Fatalf("initial boundary = %+v, want tick 10 records 1", hb)
 	}
 
 	// Live: a new mutation then a tick must arrive in order.
@@ -92,12 +124,12 @@ func TestReplicationStreamBackfillAndLive(t *testing.T) {
 	}
 	d.StepN(1)
 	live := rd.next()
-	if live.Type != "mut" || live.Index != 1 {
+	if live.Type != recMut || live.Index != 1 {
 		t.Fatalf("live record = %+v, want journal entry 1", live)
 	}
 	tick := rd.next()
-	if tick.Type != "hb" || tick.Tick != 11 || tick.Records != 2 {
-		t.Fatalf("live heartbeat = %+v, want tick 11 records 2", tick)
+	if tick.Type != recBoundary || tick.Tick != 11 || tick.Records != 2 {
+		t.Fatalf("live boundary = %+v, want tick 11 records 2", tick)
 	}
 }
 
@@ -106,7 +138,7 @@ func TestReplicationStreamBackfillAndLive(t *testing.T) {
 // outside the journal must be rejected, not silently clamped.
 func TestReplicationResumeCursor(t *testing.T) {
 	d := newTestDaemon(t, testSpec())
-	ts := httptest.NewServer(NewHandler(d))
+	ts := httptest.NewServer(NewHandlerOpts(d, HandlerOptions{}))
 	defer ts.Close()
 
 	d.StepN(5)
@@ -118,11 +150,11 @@ func TestReplicationResumeCursor(t *testing.T) {
 
 	rd := openReplicate(t, ts.URL, 2)
 	defer rd.close()
-	if rec := rd.next(); rec.Type != "spec" {
+	if rec := rd.next(); rec.Type != recSpec {
 		t.Fatalf("resumed stream starts with %+v, want spec", rec)
 	}
-	if rec := rd.next(); rec.Type != "hb" || rec.Records != 2 {
-		t.Fatalf("resumed stream record = %+v, want heartbeat with records 2 (no re-sent backlog)", rec)
+	if rec := rd.next(); rec.Type != recBoundary || rec.Records != 2 {
+		t.Fatalf("resumed stream record = %+v, want a boundary with records 2 (no re-sent backlog)", rec)
 	}
 
 	for _, q := range []string{"from=3", "from=-1", "from=abc"} {
@@ -172,28 +204,42 @@ func startFollower(t *testing.T, base, walPath string, promoteAfter time.Duratio
 }
 
 // TestFollowerRejectsUndecodableSpec pins strict decoding on the
-// replication link: a spec record with a field this binary does not
-// know stops the standby with a fatal error, before any WAL exists,
-// instead of replicating a different run or reconnecting forever.
+// replication link: a stream in another journal version, or a spec
+// record with a field this binary does not know, stops the standby with
+// a fatal error, before any WAL exists, instead of replicating a
+// different run or reconnecting forever.
 func TestFollowerRejectsUndecodableSpec(t *testing.T) {
-	primary := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, `{"type":"spec","spec":{"util":0.6,"fanout":[2,3],"ticks":200,"hotzon":true},"tick":0,"records":0}`)
-		w.(http.Flusher).Flush()
-		<-r.Context().Done()
-	}))
-	defer primary.Close()
-	walPath := filepath.Join(t.TempDir(), "standby.wal")
-	_, done, _ := startFollower(t, primary.URL, walPath, 0)
-	select {
-	case err := <-done:
-		if !errors.Is(err, errFollowerFatal) || !strings.Contains(err.Error(), `"hotzon"`) {
-			t.Fatalf("Run = %v, want a fatal error naming the unknown field", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("follower kept retrying an undecodable spec")
-	}
-	if _, err := os.Stat(walPath); !os.IsNotExist(err) {
-		t.Fatalf("standby WAL exists after an undecodable spec: %v", err)
+	version1 := binary.LittleEndian.AppendUint32([]byte(journalMagic), 1)
+	spec := testSpec()
+	for _, tc := range []struct {
+		name    string
+		body    []byte
+		wantErr string
+	}{
+		{"spec with an unknown field", cat(walHeader(), unknownFieldSpec), `"hotzon"`},
+		{"version-1 header", cat(version1, walFrame(t, record{Type: recSpec, Spec: &spec})), "version 1, want 2"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			primary := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Write(tc.body)
+				w.(http.Flusher).Flush()
+				<-r.Context().Done()
+			}))
+			defer primary.Close()
+			walPath := filepath.Join(t.TempDir(), "standby.wal")
+			_, done, _ := startFollower(t, primary.URL, walPath, 0)
+			select {
+			case err := <-done:
+				if !errors.Is(err, errFollowerFatal) || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("Run = %v, want a fatal error naming %s", err, tc.wantErr)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("follower kept retrying an undecodable stream")
+			}
+			if _, err := os.Stat(walPath); !os.IsNotExist(err) {
+				t.Fatalf("standby WAL exists after an undecodable stream: %v", err)
+			}
+		})
 	}
 }
 
@@ -285,7 +331,7 @@ func TestFollowerPromoteByteIdentical(t *testing.T) {
 	}
 	defer wal.Close()
 	d1.AttachWAL(wal)
-	ts := httptest.NewServer(NewHandler(d1))
+	ts := httptest.NewServer(NewHandlerOpts(d1, HandlerOptions{}))
 	defer ts.Close()
 
 	f, _, _ := startFollower(t, ts.URL, filepath.Join(dir, "standby.wal"), 0)
@@ -331,15 +377,64 @@ func TestFollowerPromoteByteIdentical(t *testing.T) {
 		t.Fatal("promoted follower's journal differs from the primary's")
 	}
 
-	// The follower's WAL must hold the identical durable history.
+	// The follower's WAL is the primary's, byte for byte: both hold the
+	// same records, and a record's frame depends only on its content.
 	f.Close()
-	w2, st, err := OpenWAL(filepath.Join(dir, "standby.wal"))
+	primaryWAL, err := os.ReadFile(filepath.Join(dir, "primary.wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w2.Close()
-	if !reflect.DeepEqual(st.Mutations, d1.Snapshot().Journal) || !reflect.DeepEqual(st.Spec, spec) {
-		t.Fatal("standby WAL content differs from the primary's durable history")
+	standbyWAL, err := os.ReadFile(filepath.Join(dir, "standby.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(primaryWAL, standbyWAL) {
+		t.Fatalf("standby WAL (%d bytes) differs from the primary's (%d bytes)", len(standbyWAL), len(primaryWAL))
+	}
+}
+
+// TestReplicationFrameIdentity pins byte identity across the journal's
+// three places: each mutation's frame is the same bytes in the WAL, in a
+// snapshot and on the replication stream.
+func TestReplicationFrameIdentity(t *testing.T) {
+	stream := recordStream(t)
+	recs, err := decodeAll(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var muts []Mutation
+	for _, rec := range recs {
+		if rec.Type == recMut {
+			muts = append(muts, *rec.Mut)
+		}
+	}
+	if len(muts) != 2 || recs[len(recs)-1].Tick != 12 {
+		t.Fatalf("recorded stream holds %d mutations, ends at %+v; want 2 and tick 12", len(muts), recs[len(recs)-1])
+	}
+	path := filepath.Join(t.TempDir(), "run.wal")
+	w, err := CreateWAL(path, testSpec(), muts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	wal, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := Snapshot{Spec: testSpec(), Tick: 12, Journal: muts}.encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range muts {
+		frame := walFrame(t, record{Type: recMut, Index: i, Mut: &muts[i]})
+		for _, place := range []struct {
+			name string
+			data []byte
+		}{{"wal", wal}, {"snapshot", snap}, {"stream", stream}} {
+			if !bytes.Contains(place.data, frame) {
+				t.Fatalf("mutation %d's frame is not in the %s", i, place.name)
+			}
+		}
 	}
 }
 
@@ -348,7 +443,7 @@ func TestFollowerPromoteByteIdentical(t *testing.T) {
 // the follower promotes itself at its last proven boundary.
 func TestFollowerAutoPromoteAfterHeartbeatLoss(t *testing.T) {
 	d := newTestDaemon(t, testSpec())
-	ts := httptest.NewServer(NewHandler(d))
+	ts := httptest.NewServer(NewHandlerOpts(d, HandlerOptions{}))
 	closed := false
 	defer func() {
 		if !closed {
@@ -393,7 +488,7 @@ func TestMigrationInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer src.Close()
-	ts1 := httptest.NewServer(NewHandler(src))
+	ts1 := httptest.NewServer(NewHandlerOpts(src, HandlerOptions{}))
 	defer ts1.Close()
 
 	f, _, _ := startFollower(t, ts1.URL, "", 0)
@@ -471,13 +566,13 @@ func TestDrainOrderingUnblocksStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &http.Server{Handler: NewHandler(d)}
+	srv := &http.Server{Handler: NewHandlerOpts(d, HandlerOptions{})}
 	go srv.Serve(ln)
 	base := "http://" + ln.Addr().String()
 
 	rd := openReplicate(t, base, 0)
 	defer rd.close()
-	if rec := rd.next(); rec.Type != "spec" {
+	if rec := rd.next(); rec.Type != recSpec {
 		t.Fatalf("replication stream opener = %+v", rec)
 	}
 	evResp, err := http.Get(base + "/v1/events?from=0")
@@ -505,7 +600,7 @@ func TestDrainOrderingUnblocksStreams(t *testing.T) {
 // malformed cursor is rejected.
 func TestEventsFromResume(t *testing.T) {
 	d := newTestDaemon(t, testSpec())
-	ts := httptest.NewServer(NewHandler(d))
+	ts := httptest.NewServer(NewHandlerOpts(d, HandlerOptions{}))
 	defer ts.Close()
 
 	d.StepN(10)

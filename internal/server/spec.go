@@ -17,6 +17,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -188,6 +189,13 @@ func orDefault[T comparable](v, def T) T {
 func (s Spec) Build() (cluster.Config, error) {
 	if s.Ticks <= 0 {
 		return cluster.Config{}, fmt.Errorf("server: spec ticks must be positive, got %d", s.Ticks)
+	}
+	// Written so that NaN, which fails every comparison, fails both.
+	if !(s.Util > 0 && s.Util <= 1) {
+		return cluster.Config{}, fmt.Errorf("server: spec util must be in (0, 1], got %v", s.Util)
+	}
+	if !(s.TickSeconds >= 0 && s.TickSeconds <= math.MaxFloat64) {
+		return cluster.Config{}, fmt.Errorf("server: spec tick_seconds must be finite and non-negative, got %v", s.TickSeconds)
 	}
 	if len(s.Fanout) == 0 {
 		return cluster.Config{}, errors.New("server: spec fanout is empty")

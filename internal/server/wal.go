@@ -1,33 +1,49 @@
 package server
 
-// Write-ahead journal for the live daemon. The snapshot format from the
-// PR 5 control plane made the mutation journal the source of truth —
-// (Spec, journal) rebuilds any run bit for bit — but a snapshot only
-// exists when someone asks for one: a kill -9 loses every mutation since
-// the last POST /v1/snapshot. The WAL closes that window. With a WAL
-// attached, every accepted mutation is framed, appended, and fsync'd
-// BEFORE the API call acknowledges, so an acknowledged mutation survives
-// any process death. Recovery is then snapshot (optional base) + WAL
-// replay; see recovery.go.
+// The journal: the one encoding of a run's history. A run is its Spec
+// plus the mutations it accepted — ticks are deterministic, so they are
+// not state — and one format carries that history everywhere: the
+// write-ahead log (WAL), snapshot files and the POST /v1/snapshot body
+// (Snapshot.encode), and the GET /v1/replicate stream (replication.go).
 //
-// On-disk format, all integers little-endian:
+// With a WAL attached, every accepted mutation is framed, appended and
+// fsync'd BEFORE the API acknowledges it, so an acknowledged mutation
+// survives any process death; recovery is snapshot (optional base) +
+// WAL replay, see recovery.go.
 //
-//	header:  8-byte magic "WILLOWAL" | uint32 version (1)
-//	record:  uint32 payload length | uint32 CRC32-IEEE(payload) | payload
+// Format, all integers little-endian:
 //
-// The first record's payload is the run Spec as JSON; every later
-// record is one Mutation as JSON. Records are strictly appended and the
-// file is fsync'd after every append, so at any instant the file is a
-// well-formed prefix plus, at worst, one torn tail record (a crash
-// mid-write). Open detects the torn tail — short frame, short payload,
-// or CRC mismatch — and truncates it rather than failing: the torn
-// record was by construction never acknowledged. Corruption that a
-// truncated tail cannot explain (bad magic, unparseable spec record) is
-// an error, not a recovery.
+//	header:  8-byte magic "WILLOWAL" | uint32 version (2)
+//	frame:   uint32 payload length | uint32 CRC32-IEEE(payload) | payload
+//
+// Each payload is one record as JSON: the spec, a mutation with its
+// journal index, or a tick boundary. A record's bytes depend only on its
+// content, so a mutation's frame is the same bytes in the primary's WAL,
+// in a snapshot, on the stream and in a follower's WAL. Where records
+// may appear:
+//
+//	WAL       the spec, then mutations whose index equals their position
+//	snapshot  the same, then one boundary counting the mutations
+//	stream    the spec, the backlog from ?from=, a boundary, then live
+//	          mutations and one boundary per tick
+//
+// WAL records are appended and fsync'd one at a time, so the file is
+// always a well-formed prefix plus, at worst, one torn tail record (a
+// crash mid-write): a short frame or payload, a length over the bound,
+// or a CRC mismatch. OpenWAL truncates it — the torn record was by
+// construction never acknowledged. Elsewhere a torn record is an error,
+// and everywhere so is damage a torn tail cannot explain: bad magic,
+// another version, a CRC-valid record that does not decode or sits out
+// of place.
+//
+// Any change to a record's fields, Spec's included, bumps the version;
+// no reader for an older version is kept.
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -36,67 +52,242 @@ import (
 )
 
 const (
-	walMagic   = "WILLOWAL"
-	walVersion = 1
-	// walMaxRecord bounds one record's payload: a Mutation or Spec is a
-	// few hundred bytes of JSON, so anything near this limit means the
-	// length prefix itself is garbage.
-	walMaxRecord = 1 << 20
+	journalMagic   = "WILLOWAL"
+	journalVersion = 2
+	// maxRecord bounds one record's payload, in the encoder and the
+	// decoder alike. The spec is the largest record: -supply file:PATH
+	// inlines its trace at about 11 bytes a point, so a trace of some
+	// 700,000 points fits. A length beyond the bound is garbage.
+	maxRecord = 8 << 20
+	// headerLen and frameLen are the byte lengths of the header and of
+	// one frame's length and CRC fields.
+	headerLen = len(journalMagic) + 4
+	frameLen  = 8
 )
 
-// walHeaderLen is the byte length of the file header.
-const walHeaderLen = len(walMagic) + 4
+// The record types.
+const recSpec, recMut, recBoundary = "spec", "mut", "boundary"
 
-// walFrameLen is the byte overhead of one record frame.
-const walFrameLen = 8
+// record is one journal entry, the payload of every frame.
+type record struct {
+	// Type is recSpec, recMut or recBoundary.
+	Type string `json:"type"`
+	// Spec is the run (spec records only).
+	Spec *Spec `json:"spec,omitempty"`
+	// Index is Mut's journal position (mut records only), the follower's
+	// resume cursor.
+	Index int       `json:"index,omitempty"`
+	Mut   *Mutation `json:"mut,omitempty"`
+	// boundary is set on boundary records only. It is held by value, so
+	// a tick's heartbeat costs the tick loop no allocation.
+	boundary
+}
+
+// boundary is a tick boundary the daemon reached: every tick before Tick
+// has run, with Records journal entries accepted. Done reports the run
+// complete; Frozen a migration handoff (Daemon.Freeze).
+type boundary struct {
+	Tick    int  `json:"tick,omitempty"`
+	Records int  `json:"records,omitempty"`
+	Done    bool `json:"done,omitempty"`
+	Frozen  bool `json:"frozen,omitempty"`
+}
+
+// check reports a record whose fields do not fit its type.
+func (r record) check() error {
+	var ok bool
+	switch r.Type {
+	case recSpec:
+		ok = r.Spec != nil && r == record{Type: recSpec, Spec: r.Spec}
+	case recMut:
+		ok = r.Mut != nil && r.Index >= 0 && r == record{Type: recMut, Index: r.Index, Mut: r.Mut}
+	case recBoundary:
+		ok = r.Tick >= 0 && r.Records >= 0 && r == record{Type: recBoundary, boundary: r.boundary}
+	}
+	if !ok {
+		return fmt.Errorf("malformed %q record", r.Type)
+	}
+	return nil
+}
+
+// errTorn marks a frame cut short, over the bound or failing its CRC.
+var errTorn = errors.New("torn record")
+
+// errFormat marks input in another format: bad magic or another version.
+var errFormat = errors.New("unsupported journal format")
+
+// appendFrame frames rec onto buf.
+func appendFrame(buf []byte, rec record) ([]byte, error) {
+	payload, err := json.Marshal(rec)
+	if err != nil {
+		return buf, fmt.Errorf("server: encoding %s record: %w", rec.Type, err)
+	}
+	if len(payload) > maxRecord {
+		return buf, fmt.Errorf("server: %s record is %d bytes, over the %d-byte bound", rec.Type, len(payload), maxRecord)
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
+	return append(buf, payload...), nil
+}
+
+// encodeJournal returns the header, the spec record and one record per
+// mutation, indexed from `from`: a WAL's whole content, a snapshot's up
+// to its boundary, and the opening of a replication stream.
+func encodeJournal(spec Spec, from int, muts []Mutation) ([]byte, error) {
+	buf := binary.LittleEndian.AppendUint32([]byte(journalMagic), journalVersion)
+	buf, err := appendFrame(buf, record{Type: recSpec, Spec: &spec})
+	for i := 0; i < len(muts) && err == nil; i++ {
+		buf, err = appendFrame(buf, record{Type: recMut, Index: from + i, Mut: &muts[i]})
+	}
+	return buf, err
+}
+
+// readRecord reads one frame and decodes its record, returning the bytes
+// consumed. It returns io.EOF exactly at a clean frame boundary and an
+// errTorn error for a frame cut short, over the bound or failing its
+// CRC; a whole frame whose record does not decode or check is any other
+// error.
+func readRecord(r io.Reader) (rec record, n int, err error) {
+	var frame [frameLen]byte
+	if n, err = io.ReadFull(r, frame[:]); err == io.EOF {
+		return rec, 0, io.EOF
+	} else if err != nil {
+		return rec, n, fmt.Errorf("%w: short frame", errTorn)
+	}
+	length := binary.LittleEndian.Uint32(frame[:4])
+	if length > maxRecord {
+		return rec, n, fmt.Errorf("%w: length %d over the %d-byte bound", errTorn, length, maxRecord)
+	}
+	// Read what is there rather than allocate what the frame claims, so
+	// a garbage length costs nothing.
+	payload, err := io.ReadAll(io.LimitReader(r, int64(length)))
+	if n += len(payload); err != nil || len(payload) < int(length) {
+		return rec, n, fmt.Errorf("%w: short payload", errTorn)
+	}
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(frame[4:]) {
+		return rec, n, fmt.Errorf("%w: crc mismatch", errTorn)
+	}
+	// The spec decodes strictly (Spec.UnmarshalJSON); the header's
+	// version check stands in for that everywhere else.
+	if err := json.Unmarshal(payload, &rec); err != nil {
+		return rec, n, err
+	}
+	return rec, n, rec.check()
+}
+
+// readHeader reads and checks the journal header.
+func readHeader(r io.Reader) error {
+	var h [headerLen]byte
+	if _, err := io.ReadFull(r, h[:]); err != nil {
+		return fmt.Errorf("short header: %w", err)
+	}
+	if string(h[:len(journalMagic)]) != journalMagic {
+		return fmt.Errorf("%w: bad magic", errFormat)
+	}
+	if v := binary.LittleEndian.Uint32(h[len(journalMagic):]); v != journalVersion {
+		return fmt.Errorf("%w: version %d, want %d", errFormat, v, journalVersion)
+	}
+	return nil
+}
+
+// decodeJournal reads a journal from r: the header, then records, the
+// first of which must be the spec and no other may be. It hands each
+// record to visit and returns the bytes consumed through the last whole
+// record. It stops at a clean end (nil), at a torn frame (an errTorn
+// error), or at the first other error from the input or from visit.
+func decodeJournal(r io.Reader, visit func(record) error) (int64, error) {
+	if err := readHeader(r); err != nil {
+		return 0, err
+	}
+	off := int64(headerLen)
+	for first := true; ; first = false {
+		rec, n, err := readRecord(r)
+		if err == io.EOF {
+			return off, nil
+		}
+		if err == nil && first != (rec.Type == recSpec) {
+			err = fmt.Errorf("%s record out of place", rec.Type)
+		}
+		if err == nil {
+			err = visit(rec)
+		}
+		if err != nil {
+			return off, fmt.Errorf("record at offset %d: %w", off, err)
+		}
+		off += int64(n)
+	}
+}
+
+// readHistory decodes a WAL or, with snapshot set, a snapshot: the
+// spec, then mutations whose index equals their position, then — in a
+// snapshot only — one boundary counting them, which must end the input.
+// A WAL's torn tail is not an error: the history ends where it starts.
+// It returns the bytes consumed through the last whole record.
+func readHistory(r io.Reader, snapshot bool) (snap Snapshot, end int64, err error) {
+	ended := false
+	end, err = decodeJournal(r, func(rec record) error {
+		switch {
+		case ended:
+		case rec.Type == recSpec:
+			snap.Spec = *rec.Spec
+			return nil
+		case rec.Type == recMut && rec.Index == len(snap.Journal):
+			snap.Journal = append(snap.Journal, *rec.Mut)
+			return nil
+		case snapshot && rec.Type == recBoundary && rec.Records == len(snap.Journal):
+			snap.Tick, ended = rec.Tick, true
+			return nil
+		}
+		return fmt.Errorf("%s record out of place after %d mutations", rec.Type, len(snap.Journal))
+	})
+	switch {
+	case !snapshot && errors.Is(err, errTorn):
+		err = nil
+	case err == nil && snapshot && !ended:
+		err = errors.New("no boundary record")
+	}
+	if err == nil && end == int64(headerLen) {
+		err = errors.New("no spec record (a wal torn during creation: delete it and start fresh)")
+	}
+	return snap, end, err
+}
 
 // WAL is an append-only, fsync-per-append mutation journal. Append is
 // not safe for concurrent use on its own; the daemon serializes appends
 // under its tick lock.
 type WAL struct {
-	f    *os.File
-	path string
+	f *os.File
+	n int // mutations in the file: the next one's index
 }
 
 // CreateWAL creates a new WAL at path (failing if one already exists —
 // recovery must be a deliberate OpenWAL, never an accidental overwrite)
-// and writes the spec header record plus one record per existing journal
-// entry, so the WAL always carries the complete mutation history from
-// tick 0. The file and its parent directory are fsync'd before return.
+// holding the spec record plus one record per existing journal entry, so
+// the WAL always carries the complete mutation history from tick 0. The
+// history is encoded before the file is created, so one that cannot be
+// encoded leaves no file behind. The file and its parent directory are
+// fsync'd before return.
 func CreateWAL(path string, spec Spec, journal []Mutation) (*WAL, error) {
+	data, err := encodeJournal(spec, 0, journal)
+	if err != nil {
+		return nil, err
+	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("server: creating wal: %w", err)
 	}
-	w := &WAL{f: f, path: path}
-	fail := func(err error) (*WAL, error) {
+	if _, err = f.Write(data); err == nil {
+		err = f.Sync()
+	}
+	if err == nil {
+		err = syncDir(filepath.Dir(path))
+	}
+	if err != nil {
 		f.Close()
 		os.Remove(path)
-		return nil, err
+		return nil, fmt.Errorf("server: writing wal %s: %w", path, err)
 	}
-	var buf []byte
-	buf = append(buf, walMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, walVersion)
-	specJSON, err := json.Marshal(spec)
-	if err != nil {
-		return nil, err
-	}
-	buf = appendRecord(buf, specJSON)
-	if _, err := f.Write(buf); err != nil {
-		return fail(fmt.Errorf("server: writing wal header: %w", err))
-	}
-	for _, mut := range journal {
-		if err := w.append(mut, false); err != nil {
-			return fail(err)
-		}
-	}
-	if err := f.Sync(); err != nil {
-		return fail(fmt.Errorf("server: syncing wal: %w", err))
-	}
-	if err := syncDir(filepath.Dir(path)); err != nil {
-		return fail(err)
-	}
-	return w, nil
+	return &WAL{f: f, n: len(journal)}, nil
 }
 
 // WALState is what OpenWAL found on disk: the spec the run was built
@@ -114,153 +305,51 @@ type WALState struct {
 // validates the header, replays every intact record, and truncates a
 // torn tail record in place (see the package comment for why only the
 // tail can legally be torn). Structural corruption — wrong magic,
-// unsupported version, an unparseable spec record — returns an error
-// naming the offset, never a panic.
+// unsupported version, a record that does not decode or is out of place
+// — returns an error naming the file and offset, never a panic.
 func OpenWAL(path string) (*WAL, WALState, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	// O_APPEND: appends land at the end of the file, truncated or not,
+	// wherever the scan left the offset.
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND, 0)
 	if err != nil {
 		return nil, WALState{}, fmt.Errorf("server: opening wal: %w", err)
 	}
-	st, validEnd, err := scanWAL(f, path)
+	snap, end, err := readHistory(bufio.NewReader(f), false)
+	st := WALState{Spec: snap.Spec, Mutations: snap.Journal}
+	var fi os.FileInfo
+	if err == nil {
+		fi, err = f.Stat()
+	}
+	if err == nil && fi.Size() > end {
+		st.Truncated = fi.Size() - end
+		if err = f.Truncate(end); err == nil {
+			err = f.Sync()
+		}
+	}
 	if err != nil {
 		f.Close()
-		return nil, WALState{}, err
+		return nil, WALState{}, fmt.Errorf("server: wal %s: %w", path, err)
 	}
-	if st.Truncated > 0 {
-		if err := f.Truncate(validEnd); err != nil {
-			f.Close()
-			return nil, WALState{}, fmt.Errorf("server: truncating torn wal tail: %w", err)
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, WALState{}, err
-		}
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, WALState{}, err
-	}
-	return &WAL{f: f, path: path}, st, nil
-}
-
-// scanWAL parses the header and every record, returning the recovered
-// state and the offset where the valid prefix ends.
-func scanWAL(r io.Reader, path string) (WALState, int64, error) {
-	var st WALState
-	header := make([]byte, walHeaderLen)
-	if _, err := io.ReadFull(r, header); err != nil {
-		return st, 0, fmt.Errorf("server: %s is not a willow wal (short header): %w", path, err)
-	}
-	if string(header[:len(walMagic)]) != walMagic {
-		return st, 0, fmt.Errorf("server: %s is not a willow wal (bad magic)", path)
-	}
-	if v := binary.LittleEndian.Uint32(header[len(walMagic):]); v != walVersion {
-		return st, 0, fmt.Errorf("server: wal %s has version %d, want %d", path, v, walVersion)
-	}
-	offset := int64(walHeaderLen)
-	first := true
-	for {
-		payload, frameLen, err := readRecord(r)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			// A bad record can only be the torn tail of an interrupted
-			// append; everything beyond it is unacknowledged by
-			// construction. Count whatever remains and stop.
-			st.Truncated = tornLength(r, frameLen)
-			break
-		}
-		if first {
-			if err := json.Unmarshal(payload, &st.Spec); err != nil {
-				return st, 0, fmt.Errorf("server: wal %s spec record at offset %d: %w", path, offset, err)
-			}
-			first = false
-		} else {
-			var mut Mutation
-			if err := json.Unmarshal(payload, &mut); err != nil {
-				// CRC passed but the JSON is bad: the record was written
-				// corrupt, which truncation cannot repair.
-				return st, 0, fmt.Errorf("server: wal %s mutation record at offset %d: %w", path, offset, err)
-			}
-			st.Mutations = append(st.Mutations, mut)
-		}
-		offset += int64(frameLen)
-	}
-	if first {
-		return st, 0, fmt.Errorf("server: wal %s has no spec record (torn during creation) — delete it and start fresh", path)
-	}
-	return st, offset, nil
-}
-
-// readRecord reads one frame. It returns io.EOF exactly at a clean
-// record boundary; any partial read or CRC mismatch is a non-EOF error
-// with frameLen holding the bytes consumed so far (for torn-tail
-// accounting).
-func readRecord(r io.Reader) (payload []byte, frameLen int, err error) {
-	var frame [walFrameLen]byte
-	n, err := io.ReadFull(r, frame[:])
-	if err == io.EOF {
-		return nil, 0, io.EOF
-	}
-	if err != nil {
-		return nil, n, fmt.Errorf("torn frame: %w", err)
-	}
-	length := binary.LittleEndian.Uint32(frame[:4])
-	sum := binary.LittleEndian.Uint32(frame[4:])
-	if length > walMaxRecord {
-		return nil, walFrameLen, fmt.Errorf("torn frame: implausible record length %d", length)
-	}
-	payload = make([]byte, length)
-	n, err = io.ReadFull(r, payload)
-	if err != nil {
-		return nil, walFrameLen + n, fmt.Errorf("torn payload: %w", err)
-	}
-	if got := crc32.ChecksumIEEE(payload); got != sum {
-		return nil, walFrameLen + int(length), fmt.Errorf("crc mismatch: %08x != %08x", got, sum)
-	}
-	return payload, walFrameLen + int(length), nil
-}
-
-// tornLength counts the total torn bytes: what the failed record read
-// consumed plus whatever trails it.
-func tornLength(r io.Reader, consumed int) int64 {
-	rest, _ := io.Copy(io.Discard, r)
-	return int64(consumed) + rest
-}
-
-// appendRecord frames payload onto buf.
-func appendRecord(buf, payload []byte) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
-	return append(buf, payload...)
+	return &WAL{f: f, n: len(st.Mutations)}, st, nil
 }
 
 // Append frames, writes, and fsyncs one mutation. It returns only after
 // the record is durable, which is what lets the API acknowledge the
 // mutation: an acknowledged mutation survives kill -9.
 func (w *WAL) Append(mut Mutation) error {
-	return w.append(mut, true)
-}
-
-func (w *WAL) append(mut Mutation, sync bool) error {
-	payload, err := json.Marshal(mut)
+	frame, err := appendFrame(nil, record{Type: recMut, Index: w.n, Mut: &mut})
 	if err != nil {
 		return err
 	}
-	if _, err := w.f.Write(appendRecord(nil, payload)); err != nil {
+	if _, err := w.f.Write(frame); err != nil {
 		return fmt.Errorf("server: wal append: %w", err)
 	}
-	if sync {
-		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("server: wal fsync: %w", err)
-		}
+	if err := w.f.Sync(); err != nil {
+		return fmt.Errorf("server: wal fsync: %w", err)
 	}
+	w.n++
 	return nil
 }
-
-// Path returns the WAL's file path.
-func (w *WAL) Path() string { return w.path }
 
 // Close closes the file. Appends are already durable, so Close has
 // nothing to flush.
