@@ -147,7 +147,7 @@ obs-smoke:
 	$(RACE_HARNESS) -mode obs -tick 2ms -ticks 5000
 
 # Crash-safety gate: the journal format pins — framing, torn tail, the
-# record bound, the committed version-2 snapshot (TestWALFormatPin) and
+# record bound, the committed version-3 snapshot (TestWALFormatPin) and
 # the corrupt WAL and snapshot tables — and the recovery pins under
 # -race, then the harness in crash mode — willowd SIGKILLed five times
 # mid-run at seeded points and restarted, with the final state, stats,
@@ -211,7 +211,6 @@ fuzz:
 	$(GO) test -fuzz=FuzzOptionsSeed -fuzztime=10s ./internal/exp
 	$(GO) test -fuzz=FuzzEventRoundTrip -fuzztime=10s ./internal/telemetry
 	$(GO) test -fuzz=FuzzChaosSchedule -fuzztime=10s ./internal/chaos
-	$(GO) test -fuzz=FuzzSensorSpec -fuzztime=10s ./internal/sensor
 	$(GO) test -fuzz=FuzzPolicySpec -fuzztime=10s ./internal/policy
 	$(GO) test -fuzz=FuzzIncrementalAggregation -fuzztime=10s ./internal/core
 	$(GO) test -fuzz=FuzzFaultPlan -fuzztime=10s ./internal/cluster

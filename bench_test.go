@@ -19,10 +19,19 @@ import (
 	"willow/internal/telemetry"
 )
 
+// run executes one registered experiment.
+func run(id string, opts exp.Options) (*exp.Result, error) {
+	e, err := exp.Get(id)
+	if err != nil {
+		return nil, err
+	}
+	return e.Run(opts)
+}
+
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		res, err := exp.Run(id, exp.Options{Quick: true})
+		res, err := run(id, exp.Options{Quick: true})
 		if err != nil {
 			b.Fatalf("%s: %v", id, err)
 		}
@@ -45,7 +54,7 @@ func BenchmarkAllSequential(b *testing.B) {
 	b.ReportMetric(float64(len(ids)), "experiments/op")
 	for i := 0; i < b.N; i++ {
 		for _, id := range ids {
-			if _, err := exp.Run(id, exp.Options{Quick: true}); err != nil {
+			if _, err := run(id, exp.Options{Quick: true}); err != nil {
 				b.Fatalf("%s: %v", id, err)
 			}
 		}
@@ -62,7 +71,7 @@ func BenchmarkAllSequentialEvents(b *testing.B) {
 	ids := exp.IDs()
 	for i := 0; i < b.N; i++ {
 		for _, id := range ids {
-			if _, err := exp.Run(id, exp.Options{Quick: true, EventSink: telemetry.Discard}); err != nil {
+			if _, err := run(id, exp.Options{Quick: true, EventSink: telemetry.Discard}); err != nil {
 				b.Fatalf("%s: %v", id, err)
 			}
 		}

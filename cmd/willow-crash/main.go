@@ -478,7 +478,7 @@ func (h *harness) inject(p *proc, mutSrc *dist.Source) error {
 	)
 	if roll := mutSrc.Uint64() % 10; roll == 0 {
 		m = server.Mutation{Kind: "chaos", Spec: "light", Seed: mutSrc.Uint64() | 1} // nonzero: no derived-seed ambiguity
-		path, body = "/v1/chaos", map[string]any{"spec": m.Spec, "seed": m.Seed, "sensor": false}
+		path, body = "/v1/chaos", map[string]any{"spec": m.Spec, "seed": m.Seed}
 	} else {
 		m = server.Mutation{Kind: "demand", Server: -1}
 		if roll%2 == 1 {

@@ -42,9 +42,8 @@ func main() {
 		report       = flag.String("report", "", "run every experiment and write a single markdown report here")
 		events       = flag.String("events", "", "write per-run JSONL event streams and summary reports under this directory")
 		eventsFilter = flag.String("events-filter", "", "comma-separated event kinds to keep in streams (budget,migration,throttle,sleep-wake,failure,qos,degraded,sensor; default all)")
-		chaosSpec    = flag.String("chaos", "", "chaos schedule for fault-injecting experiments, e.g. \"medium\" or \"light,pmu-mtbf=400\" (the resilience experiment runs it against the fail-free baseline)")
+		chaosSpec    = flag.String("chaos", "", "chaos schedule for fault-injecting experiments, e.g. \"medium\", \"light,pmu-mtbf=400\" or \"sensor-light,sensor-dropout=1\" (resilience runs it against the fail-free baseline; sensing runs it naive and robust in place of its intensity ladder)")
 		chaosSeed    = flag.Uint64("chaos-seed", 0, "seed for chaos schedule expansion (0 = fixed default)")
-		sensorSpec   = flag.String("sensor-chaos", "", "sensor-fault spec for the sensing experiment, e.g. \"heavy\" or \"light,dropout=1\" (replaces its intensity ladder)")
 		policySpec   = flag.String("policy", "", "controller policy for every run, e.g. \"integral\" or \"mpc,horizon=8\" (the bakeoff experiments ignore it and run all policies)")
 	)
 	flag.Parse()
@@ -56,8 +55,7 @@ func main() {
 	}
 	opts := exp.Options{
 		Quick: *quick, Seed: *seed, Replications: *reps, Workers: *workers,
-		ChaosSpec: *chaosSpec, ChaosSeed: *chaosSeed,
-		SensorSpec: *sensorSpec, PolicySpec: *policySpec,
+		ChaosSpec: *chaosSpec, ChaosSeed: *chaosSeed, PolicySpec: *policySpec,
 	}
 	if *events != "" {
 		sinks, err := eventSinkFactory(*events, *eventsFilter, *reps)

@@ -6,6 +6,7 @@
 //	willow-sim -util 0.5
 //	willow-sim -util 0.7 -supply sine -ticks 600
 //	willow-sim -fanout 4,4,4 -util 0.6 -supply deficit-steps -csv
+//	willow-sim -util 0.7 -chaos medium,sensor-heavy -sensor-naive
 //	willow-sim -util 0.7 -write-config run.json && willow-sim -config run.json -seed 7
 package main
 
@@ -138,7 +139,7 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "dropped demand: %.0f watt-ticks; ping-pongs: %d; max messages/link/tick: %d\n",
 		res.DroppedWattTicks, res.Stats.PingPongs, res.Stats.MaxLinkMessagesPerTick)
 	fmt.Fprintf(stdout, "hottest temperature reached: %.1f °C\n", res.MaxTemp)
-	if spec.SensorChaos != "" {
+	if len(cfg.Faults.SensorFaults) > 0 {
 		fmt.Fprintf(stdout, "hottest observed temperature: %.1f °C; true-limit violations: %d server-ticks\n",
 			res.MaxObsTemp, res.LimitViolationTicks)
 		fmt.Fprintf(stdout, "sensors: %d faults injected, %d readings rejected, %d unhealthy trips, %d guard-band ticks\n",
@@ -158,8 +159,10 @@ func run(args []string, stdout io.Writer) error {
 			fmt.Fprintf(stdout, "energy: class %s: %.0f J served\n", c.Class, c.ServedJoules)
 		}
 	}
-	if line := planLine(spec, cfg); line != "" {
-		fmt.Fprintln(stdout, line)
+	if spec.Chaos != "" {
+		f := cfg.Faults
+		fmt.Fprintf(stdout, "chaos plan: %d server failures, %d PMU failures, %d loss windows, %d sensor faults\n",
+			len(f.ServerFailures), len(f.PMUFailures), len(f.LossWindows), len(f.SensorFaults))
 		fmt.Fprintf(stdout, "faults: %d server (%d repaired), %d PMU (%d repaired); lease expiries: %d; degraded server-ticks: %d; restarts: %d\n",
 			res.Stats.Failures, res.Stats.Repairs,
 			res.Stats.PMUFailures, res.Stats.PMURepairs,
@@ -191,26 +194,4 @@ func loadSpec(fs *flag.FlagSet, spec *server.Spec, path string) error {
 		}
 	}
 	return nil
-}
-
-// planLine summarizes the fault plans Build folded into cfg ("" when
-// the spec has no chaos). cfg holds the sensor windows of -chaos and
-// -sensor-chaos together; building without -sensor-chaos counts the
-// first.
-func planLine(spec server.Spec, cfg cluster.Config) string {
-	if spec.Chaos == "" && spec.SensorChaos == "" {
-		return ""
-	}
-	machine := spec
-	machine.SensorChaos = ""
-	mcfg, _ := machine.Build() // cannot fail: spec itself built
-	var parts []string
-	if spec.Chaos != "" {
-		parts = append(parts, fmt.Sprintf("chaos plan: %d server failures, %d PMU failures, %d loss windows, %d sensor faults",
-			len(cfg.Faults.ServerFailures), len(cfg.Faults.PMUFailures), len(cfg.Faults.LossWindows), len(mcfg.Faults.SensorFaults)))
-	}
-	if spec.SensorChaos != "" {
-		parts = append(parts, fmt.Sprintf("sensor plan: %d fault windows", len(cfg.Faults.SensorFaults)-len(mcfg.Faults.SensorFaults)))
-	}
-	return strings.Join(parts, "; ")
 }

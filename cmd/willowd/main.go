@@ -17,7 +17,9 @@
 // at exactly the primary's last proven tick boundary.
 //
 // The scenario flags (-util, -fanout, -supply, -chaos, ...) are
-// server.Spec's, shared with willow-sim.
+// server.Spec's, shared with willow-sim. -chaos takes one fault spec
+// for machine and sensor faults alike (chaos.ParseSpec), at boot as
+// in the body of a live POST /v1/chaos.
 //
 // SIGTERM/SIGINT drain gracefully: the tick loop stops at a boundary,
 // open event streams terminate, sinks flush, and a final snapshot is

@@ -119,11 +119,6 @@ type Plan struct {
 	SensorFaults   []SensorFault
 }
 
-// Events returns the total number of scheduled fault events.
-func (p Plan) Events() int {
-	return len(p.ServerFailures) + len(p.PMUFailures) + len(p.LossWindows) + len(p.SensorFaults)
-}
-
 // Validate checks the schedule's fields for expandability.
 func (s Schedule) Validate() error {
 	switch {
@@ -131,19 +126,16 @@ func (s Schedule) Validate() error {
 		return fmt.Errorf("chaos: ticks %d must be positive", s.Ticks)
 	case s.Servers < 0:
 		return fmt.Errorf("chaos: negative server count %d", s.Servers)
-	case s.ServerMTBF < 0 || s.ServerMTTR < 0 || s.PMUMTBF < 0 || s.PMUMTTR < 0 ||
-		s.BurstEvery < 0 || s.BurstMTTR < 0 || s.LossEvery < 0 || s.LossTicks < 0 ||
-		s.SensorMTBF < 0 || s.SensorMTTR < 0:
-		return fmt.Errorf("chaos: negative rate in schedule %+v", s)
-	case s.SensorNoise < 0 || s.SensorBias < 0 || s.SensorDrift < 0 ||
-		s.SensorStuck < 0 || s.SensorDropout < 0:
-		return fmt.Errorf("chaos: negative sensor-fault parameter in schedule %+v", s)
-	case !finite(s.SensorNoise) || !finite(s.SensorBias) || !finite(s.SensorDrift) ||
-		!finite(s.SensorStuck) || !finite(s.SensorDropout):
-		return fmt.Errorf("chaos: non-finite sensor-fault parameter in schedule %+v", s)
-	case s.ReportLoss < 0 || s.ReportLoss >= 1:
+	}
+	for _, key := range sortedNames(specKeys) {
+		if v := *specKeys[key](&s); !nonNegativeFinite(v) {
+			return fmt.Errorf("chaos: %s %v must be non-negative and finite", key, v)
+		}
+	}
+	switch {
+	case s.ReportLoss >= 1:
 		return fmt.Errorf("chaos: report loss %v outside [0, 1)", s.ReportLoss)
-	case s.BudgetLoss < 0 || s.BudgetLoss >= 1:
+	case s.BudgetLoss >= 1:
 		return fmt.Errorf("chaos: budget loss %v outside [0, 1)", s.BudgetLoss)
 	}
 	for _, id := range s.PMUs {
@@ -194,12 +186,11 @@ func (s Schedule) Expand(seed uint64) (Plan, error) {
 	if s.BurstEvery > 0 && len(s.Racks) > 0 {
 		t := 0
 		for {
-			t += atLeast(burstSrc.Exponential(s.BurstEvery), 1)
-			if t >= s.Ticks {
+			if t = after(t, burstSrc.Exponential(s.BurstEvery), s.Ticks); t >= s.Ticks {
 				break
 			}
 			rack := s.Racks[burstSrc.Intn(len(s.Racks))]
-			repair := clampTick(t+atLeast(expo(burstSrc, s.BurstMTTR), 1), s.Ticks)
+			repair := after(t, expo(burstSrc, s.BurstMTTR), s.Ticks)
 			for _, srv := range rack {
 				plan.ServerFailures = append(plan.ServerFailures,
 					ServerFailure{Server: srv, Tick: t, RepairTick: repair})
@@ -209,11 +200,10 @@ func (s Schedule) Expand(seed uint64) (Plan, error) {
 	if s.LossEvery > 0 && (s.ReportLoss > 0 || s.BudgetLoss > 0) {
 		t := 0
 		for {
-			t += atLeast(lossSrc.Exponential(s.LossEvery), 1)
-			if t >= s.Ticks {
+			if t = after(t, lossSrc.Exponential(s.LossEvery), s.Ticks); t >= s.Ticks {
 				break
 			}
-			end := clampTick(t+atLeast(expo(lossSrc, s.LossTicks), 1), s.Ticks)
+			end := after(t, expo(lossSrc, s.LossTicks), s.Ticks)
 			plan.LossWindows = append(plan.LossWindows, LossWindow{
 				Start: t, End: end,
 				ReportLoss: s.ReportLoss, BudgetLoss: s.BudgetLoss,
@@ -316,9 +306,10 @@ func signed(src *dist.Source, mag float64) float64 {
 	return mag
 }
 
-// finite reports whether v is a finite float.
-func finite(v float64) bool {
-	return !math.IsNaN(v) && !math.IsInf(v, 0)
+// nonNegativeFinite reports whether v is a finite float of at least
+// zero; NaN, which fails every comparison, fails it.
+func nonNegativeFinite(v float64) bool {
+	return v >= 0 && v <= math.MaxFloat64
 }
 
 // renewal generates the alternating up/down process of one component:
@@ -328,18 +319,17 @@ func renewal(src *dist.Source, ticks int, mtbf, mttr float64) [][2]int {
 	var events [][2]int
 	t := 0
 	for {
-		t += atLeast(expo(src, mtbf), 1)
-		if t >= ticks {
+		if t = after(t, expo(src, mtbf), ticks); t >= ticks {
 			return events
 		}
-		repair := clampTick(t+atLeast(expo(src, mttr), 1), ticks)
+		repair := after(t, expo(src, mttr), ticks)
 		events = append(events, [2]int{t, repair})
 		t = repair
 	}
 }
 
 // expo draws an exponential tick count; a non-positive mean yields 0
-// (the caller's atLeast floor then applies).
+// (after's one-tick floor then applies).
 func expo(src *dist.Source, mean float64) float64 {
 	if mean <= 0 {
 		return 0
@@ -347,21 +337,15 @@ func expo(src *dist.Source, mean float64) float64 {
 	return src.Exponential(mean)
 }
 
-// atLeast rounds v down to a tick count of at least lo (renewal
-// processes must advance or they would loop forever).
-func atLeast(v float64, lo int) int {
-	n := int(v)
-	if n < lo {
-		return lo
-	}
-	return n
-}
-
-// clampTick caps a tick at the horizon; a repair clamped to Ticks never
-// fires, modeling "still down when the run ends".
-func clampTick(t, ticks int) int {
-	if t > ticks {
+// after returns tick t advanced by a draw of d ticks, rounded down and
+// at least one (renewal processes must advance or they would loop
+// forever), capped at the horizon: an event or repair capped to ticks
+// never fires, modeling "still down when the run ends". The cap is
+// taken as a float before the conversion, so a draw past the int range
+// ends its process rather than wrapping.
+func after(t int, d float64, ticks int) int {
+	if d >= float64(ticks-t) {
 		return ticks
 	}
-	return t
+	return t + max(int(d), 1)
 }

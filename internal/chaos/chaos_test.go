@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"math"
 	"reflect"
 	"testing"
 )
@@ -35,7 +36,7 @@ func TestExpandDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same seed expanded to different plans")
 	}
-	if a.Events() == 0 {
+	if reflect.DeepEqual(a, Plan{}) {
 		t.Fatal("heavy schedule expanded to an empty plan")
 	}
 	c, err := s.Expand(8)
@@ -108,8 +109,8 @@ func TestExpandDisabledProcesses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Events() != 0 {
-		t.Fatalf("all processes disabled, got %d events", p.Events())
+	if !reflect.DeepEqual(p, Plan{}) {
+		t.Fatalf("all processes disabled, got %+v", p)
 	}
 }
 
@@ -122,6 +123,11 @@ func TestValidateRejects(t *testing.T) {
 		{Ticks: 100, BudgetLoss: -0.1},
 		{Ticks: 100, Servers: 2, Racks: [][]int{{0, 2}}},
 		{Ticks: 100, PMUs: []int{-3}},
+		{Ticks: 100, ServerMTBF: math.NaN()},
+		{Ticks: 100, LossEvery: math.Inf(1)},
+		{Ticks: 100, SensorMTTR: math.Inf(1)},
+		{Ticks: 100, SensorBias: math.Inf(-1)},
+		{Ticks: 100, ReportLoss: math.NaN()},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -164,6 +170,83 @@ func TestParseSpec(t *testing.T) {
 	}
 }
 
+// TestParseSpecPresetsAndOverrides pins each sensor-* preset's values,
+// overrides with spaces around them, and the composition of one machine
+// preset with one sensor-* preset, in either order, to the union of
+// their fields.
+func TestParseSpecPresetsAndOverrides(t *testing.T) {
+	sensorMedium := Schedule{
+		SensorMTBF: 220, SensorMTTR: 80,
+		SensorNoise: 2, SensorBias: 5, SensorDrift: 0.3,
+		SensorStuck: 1,
+	}
+	mediumUnion := sensorMedium
+	mediumUnion.ServerMTBF, mediumUnion.ServerMTTR = 300, 30
+	mediumUnion.PMUMTBF, mediumUnion.PMUMTTR = 900, 50
+	mediumUnion.BurstEvery, mediumUnion.BurstMTTR = 1500, 40
+	mediumUnion.LossEvery, mediumUnion.LossTicks = 800, 60
+	mediumUnion.ReportLoss, mediumUnion.BudgetLoss = 0.2, 0.2
+	overridden := sensorMedium
+	overridden.SensorNoise, overridden.SensorMTTR = 3, 99
+	for _, tc := range []struct {
+		spec string
+		want Schedule
+	}{
+		{"sensor-light", Schedule{
+			SensorMTBF: 400, SensorMTTR: 50,
+			SensorNoise: 1.5, SensorBias: 4,
+		}},
+		{"sensor-medium", sensorMedium},
+		{"sensor-heavy", Schedule{
+			SensorMTBF: 120, SensorMTTR: 120,
+			SensorNoise: 2.5, SensorBias: 8, SensorDrift: 0.5,
+			SensorStuck: 1, SensorDropout: 1,
+		}},
+		{"sensor-medium,sensor-noise=3, sensor-mttr = 99 ", overridden},
+		{"sensor-light,sensor-dropout=1", Schedule{
+			SensorMTBF: 400, SensorMTTR: 50,
+			SensorNoise: 1.5, SensorBias: 4, SensorDropout: 1,
+		}},
+		{"medium,sensor-medium", mediumUnion},
+		{" sensor-medium , medium", mediumUnion},
+	} {
+		got, err := ParseSpec(tc.spec)
+		if err != nil {
+			t.Errorf("ParseSpec(%q): %v", tc.spec, err)
+			continue
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("ParseSpec(%q) = %+v, want %+v", tc.spec, got, tc.want)
+		}
+	}
+}
+
+func TestParseSpecRejects(t *testing.T) {
+	for _, bad := range []string{
+		"bogus",                        // unknown preset
+		"sensor-noise=1,sensor-light",  // preset after an override
+		"server-mtbf=100,light",        // preset after an override
+		"sensor-noise=x",               // unparsable value
+		"sensor-noise=-1",              // negative
+		"sensor-noise=NaN",             // non-finite
+		"sensor-noise=+Inf",            // non-finite
+		"server-mtbf=NaN",              // non-finite
+		"server-mtbf=Inf",              // non-finite
+		"loss-ticks=-Inf",              // non-finite
+		"sensor-mtbf=1e999",            // overflows to +Inf
+		"sensor-light,sensor-noise=-2", // negative override
+		"frobnicate=1",                 // unknown key
+		"noise=1",                      // a sensor key without its prefix
+		"light,heavy",                  // two machine presets
+		"sensor-light,sensor-heavy",    // two sensor-* presets
+		"light,sensor-light,medium",    // a third preset
+	} {
+		if s, err := ParseSpec(bad); err == nil {
+			t.Errorf("ParseSpec(%q) accepted as %+v, want error", bad, s)
+		}
+	}
+}
+
 // FuzzChaosSchedule asserts the expansion contract over arbitrary
 // specs and seeds: parseable schedules always expand without error,
 // every emitted event stays within the topology and horizon, and the
@@ -172,6 +255,13 @@ func FuzzChaosSchedule(f *testing.F) {
 	f.Add("medium", uint64(1), 400, 18)
 	f.Add("heavy,loss-ticks=5", uint64(99), 900, 9)
 	f.Add("server-mtbf=20,server-mttr=3", uint64(7), 150, 4)
+	f.Add("sensor-heavy", uint64(3), 400, 18)
+	f.Add("sensor-light,sensor-noise=2.5", uint64(3), 400, 18)
+	f.Add("sensor-mtbf=120,sensor-mttr=80,sensor-bias=6,sensor-stuck=1,sensor-dropout=2", uint64(5), 300, 12)
+	f.Add(" , ,sensor-noise=0", uint64(1), 100, 2)
+	f.Add("sensor-noise==1", uint64(1), 100, 2)
+	f.Add("=,=", uint64(1), 100, 2)
+	f.Add("server-mtbf=1e300,server-mttr=5", uint64(7), 400, 18)
 	f.Fuzz(func(t *testing.T, spec string, seed uint64, ticks, servers int) {
 		s, err := ParseSpec(spec)
 		if err != nil {

@@ -11,53 +11,68 @@ import (
 // a Schedule; the topology fields (Ticks, Servers, PMUs, Racks) are the
 // caller's to fill (see cluster.ChaosTopology).
 //
-// A spec is a comma-separated list whose first element may be a preset
-// — "light", "medium" or "heavy", or their sensor-fault counterparts
-// "sensor-light", "sensor-medium" and "sensor-heavy" — followed by
-// key=value overrides:
+// A spec is a comma-separated list that may open with up to two
+// presets — one machine-fault preset, "light", "medium" or "heavy",
+// and one sensor-fault preset, "sensor-light", "sensor-medium" or
+// "sensor-heavy" — followed by key=value overrides:
 //
 //	light
 //	medium,pmu-mtbf=400
 //	server-mtbf=250,server-mttr=20,loss-every=500,report-loss=0.3
+//	medium,sensor-medium
+//	sensor-light,sensor-dropout=1
 //	heavy,sensor-mtbf=150,sensor-bias=6
 //
 // Keys (all means in ticks): server-mtbf, server-mttr, pmu-mtbf,
 // pmu-mttr, burst-every, burst-mttr, loss-every, loss-ticks,
 // report-loss, budget-loss, sensor-mtbf, sensor-mttr, sensor-noise,
-// sensor-bias, sensor-drift, sensor-stuck, sensor-dropout.
+// sensor-bias, sensor-drift, sensor-stuck, sensor-dropout. Values must
+// be non-negative and finite.
 func ParseSpec(spec string) (Schedule, error) {
 	var s Schedule
-	fields := strings.Split(spec, ",")
-	for i, f := range fields {
+	presetOf := map[bool]string{} // by kind: is it a sensor-* preset
+	overridden := false
+	for _, f := range strings.Split(spec, ",") {
 		f = strings.TrimSpace(f)
 		if f == "" {
 			continue
 		}
-		if !strings.Contains(f, "=") {
-			if i != 0 {
-				return s, fmt.Errorf("chaos: preset %q must come first in spec %q", f, spec)
-			}
+		key, val, isKV := strings.Cut(f, "=")
+		if !isKV {
 			preset, ok := presets[f]
 			if !ok {
 				return s, fmt.Errorf("chaos: unknown preset %q (valid presets: %s)", f, strings.Join(Names(), ", "))
 			}
-			s = preset
+			if overridden {
+				return s, fmt.Errorf("chaos: preset %q must come before the overrides in spec %q", f, spec)
+			}
+			kind := strings.HasPrefix(f, "sensor-")
+			if presetOf[kind] != "" {
+				return s, fmt.Errorf("chaos: presets %q and %q are of one kind in spec %q", presetOf[kind], f, spec)
+			}
+			presetOf[kind] = f
+			// The two kinds set disjoint fields, so both compose.
+			for _, field := range specKeys {
+				if v := *field(&preset); v != 0 {
+					*field(&s) = v
+				}
+			}
 			continue
 		}
-		key, val, _ := strings.Cut(f, "=")
 		key = strings.TrimSpace(key)
 		v, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
 		if err != nil {
 			return s, fmt.Errorf("chaos: bad value in %q: %v", f, err)
 		}
-		if v < 0 {
-			return s, fmt.Errorf("chaos: negative value in %q", f)
+		if !nonNegativeFinite(v) {
+			return s, fmt.Errorf("chaos: value in %q must be non-negative and finite", f)
 		}
 		field, ok := specKeys[key]
 		if !ok {
 			return s, fmt.Errorf("chaos: unknown key %q in spec %q", key, spec)
 		}
 		*field(&s) = v
+		overridden = true
 	}
 	return s, nil
 }
@@ -83,10 +98,9 @@ var presets = map[string]Schedule{
 		LossEvery: 400, LossTicks: 80,
 		ReportLoss: 0.35, BudgetLoss: 0.35,
 	},
-	// The sensor-* presets corrupt only telemetry (sensor.Presets rates):
-	// hardware and control links stay up, instruments lie. Compose with
-	// the machine-fault presets via overrides, e.g.
-	// "medium,sensor-mtbf=220,sensor-bias=5".
+	// The sensor-* presets corrupt only telemetry: hardware and control
+	// links stay up, instruments lie. Each composes with one machine
+	// preset, e.g. "medium,sensor-medium".
 	"sensor-light": {
 		SensorMTBF: 400, SensorMTTR: 50,
 		SensorNoise: 1.5, SensorBias: 4,
@@ -105,9 +119,12 @@ var presets = map[string]Schedule{
 
 // Names returns the valid preset names, sorted — the list surfaced by
 // unknown-preset errors and the CLIs' usage text.
-func Names() []string {
-	names := make([]string, 0, len(presets))
-	for n := range presets {
+func Names() []string { return sortedNames(presets) }
+
+// sortedNames returns m's keys in ascending order.
+func sortedNames[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for n := range m {
 		names = append(names, n)
 	}
 	sort.Strings(names)

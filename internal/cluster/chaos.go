@@ -5,7 +5,7 @@ package cluster
 
 import (
 	"willow/internal/chaos"
-	"willow/internal/sensor"
+	"willow/internal/core"
 	"willow/internal/topo"
 )
 
@@ -36,55 +36,39 @@ func ChaosTopology(fanout []int) (servers int, pmus []int, racks [][]int, err er
 }
 
 // ApplyPlan folds an expanded chaos plan into the run configuration,
-// appending to any fault events already present.
+// appending to any fault events already present, and arms the robust
+// estimator (ArmSensing) when the plan injects sensor faults, unless
+// cfg asks for the naive baseline: a sensor chaos run with a blindly
+// trusting controller is never what a chaos experiment means to measure
+// unless it says so.
 func ApplyPlan(cfg *Config, plan chaos.Plan) {
 	f := &cfg.Faults
 	f.ServerFailures = append(f.ServerFailures, plan.ServerFailures...)
 	f.PMUFailures = append(f.PMUFailures, plan.PMUFailures...)
 	f.LossWindows = append(f.LossWindows, plan.LossWindows...)
 	f.SensorFaults = append(f.SensorFaults, plan.SensorFaults...)
-	armSensing(cfg, plan)
+	if len(plan.SensorFaults) > 0 && !cfg.NaiveSensing {
+		ArmSensing(&cfg.Core)
+	}
 }
 
-// armSensing turns on the Core robust-estimation knobs when a plan
-// injects sensor faults and the caller has neither configured the
-// estimator nor asked for the naive (estimator-off) baseline. A sensor
-// chaos run with a blindly trusting controller is never what a chaos
-// experiment means to measure unless it says so.
-func armSensing(cfg *Config, plan chaos.Plan) {
-	if len(plan.SensorFaults) == 0 || cfg.NaiveSensing {
-		return
-	}
-	c := &cfg.Core
+// ArmSensing turns on the Core robust temperature estimator at its
+// default knobs — window 5, gate 3 °C, 3 trips, guard 2 °C — unless c
+// already configures it.
+func ArmSensing(c *core.Config) {
 	if c.SensorWindow > 0 || c.SensorGate > 0 || c.SensorTrips > 0 || c.SensorGuard > 0 {
 		return
 	}
-	c.SensorWindow = 5
-	c.SensorGate = 3
-	c.SensorTrips = 3
-	c.SensorGuard = 2
+	c.SensorWindow, c.SensorGate, c.SensorTrips, c.SensorGuard = 5, 3, 3, 2
 }
 
-// ExpandChaos is the one spec → plan path. It parses spec, a chaos
-// spec (chaos.ParseSpec) or, with sensorOnly, a sensor-fault spec
-// (sensor.ParseSpec) that corrupts telemetry only, and expands it
-// deterministically for seed over ticks ticks of fanout's topology.
-// ApplyChaos and ApplySensorChaos fold its plan into a Config; the
-// daemon injects it live over the remaining horizon.
-func ExpandChaos(spec string, sensorOnly bool, fanout []int, ticks int, seed uint64) (chaos.Plan, error) {
-	var sched chaos.Schedule
-	var err error
-	if sensorOnly {
-		var sp sensor.Spec
-		if sp, err = sensor.ParseSpec(spec); err != nil {
-			return chaos.Plan{}, err
-		}
-		sched = chaos.Schedule{
-			SensorMTBF: sp.MTBF, SensorMTTR: sp.MTTR,
-			SensorNoise: sp.Noise, SensorBias: sp.Bias, SensorDrift: sp.Drift,
-			SensorStuck: sp.Stuck, SensorDropout: sp.Dropout,
-		}
-	} else if sched, err = chaos.ParseSpec(spec); err != nil {
+// ExpandChaos is the one spec → plan path: it parses spec
+// (chaos.ParseSpec) and expands it deterministically for seed over
+// ticks ticks of fanout's topology. ApplyChaos folds its plan into a
+// Config; the daemon injects it live over the remaining horizon.
+func ExpandChaos(spec string, fanout []int, ticks int, seed uint64) (chaos.Plan, error) {
+	sched, err := chaos.ParseSpec(spec)
+	if err != nil {
 		return chaos.Plan{}, err
 	}
 	sched.Ticks = ticks
@@ -96,37 +80,25 @@ func ExpandChaos(spec string, sensorOnly bool, fanout []int, ticks int, seed uin
 
 // ApplyChaos parses a chaos spec (see chaos.ParseSpec), expands it
 // deterministically for the given seed against cfg's topology and
-// horizon, and folds the plan into cfg. It also arms budget leases
-// when the Core config has none: a chaos run without leases would ride
-// stale budgets forever, which is never what a chaos experiment means
-// to measure. It returns the expanded plan for reporting.
+// horizon, and folds the plan into cfg (ApplyPlan). When the plan
+// crashes servers or PMUs or drops control messages, it also arms
+// budget leases of 2·η1 ticks if the Core config has none: a chaos run
+// without leases would ride stale budgets forever, which is never what
+// a chaos experiment means to measure. A plan of sensor faults alone
+// leaves leases as they are. It returns the expanded plan for
+// reporting.
 func ApplyChaos(cfg *Config, spec string, seed uint64) (chaos.Plan, error) {
-	plan, err := ExpandChaos(spec, false, cfg.Fanout, cfg.Ticks, seed)
+	plan, err := ExpandChaos(spec, cfg.Fanout, cfg.Ticks, seed)
 	if err != nil {
 		return chaos.Plan{}, err
 	}
-	if cfg.Core.BudgetLeaseTicks == 0 {
+	machine := len(plan.ServerFailures) > 0 || len(plan.PMUFailures) > 0 || len(plan.LossWindows) > 0
+	if machine && cfg.Core.BudgetLeaseTicks == 0 {
 		eta1 := cfg.Core.Eta1
 		if eta1 == 0 {
-			eta1 = 4 // core.Defaults
+			eta1 = core.Defaults().Eta1
 		}
 		cfg.Core.BudgetLeaseTicks = 2 * eta1
-	}
-	ApplyPlan(cfg, plan)
-	return plan, nil
-}
-
-// ApplySensorChaos parses a sensor-fault spec (see sensor.ParseSpec),
-// expands it deterministically for the given seed against cfg's topology
-// and horizon, and folds the resulting sensor-fault windows into cfg.
-// Unlike ApplyChaos it injects no server/PMU/network faults: the spec
-// corrupts only telemetry, which is exactly what a sensing-robustness
-// experiment wants to isolate. It returns the expanded plan for
-// reporting.
-func ApplySensorChaos(cfg *Config, spec string, seed uint64) (chaos.Plan, error) {
-	plan, err := ExpandChaos(spec, true, cfg.Fanout, cfg.Ticks, seed)
-	if err != nil {
-		return chaos.Plan{}, err
 	}
 	ApplyPlan(cfg, plan)
 	return plan, nil

@@ -95,10 +95,10 @@ type Config struct {
 	// independent of the simulation's own streams, so naive and
 	// estimator-armed runs of the same plan see identical corrupted
 	// readings. Typically expanded from a seeded chaos schedule
-	// (ApplyChaos, ApplySensorChaos).
+	// (ApplyChaos).
 	Faults chaos.Plan
-	// NaiveSensing keeps the robust estimator disarmed when a chaos
-	// helper folds sensor faults into this config: the controller
+	// NaiveSensing keeps the robust estimator disarmed when ApplyPlan
+	// folds sensor faults into this config: the controller
 	// trusts raw readings. It is the estimator-off baseline of the
 	// sensing-robustness experiment and changes nothing else.
 	NaiveSensing bool

@@ -76,7 +76,7 @@ func goldenConfigs(t *testing.T) map[string]Config {
 		out["chaos-"+preset] = cfg
 
 		cfg = shortConfig(0.7)
-		if _, err := ApplySensorChaos(&cfg, preset, 42); err != nil {
+		if _, err := ApplyChaos(&cfg, "sensor-"+preset, 42); err != nil {
 			t.Fatal(err)
 		}
 		out["sensor-"+preset] = cfg
@@ -136,7 +136,7 @@ func goldenConfigs(t *testing.T) map[string]Config {
 	for _, pol := range []string{"integral", "mpc"} {
 		cfg := shortConfig(0.7)
 		cfg.Policy = pol
-		if _, err := ApplySensorChaos(&cfg, "medium", 42); err != nil {
+		if _, err := ApplyChaos(&cfg, "sensor-medium", 42); err != nil {
 			t.Fatal(err)
 		}
 		out["policy-"+pol] = cfg

@@ -60,7 +60,7 @@ func TestPolicyShardInvariance(t *testing.T) {
 					base.Core.SensorGate = 3
 					base.Core.SensorTrips = 3
 					base.Core.SensorGuard = 2
-					plan, err := ApplySensorChaos(&base, "medium", 42)
+					plan, err := ApplyChaos(&base, "sensor-medium", 42)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -57,7 +57,7 @@ func TestShardInvariance(t *testing.T) {
 		name   string
 		fanout []int
 		noise  float64
-		sensor string    // ApplySensorChaos preset; empty attaches no sensors
+		sensor string    // sensor-* chaos spec; empty attaches no sensors
 		window int       // Core.SensorWindow; non-zero arms the estimator
 		util   float64   // non-zero overrides the fleet's utilization
 		supply []float64 // supply trace as fractions of rated; nil is 85 % constant
@@ -65,8 +65,8 @@ func TestShardInvariance(t *testing.T) {
 	}{
 		{"10k-quiet", []int{10, 10, 10, 10}, -1, "", 0, 0, nil, 0},
 		{"1k-noisy", []int{10, 10, 10}, 25, "", 0, 0, nil, 0},
-		{"1k-sensed", []int{10, 10, 10}, -1, "medium", 0, 0, nil, 0},
-		{"1k-sensed-estimator", []int{10, 10, 10}, -1, "medium", 5, 0, nil, 0},
+		{"1k-sensed", []int{10, 10, 10}, -1, "sensor-medium", 0, 0, nil, 0},
+		{"1k-sensed-estimator", []int{10, 10, 10}, -1, "sensor-medium", 5, 0, nil, 0},
 		{"1k-consolidating", []int{10, 10, 10}, -1, "", 0, 0.15, nil, 0},
 		{"1k-deficit-estimator", []int{10, 10, 10}, 25, "", 5, 0, deficitSteps, 8},
 	}
@@ -93,7 +93,7 @@ func TestShardInvariance(t *testing.T) {
 			base.Warmup = 8
 			base.Ticks = 24
 			if tc.sensor != "" {
-				plan, err := ApplySensorChaos(&base, tc.sensor, 42)
+				plan, err := ApplyChaos(&base, tc.sensor, 42)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -138,7 +138,7 @@ func TestShardInvariance(t *testing.T) {
 		base.Warmup = 8
 		base.Ticks = 24
 		const at = 14
-		plan, err := ExpandChaos("medium", true, base.Fanout, base.Ticks-at, 42)
+		plan, err := ExpandChaos("sensor-medium", base.Fanout, base.Ticks-at, 42)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,17 +8,17 @@ import (
 )
 
 // TestSensorSmoke is the acceptance gate for sensor-fault tolerance:
-// under the heavy sensor-chaos preset the robust estimator holds the
+// under the sensor-heavy chaos preset the robust estimator holds the
 // *true* temperature cap with zero violations, while the naive
 // controller — trusting the very same corrupted readings — violates
 // it. Identical fault plans (same seed, same private sensor streams)
 // make the comparison an estimator ablation, nothing else.
 func TestSensorSmoke(t *testing.T) {
-	const spec = "heavy"
+	const spec = "sensor-heavy"
 	run := func(naive bool) (*Result, int) {
 		cfg := shortConfig(0.7)
 		cfg.NaiveSensing = naive
-		plan, err := ApplySensorChaos(&cfg, spec, 42)
+		plan, err := ApplyChaos(&cfg, spec, 42)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func TestSensorSmoke(t *testing.T) {
 		robust2.MaxObsTemp != robust.MaxObsTemp ||
 		robust2.Stats.SensorRejected != robust.Stats.SensorRejected ||
 		robust2.Stats.SensorGuardTicks != robust.Stats.SensorGuardTicks {
-		t.Error("same sensor-chaos seed produced different runs")
+		t.Error("same sensor chaos seed produced different runs")
 	}
 }
 

@@ -98,10 +98,7 @@ func runBakeoff(opts Options) (*Result, error) {
 		cfg := cluster.PaperConfig(0.7)
 		shortenFor(opts)(&cfg)
 		cfg.Policy = pol
-		if _, err := cluster.ApplyChaos(&cfg, "medium", chaosSeed); err != nil {
-			return nil, err
-		}
-		if _, err := cluster.ApplySensorChaos(&cfg, "medium", chaosSeed); err != nil {
+		if _, err := cluster.ApplyChaos(&cfg, "medium,sensor-medium", chaosSeed); err != nil {
 			return nil, err
 		}
 		r, cells, err := bakeoffRow(cfg)
@@ -109,7 +106,7 @@ func runBakeoff(opts Options) (*Result, error) {
 			return nil, err
 		}
 		if pol != "willow" && r.LimitViolationTicks > 0 {
-			return nil, fmt.Errorf("bakeoff: policy %q violated the true thermal limit for %d server-ticks (max %.1f °C) under the sensor-chaos plan",
+			return nil, fmt.Errorf("bakeoff: policy %q violated the true thermal limit for %d server-ticks (max %.1f °C) under the sensor-fault plan",
 				pol, r.LimitViolationTicks, r.MaxTemp)
 		}
 		tb.AddRow(append([]string{pol}, cells...)...)

@@ -13,7 +13,7 @@ import (
 // safety assertion; the explicit column check below keeps the table
 // honest too.
 func TestBakeoffSmoke(t *testing.T) {
-	res, err := Run("bakeoff", Options{Quick: true})
+	res, err := registry["bakeoff"].Run(Options{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,11 +38,11 @@ func TestBakeoffSmoke(t *testing.T) {
 // anything observable.
 func TestBakeoffDeterminism(t *testing.T) {
 	opts := Options{Quick: true}
-	a, err := Run("bakeoff", opts)
+	a, err := registry["bakeoff"].Run(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run("bakeoff", opts)
+	b, err := registry["bakeoff"].Run(opts)
 	if err != nil {
 		t.Fatal(err)
 	}

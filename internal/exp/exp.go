@@ -47,17 +47,13 @@ type Options struct {
 	EventSinks func(id string, replication int) (telemetry.Sink, error)
 	// ChaosSpec, when non-empty, is a chaos schedule specification
 	// (chaos.ParseSpec) for the experiments that inject faults — the
-	// resilience experiment swaps its default intensity sweep for this
-	// one spec. ChaosSeed seeds the schedule expansion (0 takes a fixed
-	// default); it is deliberately independent of Seed so replications
-	// vary the workload under an identical fault plan.
+	// resilience experiment swaps its default intensity sweep and the
+	// sensing experiment its intensity ladder for this one spec.
+	// ChaosSeed seeds the schedule expansion (0 takes a fixed default);
+	// it is deliberately independent of Seed so replications vary the
+	// workload under an identical fault plan.
 	ChaosSpec string
 	ChaosSeed uint64
-	// SensorSpec, when non-empty, is a sensor-fault specification
-	// (sensor.ParseSpec) — the sensing experiment swaps its default
-	// intensity ladder for this one spec. Expansion is seeded by
-	// ChaosSeed, like ChaosSpec.
-	SensorSpec string
 	// PolicySpec, when non-empty, is a controller-policy specification
 	// (policy.ParseSpec) applied to every simulation an experiment
 	// runs — "" and "willow" are byte-identical. The bake-off family
@@ -135,13 +131,4 @@ func IDs() []string {
 	}
 	sort.Strings(ids)
 	return ids
-}
-
-// Run executes the experiment with the given ID.
-func Run(id string, opts Options) (*Result, error) {
-	e, err := Get(id)
-	if err != nil {
-		return nil, err
-	}
-	return e.Run(opts)
 }

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -12,7 +13,7 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel() // doubles as a race-detector stress of the fan-out path
-			res, err := Run(id, Options{Quick: true})
+			res, err := registry[id].Run(Options{Quick: true})
 			if err != nil {
 				t.Fatalf("%s: %v", id, err)
 			}
@@ -58,6 +59,30 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
+// TestSensingChaosSpec: Options.ChaosSpec replaces the sensing
+// experiment's intensity ladder with one naive and one robust row over
+// the same sensor faults.
+func TestSensingChaosSpec(t *testing.T) {
+	res, err := registry["sensing"].Run(Options{Quick: true, ChaosSpec: "sensor-light,sensor-dropout=1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, row := range res.Table.Rows {
+		names = append(names, row[0])
+	}
+	if want := []string{"clean", "custom/naive", "custom/robust"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("rows %v, want %v", names, want)
+	}
+	naive, robust := res.Table.Rows[1], res.Table.Rows[2]
+	if naive[1] == "0" || naive[1] != robust[1] {
+		t.Errorf("fault counts %s (naive) and %s (robust), want one non-zero count", naive[1], robust[1])
+	}
+	if naive[2] != "0" || robust[2] == "0" {
+		t.Errorf("rejected readings %s (naive) and %s (robust), want only the robust run to reject", naive[2], robust[2])
+	}
+}
+
 func TestGetUnknown(t *testing.T) {
 	_, err := Get("nope")
 	if err == nil {
@@ -69,9 +94,6 @@ func TestGetUnknown(t *testing.T) {
 		t.Errorf("error %q does not name the unknown id", msg)
 	} else if !strings.Contains(msg, "fig5") || !strings.Contains(msg, "table3") {
 		t.Errorf("error %q does not list the known ids", msg)
-	}
-	if _, err := Run("nope", Options{}); err == nil {
-		t.Error("Run with unknown id succeeded")
 	}
 }
 

@@ -40,7 +40,11 @@ func captureExperiment(t *testing.T, id string) goldenEntry {
 	t.Helper()
 	var stream bytes.Buffer
 	w := telemetry.NewWriter(&stream)
-	res, err := Run(id, Options{Quick: true, EventSink: w})
+	e, err := Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run(Options{Quick: true, EventSink: w})
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}

@@ -27,7 +27,7 @@ func runSequential(t *testing.T, opts Options) []*Result {
 	t.Helper()
 	out := make([]*Result, 0, len(IDs()))
 	for _, id := range IDs() {
-		res, err := Run(id, opts)
+		res, err := registry[id].Run(opts)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -152,7 +152,7 @@ func TestReplicationSeedOverride(t *testing.T) {
 	if run(42, 3) == run(43, 3) {
 		t.Error("different Seed produced identical replicated output")
 	}
-	seq, err := Run("fig9", Options{Quick: true, Seed: 7})
+	seq, err := registry["fig9"].Run(Options{Quick: true, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestRunManyAggregatesReplications(t *testing.T) {
 	if !hasMean || !hasCI {
 		t.Errorf("aggregate columns %v lack mean/CI pair", tb.Columns)
 	}
-	single, err := Run("fig9", Options{Quick: true})
+	single, err := registry["fig9"].Run(Options{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}

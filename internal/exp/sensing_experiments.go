@@ -5,7 +5,6 @@ import (
 
 	"willow/internal/cluster"
 	"willow/internal/metrics"
-	"willow/internal/telemetry"
 )
 
 func init() {
@@ -14,7 +13,7 @@ func init() {
 
 // runSensing measures what the robust temperature estimator buys when
 // instruments lie. Each fault intensity runs twice against an identical
-// seeded sensor-fault plan (cluster.ApplySensorChaos): once naive —
+// seeded sensor-fault plan (cluster.ApplyChaos): once naive —
 // the controller trusts every reading, so a sensor stuck cold while the
 // server heats walks the Eq. 3 cap up and the *physical* temperature
 // through the limit — and once with the estimator armed, whose
@@ -23,7 +22,7 @@ func init() {
 // violations at the price of guard-band conservatism. A clean run
 // anchors both against the fault-free baseline.
 //
-// With Options.SensorSpec set the intensity ladder is replaced by that
+// With Options.ChaosSpec set the intensity ladder is replaced by that
 // one spec (still naive vs robust).
 func runSensing(opts Options) (*Result, error) {
 	type variant struct {
@@ -33,23 +32,23 @@ func runSensing(opts Options) (*Result, error) {
 	}
 	variants := []variant{
 		{"clean", "", false},
-		{"light/naive", "light", true},
-		{"light/robust", "light", false},
-		{"heavy/naive", "heavy", true},
-		{"heavy/robust", "heavy", false},
+		{"light/naive", "sensor-light", true},
+		{"light/robust", "sensor-light", false},
+		{"heavy/naive", "sensor-heavy", true},
+		{"heavy/robust", "sensor-heavy", false},
 	}
 	if opts.Quick {
 		variants = []variant{
 			{"clean", "", false},
-			{"heavy/naive", "heavy", true},
-			{"heavy/robust", "heavy", false},
+			{"heavy/naive", "sensor-heavy", true},
+			{"heavy/robust", "sensor-heavy", false},
 		}
 	}
-	if opts.SensorSpec != "" {
+	if opts.ChaosSpec != "" {
 		variants = []variant{
 			{"clean", "", false},
-			{"custom/naive", opts.SensorSpec, true},
-			{"custom/robust", opts.SensorSpec, false},
+			{"custom/naive", opts.ChaosSpec, true},
+			{"custom/robust", opts.ChaosSpec, false},
 		}
 	}
 	chaosSeed := opts.ChaosSeed
@@ -69,12 +68,10 @@ func runSensing(opts Options) (*Result, error) {
 		shortenFor(opts)(&cfg)
 		cfg.NaiveSensing = v.naive
 		if v.spec != "" {
-			if _, err := cluster.ApplySensorChaos(&cfg, v.spec, chaosSeed); err != nil {
+			if _, err := cluster.ApplyChaos(&cfg, v.spec, chaosSeed); err != nil {
 				return nil, err
 			}
 		}
-		agg := &telemetry.Aggregator{Servers: 18}
-		cfg.Sink = telemetry.Multi(agg, cfg.Sink)
 		r, err := cluster.Run(cfg)
 		if err != nil {
 			return nil, err

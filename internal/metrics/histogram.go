@@ -76,12 +76,6 @@ func firstWhere(lo, hi float64, pred func(float64) bool) float64 {
 	return math.Float64frombits(a)
 }
 
-// Add records an observation with the given weight. Values below min
-// land in an underflow bucket; values beyond the top land in the last
-// bucket (their weight still counts toward quantiles as "at least the
-// top edge").
-func (h *Histogram) Add(value, weight float64) { h.AddAt(h.Index(value), value, weight) }
-
 // Index returns the bucket value falls in, -1 for the underflow bucket.
 // It reads only the bucket layout, so concurrent callers may prepare
 // indices for one histogram while a single goroutine records them with
@@ -119,7 +113,10 @@ func (h *Histogram) logIndex(value float64) int {
 }
 
 // AddAt records an observation of the given weight into bucket idx, as
-// returned by Index(value).
+// returned by Index(value). Values below min land in an underflow
+// bucket; values beyond the top land in the last bucket (their weight
+// still counts toward quantiles as "at least the top edge").
+// Non-positive weights are ignored.
 func (h *Histogram) AddAt(idx int, value, weight float64) {
 	if weight <= 0 {
 		return

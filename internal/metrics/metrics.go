@@ -65,23 +65,6 @@ func (w *Welford) CI95Half() float64 {
 	return 1.96 * math.Sqrt(w.SampleVariance()/float64(w.n))
 }
 
-// Counter is a monotonically growing event count.
-type Counter struct{ n int64 }
-
-// Inc adds 1.
-func (c *Counter) Inc() { c.n++ }
-
-// Add adds delta (which must be non-negative; Counter is monotonic).
-func (c *Counter) Add(delta int64) {
-	if delta < 0 {
-		panic("metrics: Counter.Add with negative delta")
-	}
-	c.n += delta
-}
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.n }
-
 // Table is a rendered experiment result: a titled grid of cells.
 type Table struct {
 	Title   string

@@ -70,25 +70,6 @@ func TestWelfordMatchesNaiveQuick(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Errorf("Value = %d, want 5", c.Value())
-	}
-}
-
-func TestCounterNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("negative Add did not panic")
-		}
-	}()
-	var c Counter
-	c.Add(-1)
-}
-
 func TestTableString(t *testing.T) {
 	tb := NewTable("Table I", "Utilization %", "Power (W)")
 	tb.AddRow("0", "159.5")
@@ -152,6 +133,10 @@ func TestHistogramValidation(t *testing.T) {
 	}
 }
 
+// add records one observation as the histogram's callers do: Index,
+// then AddAt.
+func add(h *Histogram, value, weight float64) { h.AddAt(h.Index(value), value, weight) }
+
 func TestHistogramQuantiles(t *testing.T) {
 	h, err := NewHistogram(1, 2, 10) // buckets [1,2) [2,4) ... [512,1024)
 	if err != nil {
@@ -161,8 +146,8 @@ func TestHistogramQuantiles(t *testing.T) {
 		t.Errorf("empty quantile = %v", got)
 	}
 	// 90 units of weight at ~1.5, 10 at ~100.
-	h.Add(1.5, 90)
-	h.Add(100, 10)
+	add(h, 1.5, 90)
+	add(h, 100, 10)
 	if got := h.Quantile(0.5); got > 2 {
 		t.Errorf("p50 = %v, want within the first bucket (<= 2)", got)
 	}
@@ -180,15 +165,15 @@ func TestHistogramQuantiles(t *testing.T) {
 
 func TestHistogramUnderAndOverflow(t *testing.T) {
 	h, _ := NewHistogram(10, 2, 3) // covers [10, 80)
-	h.Add(1, 50)                   // underflow
-	h.Add(1e6, 50)                 // overflow -> top bucket, capped at maxSeen
+	add(h, 1, 50)                  // underflow
+	add(h, 1e6, 50)                // overflow -> top bucket, capped at maxSeen
 	if got := h.Quantile(0.25); got != 10 {
 		t.Errorf("underflow quantile = %v, want min 10", got)
 	}
 	if got := h.Quantile(0.99); got != 1e6 {
 		t.Errorf("overflow quantile = %v, want maxSeen 1e6", got)
 	}
-	h.Add(5, 0) // zero weight ignored
+	add(h, 5, 0) // zero weight ignored
 	if h.Total() != 100 {
 		t.Errorf("Total = %v", h.Total())
 	}
@@ -202,7 +187,7 @@ func TestHistogramMonotoneQuick(t *testing.T) {
 			return false
 		}
 		for _, r := range raw {
-			h.Add(float64(r%2000)/10+0.01, float64(r%7)+1)
+			add(h, float64(r%2000)/10+0.01, float64(r%7)+1)
 		}
 		prev := 0.0
 		for q := 0.0; q <= 1.0; q += 0.05 {

@@ -217,9 +217,6 @@ func (n *Network) EndTick() {
 	clear(n.tickMig)
 }
 
-// Ticks returns the number of settled ticks.
-func (n *Network) Ticks() int { return n.ticks }
-
 // MeanSwitchPower returns the average power of the switch at the given
 // internal node over the run (0 for a server or an unknown node ID).
 func (n *Network) MeanSwitchPower(nodeID int) float64 {

@@ -148,8 +148,8 @@ func TestEndTickAccumulatesEnergy(t *testing.T) {
 	if got := n.MeanSwitchPower(other.ID); math.Abs(got-10) > 1e-9 {
 		t.Errorf("idle switch mean power = %v, want 10 (static)", got)
 	}
-	if n.Ticks() != 1 {
-		t.Errorf("ticks = %d", n.Ticks())
+	if n.ticks != 1 {
+		t.Errorf("ticks = %d", n.ticks)
 	}
 	// Per-tick state cleared.
 	if carrying(n.tickBase) != 0 || carrying(n.tickMig) != 0 {

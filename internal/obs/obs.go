@@ -58,14 +58,6 @@ func (f *atomicFloat) Load() float64   { return math.Float64frombits(f.bits.Load
 // Counter is a monotonically increasing value.
 type Counter struct{ v atomicFloat }
 
-// Add increments the counter; negative deltas are ignored (counters
-// never go down).
-func (c *Counter) Add(v float64) {
-	if v > 0 {
-		c.v.Add(v)
-	}
-}
-
 // Inc adds 1.
 func (c *Counter) Inc() { c.v.Add(1) }
 
@@ -77,9 +69,6 @@ type Gauge struct{ v atomicFloat }
 
 // Set replaces the gauge value.
 func (g *Gauge) Set(v float64) { g.v.Store(v) }
-
-// Add shifts the gauge value.
-func (g *Gauge) Add(v float64) { g.v.Add(v) }
 
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return g.v.Load() }
@@ -105,9 +94,6 @@ func (h *Histogram) Observe(v float64) {
 	h.sum.Add(v)
 	h.count.Add(1)
 }
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // snapshot returns cumulative bucket counts (per bound, then total).
 func (h *Histogram) snapshot() (cum []uint64, sum float64, count uint64) {

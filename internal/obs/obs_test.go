@@ -11,10 +11,9 @@ func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("willow_events_total", "events", Label{"kind", "migration"})
 	c.Inc()
-	c.Add(2)
-	c.Add(-5) // ignored: counters are monotonic
-	if got := c.Value(); got != 3 {
-		t.Errorf("counter = %v, want 3", got)
+	c.Inc()
+	if got := c.Value(); got != 2 {
+		t.Errorf("counter = %v, want 2", got)
 	}
 	if again := r.Counter("willow_events_total", "events", Label{"kind", "migration"}); again != c {
 		t.Error("re-registration returned a different counter")
@@ -22,7 +21,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 
 	g := r.Gauge("willow_subscribers", "subs")
 	g.Set(4)
-	g.Add(-1)
+	g.Set(3)
 	if got := g.Value(); got != 3 {
 		t.Errorf("gauge = %v, want 3", got)
 	}
@@ -34,10 +33,10 @@ func TestHistogramBuckets(t *testing.T) {
 	for _, v := range []float64{0.005, 0.05, 0.5, 5} {
 		h.Observe(v)
 	}
-	if h.Count() != 4 {
-		t.Errorf("count = %d, want 4", h.Count())
+	cum, sum, count := h.snapshot()
+	if count != 4 {
+		t.Errorf("count = %d, want 4", count)
 	}
-	cum, sum, _ := h.snapshot()
 	if math.Abs(sum-5.555) > 1e-12 {
 		t.Errorf("sum = %v, want 5.555", sum)
 	}
@@ -64,8 +63,10 @@ func TestTypeCollisionPanics(t *testing.T) {
 // including histograms, escaped label values and non-finite floats.
 func TestExpositionRoundTrip(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("willow_hub_dropped_total", "dropped events", Label{"subscriber", "3"}).Add(17)
-	r.Counter("willow_hub_dropped_total", "dropped events", Label{"subscriber", "12"}).Add(2)
+	for i := 0; i < 17; i++ {
+		r.Counter("willow_hub_dropped_total", "dropped events", Label{"subscriber", "3"}).Inc()
+	}
+	r.Counter("willow_hub_dropped_total", "dropped events", Label{"subscriber", "12"}).Inc()
 	r.Gauge("willow_joules", "energy").Set(123456.789)
 	r.Gauge("willow_weird", "escapes", Label{"path", `a\b"c` + "\nd"}).Set(math.Inf(1))
 	h := r.Histogram("willow_tick_phase_seconds", "phase latency", LatencyBuckets, Label{"phase", "observe"})
@@ -157,8 +158,8 @@ func TestConcurrentUpdates(t *testing.T) {
 	if c.Value() != 8000 {
 		t.Errorf("counter = %v, want 8000", c.Value())
 	}
-	if h.Count() != 8000 {
-		t.Errorf("histogram count = %d, want 8000", h.Count())
+	if _, _, n := h.snapshot(); n != 8000 {
+		t.Errorf("histogram count = %d, want 8000", n)
 	}
 }
 
@@ -185,7 +186,7 @@ func TestConcurrentRegistration(t *testing.T) {
 	if got := r.Counter("willow_race_total", "c").Value(); got != workers {
 		t.Errorf("counter = %v, want %d", got, workers)
 	}
-	if got := r.Histogram("willow_race_h", "h", []float64{1}).Count(); got != workers {
+	if _, _, got := r.Histogram("willow_race_h", "h", []float64{1}).snapshot(); got != workers {
 		t.Errorf("histogram count = %d, want %d", got, workers)
 	}
 	for w, g := range gauges {

@@ -91,14 +91,8 @@ func NewTracker(slo SLO) *Tracker {
 	return &Tracker{SLO: slo, hist: h}
 }
 
-// Observe records one server-tick: servedWatts of demand ran at
-// utilization rho, shedWatts were dropped.
-func (t *Tracker) Observe(rho, servedWatts, shedWatts float64) {
-	t.Add(t.Sample(rho, servedWatts, shedWatts))
-}
-
 // Sample is one server-tick classified for a Tracker: the pure half of
-// Observe, which Add folds into the running sums.
+// recording it, which Add folds into the running sums.
 type Sample struct {
 	served, shed float64
 	// stretch is the clamped slowdown of non-saturated served demand,
@@ -111,10 +105,11 @@ type Sample struct {
 	saturated bool
 }
 
-// Sample classifies one server-tick without recording it. It reads only
-// the tracker's SLO and histogram layout, so concurrent callers may
-// prepare samples that one goroutine then records, in a fixed order,
-// with Add — the order the float sums depend on.
+// Sample classifies one server-tick — servedWatts of demand ran at
+// utilization rho, shedWatts were dropped — without recording it. It
+// reads only the tracker's SLO and histogram layout, so concurrent
+// callers may prepare samples that one goroutine then records, in a
+// fixed order, with Add — the order the float sums depend on.
 func (t *Tracker) Sample(rho, servedWatts, shedWatts float64) Sample {
 	s := Sample{served: servedWatts, shed: shedWatts}
 	if servedWatts <= 0 {

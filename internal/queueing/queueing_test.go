@@ -88,9 +88,9 @@ func TestSLOMaxUtilization(t *testing.T) {
 
 func TestTrackerBasics(t *testing.T) {
 	tr := NewTracker(SLO{Service: 1, Target: 4}) // SLO met up to 75 %
-	tr.Observe(0.5, 100, 0)                      // stretch 2, ok
-	tr.Observe(0.9, 100, 0)                      // stretch 10, miss
-	tr.Observe(0.5, 0, 50)                       // all shed
+	tr.Add(tr.Sample(0.5, 100, 0))               // stretch 2, ok
+	tr.Add(tr.Sample(0.9, 100, 0))               // stretch 10, miss
+	tr.Add(tr.Sample(0.5, 0, 50))                // all shed
 	wantStretch := (100*2.0 + 100*10.0) / 200
 	if got := tr.MeanStretch(); math.Abs(got-wantStretch) > 1e-9 {
 		t.Errorf("MeanStretch = %v, want %v", got, wantStretch)
@@ -103,7 +103,7 @@ func TestTrackerBasics(t *testing.T) {
 
 func TestTrackerSaturation(t *testing.T) {
 	tr := NewTracker(SLO{Service: 1, Target: 10})
-	tr.Observe(1.0, 80, 0) // saturated: counted as miss, excluded from stretch
+	tr.Add(tr.Sample(1.0, 80, 0)) // saturated: counted as miss, excluded from stretch
 	if got := tr.MeanStretch(); got != 1 {
 		t.Errorf("MeanStretch with only saturated obs = %v, want 1", got)
 	}
@@ -128,7 +128,7 @@ func TestTrackerInvariantsQuick(t *testing.T) {
 			rho := float64(o%120) / 100 // 0 .. 1.19
 			served := float64((o >> 7) % 100)
 			shed := float64((o >> 11) % 20)
-			tr.Observe(rho, served, shed)
+			tr.Add(tr.Sample(rho, served, shed))
 		}
 		miss := tr.SLOMissFraction()
 		return miss >= 0 && miss <= 1 && tr.MeanStretch() >= 1-1e-12
@@ -141,6 +141,6 @@ func TestTrackerInvariantsQuick(t *testing.T) {
 func BenchmarkTrackerObserve(b *testing.B) {
 	tr := NewTracker(SLO{Service: 1, Target: 4})
 	for i := 0; i < b.N; i++ {
-		tr.Observe(float64(i%95)/100, 100, 5)
+		tr.Add(tr.Sample(float64(i%95)/100, 100, 5))
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// refObserve is Tracker.Observe as one function, before it split into
+// refObserve records one server-tick in one function, before it split into
 // Sample and Add: the reference the split must match bit for bit.
 func refObserve(t *Tracker, rho, servedWatts, shedWatts float64) {
 	if shedWatts > 0 {
@@ -26,7 +26,7 @@ func refObserve(t *Tracker, rho, servedWatts, shedWatts float64) {
 	st := Stretch(stretchRho)
 	t.weightedStretch += servedWatts * st
 	t.stretchWeight += servedWatts
-	t.hist.Add(st, servedWatts)
+	t.hist.AddAt(t.hist.Index(st), st, servedWatts)
 	if t.SLO.Met(rho) {
 		t.okWeight += servedWatts
 	} else {
@@ -35,15 +35,15 @@ func refObserve(t *Tracker, rho, servedWatts, shedWatts float64) {
 }
 
 // TestSampleAddMatchesObserve pins the split: samples prepared up front
-// and recorded in order with Add, and Observe itself, leave a tracker
-// bit-identical to the single-function reference — over random
+// and recorded in order with Add leave a tracker bit-identical to the
+// single-function reference Observe — over random
 // server-ticks and the edges: saturation (ρ ≥ 1), the 0.999 stretch
 // clamp (the histogram's highest stretch), nothing served, shed-only
 // ticks, and ρ ≤ 0 (stretch 1, the histogram's minimum). The histogram
 // split's own edges are pinned in internal/metrics.
 func TestSampleAddMatchesObserve(t *testing.T) {
 	slo := SLO{Service: 1, Target: 10}
-	ref, split, observe := NewTracker(slo), NewTracker(slo), NewTracker(slo)
+	ref, split := NewTracker(slo), NewTracker(slo)
 	type tick struct{ rho, served, shed float64 }
 	ticks := []tick{
 		{1, 40, 0}, {1.7, 40, 5}, // saturated
@@ -70,32 +70,29 @@ func TestSampleAddMatchesObserve(t *testing.T) {
 	for i, tk := range ticks {
 		refObserve(ref, tk.rho, tk.served, tk.shed)
 		split.Add(samples[i])
-		observe.Observe(tk.rho, tk.served, tk.shed)
 	}
 
 	bits := math.Float64bits
-	for name, tr := range map[string]*Tracker{"Add(Sample)": split, "Observe": observe} {
-		for i, sum := range [][2]float64{
-			{tr.weightedStretch, ref.weightedStretch},
-			{tr.stretchWeight, ref.stretchWeight},
-			{tr.okWeight, ref.okWeight},
-			{tr.missWeight, ref.missWeight},
-			{tr.shedWeight, ref.shedWeight},
-		} {
-			if bits(sum[0]) != bits(sum[1]) {
-				t.Errorf("%s: running sum %d is %v, reference %v", name, i, sum[0], sum[1])
-			}
+	for i, sum := range [][2]float64{
+		{split.weightedStretch, ref.weightedStretch},
+		{split.stretchWeight, ref.stretchWeight},
+		{split.okWeight, ref.okWeight},
+		{split.missWeight, ref.missWeight},
+		{split.shedWeight, ref.shedWeight},
+	} {
+		if bits(sum[0]) != bits(sum[1]) {
+			t.Errorf("running sum %d is %v, reference %v", i, sum[0], sum[1])
 		}
-		if got, want := tr.MeanStretch(), ref.MeanStretch(); bits(got) != bits(want) {
-			t.Errorf("%s: MeanStretch %v, reference %v", name, got, want)
-		}
-		if got, want := tr.SLOMissFraction(), ref.SLOMissFraction(); bits(got) != bits(want) {
-			t.Errorf("%s: SLOMissFraction %v, reference %v", name, got, want)
-		}
-		for _, q := range []float64{0.05, 0.5, 0.95, 0.99, 1} {
-			if got, want := tr.StretchQuantile(q), ref.StretchQuantile(q); bits(got) != bits(want) {
-				t.Errorf("%s: StretchQuantile(%v) %v, reference %v", name, q, got, want)
-			}
+	}
+	if got, want := split.MeanStretch(), ref.MeanStretch(); bits(got) != bits(want) {
+		t.Errorf("MeanStretch %v, reference %v", got, want)
+	}
+	if got, want := split.SLOMissFraction(), ref.SLOMissFraction(); bits(got) != bits(want) {
+		t.Errorf("SLOMissFraction %v, reference %v", got, want)
+	}
+	for _, q := range []float64{0.05, 0.5, 0.95, 0.99, 1} {
+		if got, want := split.StretchQuantile(q), ref.StretchQuantile(q); bits(got) != bits(want) {
+			t.Errorf("StretchQuantile(%v) %v, reference %v", q, got, want)
 		}
 	}
 	if ref.StretchQuantile(1) < 999 {

@@ -104,9 +104,6 @@ func (s *Sensor) Clear() {
 	s.hasStuck = false
 }
 
-// Fault returns the currently armed fault (ModeNone when healthy).
-func (s *Sensor) Fault() Fault { return s.fault }
-
 // Read reports the instrument's view of the true value at the given
 // tick. Healthy sensors return the truth bit-for-bit.
 func (s *Sensor) Read(truth float64, tick int) float64 {

@@ -89,81 +89,3 @@ func TestModeString(t *testing.T) {
 		t.Fatalf("invalid mode string %q", got)
 	}
 }
-
-func TestParseSpecPresetsAndOverrides(t *testing.T) {
-	s, err := ParseSpec("heavy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s != Presets["heavy"] {
-		t.Fatalf("preset heavy = %+v, want %+v", s, Presets["heavy"])
-	}
-	s, err = ParseSpec("medium,noise=3, mttr=99 ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Presets["medium"]
-	want.Noise = 3
-	want.MTTR = 99
-	if s != want {
-		t.Fatalf("override spec = %+v, want %+v", s, want)
-	}
-}
-
-func TestParseSpecRejects(t *testing.T) {
-	for _, bad := range []string{
-		"bogus",          // unknown preset
-		"noise=1,light",  // preset not first
-		"noise=x",        // unparsable value
-		"noise=-1",       // negative
-		"noise=NaN",      // non-finite
-		"noise=+Inf",     // non-finite
-		"frobnicate=1",   // unknown key
-		"mtbf=1e999",     // overflows to +Inf
-		"light,noise=-2", // negative override
-	} {
-		if _, err := ParseSpec(bad); err == nil {
-			t.Errorf("ParseSpec(%q) accepted, want error", bad)
-		}
-	}
-}
-
-func TestSpecStringRoundTrip(t *testing.T) {
-	for name, p := range Presets {
-		got, err := ParseSpec(p.String())
-		if err != nil {
-			t.Fatalf("preset %s: %v", name, err)
-		}
-		if got != p {
-			t.Fatalf("preset %s round-trip = %+v, want %+v", name, got, p)
-		}
-	}
-	if (Spec{}).String() != "" {
-		t.Fatalf("zero spec renders %q, want empty", (Spec{}).String())
-	}
-}
-
-// FuzzSensorSpec asserts the parser contract over arbitrary inputs: it
-// never panics, and any spec it accepts canonicalizes to a string that
-// re-parses to the identical Spec (round-trip stability).
-func FuzzSensorSpec(f *testing.F) {
-	f.Add("heavy")
-	f.Add("light,noise=2.5")
-	f.Add("mtbf=120,mttr=80,bias=6,stuck=1,dropout=2")
-	f.Add(" , ,noise=0")
-	f.Add("noise==1")
-	f.Add("=,=")
-	f.Fuzz(func(t *testing.T, spec string) {
-		s, err := ParseSpec(spec)
-		if err != nil {
-			return
-		}
-		again, err := ParseSpec(s.String())
-		if err != nil {
-			t.Fatalf("canonical form %q of accepted spec %q rejected: %v", s.String(), spec, err)
-		}
-		if again != s {
-			t.Fatalf("round trip of %q: %+v != %+v", spec, again, s)
-		}
-	})
-}

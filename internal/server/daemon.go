@@ -28,11 +28,10 @@ type Mutation struct {
 	Server int     `json:"server,omitempty"`
 	Factor float64 `json:"factor,omitempty"`
 
-	// chaos: expand Spec with Seed over the remaining horizon; Sensor
-	// selects the sensor-fault spec syntax instead of the full one.
-	Spec   string `json:"spec,omitempty"`
-	Seed   uint64 `json:"seed,omitempty"`
-	Sensor bool   `json:"sensor,omitempty"`
+	// chaos: expand Spec (chaos.ParseSpec syntax) with Seed over the
+	// remaining horizon.
+	Spec string `json:"spec,omitempty"`
+	Seed uint64 `json:"seed,omitempty"`
 }
 
 // Snapshot is the daemon's complete state: the build spec, the tick
@@ -484,12 +483,11 @@ func (d *Daemon) journalMutation(mut Mutation) error {
 	return nil
 }
 
-// InjectChaos expands a chaos spec (sensorOnly selects sensor.ParseSpec
-// syntax) over the remaining horizon with the given seed and schedules
-// it from the current tick boundary, journaling the mutation. Seed 0
-// derives from the run seed, resolved before journaling so replay needs
-// no convention.
-func (d *Daemon) InjectChaos(spec string, seed uint64, sensorOnly bool) (chaos.Plan, int, error) {
+// InjectChaos expands a chaos spec over the remaining horizon with the
+// given seed and schedules it from the current tick boundary,
+// journaling the mutation. Seed 0 derives from the run seed, resolved
+// before journaling so replay needs no convention.
+func (d *Daemon) InjectChaos(spec string, seed uint64) (chaos.Plan, int, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if err := d.walHealthy(); err != nil {
@@ -498,12 +496,12 @@ func (d *Daemon) InjectChaos(spec string, seed uint64, sensorOnly bool) (chaos.P
 	if seed == 0 {
 		seed = d.spec.Seed
 	}
-	plan, err := injectChaos(d.m, spec, seed, sensorOnly)
+	plan, err := injectChaos(d.m, spec, seed)
 	if err != nil {
 		return chaos.Plan{}, 0, err
 	}
 	tick := d.m.NextTick()
-	if err := d.journalMutation(Mutation{Tick: tick, Kind: "chaos", Spec: spec, Seed: seed, Sensor: sensorOnly}); err != nil {
+	if err := d.journalMutation(Mutation{Tick: tick, Kind: "chaos", Spec: spec, Seed: seed}); err != nil {
 		return chaos.Plan{}, 0, err
 	}
 	return plan, tick, nil
@@ -513,14 +511,14 @@ func (d *Daemon) InjectChaos(spec string, seed uint64, sensorOnly bool) (chaos.P
 // queues the plan at the machine's current boundary. Pure function
 // of (machine tick, spec, seed), which is what makes the journal
 // replayable.
-func injectChaos(m *cluster.Machine, spec string, seed uint64, sensorOnly bool) (chaos.Plan, error) {
+func injectChaos(m *cluster.Machine, spec string, seed uint64) (chaos.Plan, error) {
 	cfg := m.Config()
 	tick := m.NextTick()
 	horizon := cfg.Ticks - tick
 	if horizon <= 0 {
 		return chaos.Plan{}, fmt.Errorf("server: run complete, no horizon left for chaos")
 	}
-	plan, err := cluster.ExpandChaos(spec, sensorOnly, cfg.Fanout, horizon, seed)
+	plan, err := cluster.ExpandChaos(spec, cfg.Fanout, horizon, seed)
 	if err != nil {
 		return chaos.Plan{}, err
 	}
@@ -535,7 +533,7 @@ func applyMutation(m *cluster.Machine, mut Mutation) error {
 	case "demand":
 		return m.ScaleDemand(mut.Server, mut.Factor)
 	case "chaos":
-		_, err := injectChaos(m, mut.Spec, mut.Seed, mut.Sensor)
+		_, err := injectChaos(m, mut.Spec, mut.Seed)
 		return err
 	default:
 		return fmt.Errorf("server: unknown mutation kind %q", mut.Kind)

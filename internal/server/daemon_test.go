@@ -84,7 +84,7 @@ func TestFastForwardMatchesOfflineRun(t *testing.T) {
 	for _, args := range [][]string{
 		nil,
 		{"-chaos", "light"},
-		{"-sensor-chaos", "heavy", "-policy", "mpc", "-energy"},
+		{"-chaos", "sensor-heavy", "-policy", "mpc", "-energy"},
 		{"-supply", "file:" + csv},
 	} {
 		spec := testSpec()
@@ -157,7 +157,7 @@ func snapshotRestoreRoundTrip(t *testing.T, energy bool) {
 		t.Fatal(err)
 	}
 	d.StepN(10)
-	if _, _, err := d.InjectChaos("light", 99, false); err != nil {
+	if _, _, err := d.InjectChaos("light", 99); err != nil {
 		t.Fatal(err)
 	}
 	d.StepN(20)
@@ -274,14 +274,15 @@ func TestInjectChaosTakesEffect(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.StepN(20)
-	plan, tick, err := d.InjectChaos("heavy", 7, false)
+	plan, tick, err := d.InjectChaos("heavy", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tick != 20 {
 		t.Fatalf("injected at tick %d, want 20", tick)
 	}
-	if plan.Events() == 0 {
+	events := len(plan.ServerFailures) + len(plan.PMUFailures) + len(plan.LossWindows)
+	if events == 0 {
 		t.Fatalf("heavy chaos expanded to an empty plan")
 	}
 	if err := d.Run(context.Background(), 0); err != nil {
@@ -289,11 +290,11 @@ func TestInjectChaosTakesEffect(t *testing.T) {
 	}
 	st := d.Stats()
 	if st.Failures == 0 && st.PMUFailures == 0 {
-		t.Fatalf("live chaos injected but no failures happened (plan had %d events)", plan.Events())
+		t.Fatalf("live chaos injected but no failures happened (plan had %d events)", events)
 	}
 
 	// Horizon exhausted: no more chaos.
-	if _, _, err := d.InjectChaos("light", 1, false); err == nil {
+	if _, _, err := d.InjectChaos("light", 1); err == nil {
 		t.Fatalf("InjectChaos accepted after run completion")
 	}
 }
@@ -306,7 +307,7 @@ func TestInjectSensorChaosLive(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.StepN(10)
-	plan, _, err := d.InjectChaos("heavy", 3, true)
+	plan, _, err := d.InjectChaos("sensor-heavy", 3)
 	if err != nil {
 		t.Fatal(err)
 	}

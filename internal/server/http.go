@@ -37,7 +37,9 @@ type HandlerOptions struct {
 //	GET  /v1/efficiency energy scoreboard: cumulative + sliding-window
 //	                   joules, work/joule, per-rack and per-class rows
 //	POST /v1/demand    {"server": -1, "factor": 1.5} scale demand
-//	POST /v1/chaos     {"spec": "medium", "seed": 7, "sensor": false}
+//	POST /v1/chaos     {"spec": "medium,sensor-light", "seed": 7}
+//	                   expand a chaos.ParseSpec spec over the remaining
+//	                   horizon and inject it
 //	POST /v1/snapshot  the snapshot: the journal bytes (wal.go) a
 //	                   snapshot file written now would hold
 //	GET  /v1/events    telemetry stream, JSONL (or SSE with
@@ -131,15 +133,14 @@ func NewHandlerOpts(d *Daemon, opts HandlerOptions) http.Handler {
 	}))
 	mux.HandleFunc("POST /v1/chaos", admit(func(w http.ResponseWriter, r *http.Request) {
 		var req struct {
-			Spec   string `json:"spec"`
-			Seed   uint64 `json:"seed"`
-			Sensor bool   `json:"sensor"`
+			Spec string `json:"spec"`
+			Seed uint64 `json:"seed"`
 		}
 		if err := decodeJSON(r, &req); err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		plan, tick, err := d.InjectChaos(req.Spec, req.Seed, req.Sensor)
+		plan, tick, err := d.InjectChaos(req.Spec, req.Seed)
 		if err != nil {
 			writeError(w, http.StatusUnprocessableEntity, err)
 			return

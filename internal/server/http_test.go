@@ -299,6 +299,8 @@ func TestHandlerErrors(t *testing.T) {
 		{"POST", "/v1/demand", `not json`, http.StatusBadRequest},
 		{"POST", "/v1/demand", `{"unknown_field": 1}`, http.StatusBadRequest},
 		{"POST", "/v1/chaos", `{"spec": "no-such-preset"}`, http.StatusUnprocessableEntity},
+		{"POST", "/v1/chaos", `{"spec": "server-mtbf=NaN"}`, http.StatusUnprocessableEntity},
+		{"POST", "/v1/chaos", `{"spec": "sensor-heavy", "sensor": true}`, http.StatusBadRequest},
 		{"GET", "/v1/events?kinds=bogus", "", http.StatusBadRequest},
 		{"GET", "/v1/events?buffer=-3", "", http.StatusBadRequest},
 		{"GET", "/v1/nope", "", http.StatusNotFound},

@@ -42,7 +42,7 @@ func mutateScript(t *testing.T, d *Daemon) {
 		t.Fatal(err)
 	}
 	d.StepN(20)
-	if _, _, err := d.InjectChaos("light", 7, false); err != nil {
+	if _, _, err := d.InjectChaos("light", 7); err != nil {
 		t.Fatal(err)
 	}
 	d.StepN(10)
@@ -251,7 +251,7 @@ func TestWALStickyFailureRefusesMutations(t *testing.T) {
 	if _, err := dead.ScaleDemand(-1, 1.2); err == nil || !strings.Contains(err.Error(), "mutations disabled") {
 		t.Fatalf("mutation after wal divergence: got %v", err)
 	}
-	if _, _, err := dead.InjectChaos("light", 1, false); err == nil || !strings.Contains(err.Error(), "mutations disabled") {
+	if _, _, err := dead.InjectChaos("light", 1); err == nil || !strings.Contains(err.Error(), "mutations disabled") {
 		t.Fatalf("chaos after wal divergence: got %v", err)
 	}
 	// Ticking and reads stay alive — the daemon degrades, not dies.

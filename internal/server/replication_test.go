@@ -217,7 +217,7 @@ func TestFollowerRejectsUndecodableSpec(t *testing.T) {
 		wantErr string
 	}{
 		{"spec with an unknown field", cat(walHeader(), unknownFieldSpec), `"hotzon"`},
-		{"version-1 header", cat(version1, walFrame(t, record{Type: recSpec, Spec: &spec})), "version 1, want 2"},
+		{"version-1 header", cat(version1, walFrame(t, record{Type: recSpec, Spec: &spec})), "version 1, want 3"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			primary := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -69,20 +69,20 @@ type Spec struct {
 	// an 18-server topology (the paper's two-zone setup) — in the hot
 	// ambient. False means no hot servers at all.
 	Hotzone bool `json:"hotzone,omitempty"`
-	// Chaos/ChaosSeed fold a seeded fault schedule into the run at
-	// build time (chaos.ParseSpec syntax). SensorChaos does the same
-	// for sensor faults; SensorNaive disarms the robust estimator.
+	// Chaos/ChaosSeed fold a seeded fault schedule — machine faults,
+	// sensor faults or both — into the run at build time
+	// (chaos.ParseSpec syntax). SensorNaive keeps the robust estimator
+	// disarmed under the schedule's sensor faults.
 	Chaos       string `json:"chaos,omitempty"`
 	ChaosSeed   uint64 `json:"chaos_seed,omitempty"`
-	SensorChaos string `json:"sensor_chaos,omitempty"`
 	SensorNaive bool   `json:"sensor_naive,omitempty"`
 	// LeaseTicks arms budget leases (core.Config.BudgetLeaseTicks) so
 	// live-injected PMU failures degrade instead of riding stale
 	// budgets forever. Zero leaves leases off — byte-identical to the
 	// offline default.
 	LeaseTicks int `json:"lease_ticks,omitempty"`
-	// Sensing arms the robust temperature estimator at boot (the
-	// chaos-smoke defaults) so live-injected sensor faults meet a
+	// Sensing arms the robust temperature estimator at boot
+	// (cluster.ArmSensing) so live-injected sensor faults meet a
 	// prepared controller. Zero-value controllers cannot grow an
 	// estimator mid-run.
 	Sensing bool `json:"sensing,omitempty"`
@@ -286,11 +286,8 @@ func (s Spec) Build() (cluster.Config, error) {
 	if s.TickSeconds > 0 {
 		c.TickSeconds = s.TickSeconds
 	}
-	if s.Sensing && c.SensorWindow == 0 && c.SensorGate == 0 && c.SensorTrips == 0 && c.SensorGuard == 0 {
-		c.SensorWindow = 5
-		c.SensorGate = 3
-		c.SensorTrips = 3
-		c.SensorGuard = 2
+	if s.Sensing {
+		cluster.ArmSensing(c)
 	}
 
 	if s.Policy != "" {
@@ -302,15 +299,9 @@ func (s Spec) Build() (cluster.Config, error) {
 		cfg.Policy = s.Policy
 	}
 
-	chaosSeed := orDefault(s.ChaosSeed, cfg.Seed)
+	cfg.NaiveSensing = s.SensorNaive
 	if s.Chaos != "" {
-		if _, err := cluster.ApplyChaos(&cfg, s.Chaos, chaosSeed); err != nil {
-			return cluster.Config{}, err
-		}
-	}
-	if s.SensorChaos != "" {
-		cfg.NaiveSensing = s.SensorNaive
-		if _, err := cluster.ApplySensorChaos(&cfg, s.SensorChaos, chaosSeed); err != nil {
+		if _, err := cluster.ApplyChaos(&cfg, s.Chaos, orDefault(s.ChaosSeed, cfg.Seed)); err != nil {
 			return cluster.Config{}, err
 		}
 	}
@@ -328,10 +319,9 @@ func (s *Spec) RegisterFlags(fs *flag.FlagSet) {
 	fs.Uint64Var(&s.Seed, "seed", s.Seed, "random seed")
 	fs.Var(&supplyFlag{s: s}, "supply", "supply profile: constant, sine, deficit-steps, deficit, plenty, or file:PATH (a CSV trace, inlined into the spec)")
 	fs.BoolVar(&s.Hotzone, "hotzone", s.Hotzone, "place the hot servers (hot_servers, else the last four of an 18-server fleet) in the hot ambient")
-	fs.StringVar(&s.Chaos, "chaos", s.Chaos, "fold a seeded fault schedule into the run: preset and/or k=v overrides, e.g. \"medium\" or \"light,pmu-mtbf=400\" (see internal/chaos)")
+	fs.StringVar(&s.Chaos, "chaos", s.Chaos, "fold a seeded fault schedule into the run: up to one machine and one sensor-* preset, then k=v overrides, e.g. \"medium\", \"light,pmu-mtbf=400\" or \"medium,sensor-heavy\" (see internal/chaos)")
 	fs.Uint64Var(&s.ChaosSeed, "chaos-seed", s.ChaosSeed, "seed for chaos schedule expansion (0: derive from -seed)")
-	fs.StringVar(&s.SensorChaos, "sensor-chaos", s.SensorChaos, "fold seeded sensor faults into the run: preset and/or k=v overrides, e.g. \"heavy\" or \"light,dropout=1\" (see internal/sensor)")
-	fs.BoolVar(&s.SensorNaive, "sensor-naive", s.SensorNaive, "disable the robust estimator under -sensor-chaos (trust every reading; unsafe baseline)")
+	fs.BoolVar(&s.SensorNaive, "sensor-naive", s.SensorNaive, "keep the robust estimator disarmed under -chaos sensor faults (trust every reading; unsafe baseline)")
 	fs.IntVar(&s.LeaseTicks, "lease", s.LeaseTicks, "budget lease ticks (arm before injecting live PMU chaos; 0 = off)")
 	fs.BoolVar(&s.Sensing, "sensing", s.Sensing, "arm the robust temperature estimator at boot (for live sensor chaos)")
 	fs.BoolVar(&s.Energy, "energy", s.Energy, "emit per-supply-window energy telemetry events (accounting is always on; willow-sim also prints the scoreboard)")

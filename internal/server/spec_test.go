@@ -22,7 +22,7 @@ func fullSpec() Spec {
 		Util: 0.6, Fanout: []int{2, 3}, Ticks: 200, Warmup: 50, Seed: 42,
 		Supply: "sine", SupplyWatts: 2500, SupplyBase: 2200, SupplyAmplitude: 400, SupplyPeriod: 30,
 		SupplyTrace: []float64{2400, 1900}, SupplyScale: 1.1,
-		Hotzone: true, Chaos: "light", ChaosSeed: 9, SensorChaos: "light", SensorNaive: true,
+		Hotzone: true, Chaos: "light,sensor-light", ChaosSeed: 9, SensorNaive: true,
 		LeaseTicks: 8, Sensing: true, Energy: true, TickSeconds: 2, Policy: "integral",
 		StaticWatts: 120, PeakWatts: 420, CircuitLimit: 500,
 		ThermalC1: 0.006, ThermalC2: 0.05, Ambient: 24, ThermalLimit: 72,
@@ -129,6 +129,40 @@ func TestSpecBuildOverrides(t *testing.T) {
 	}
 }
 
+// TestSpecBuildChaos: -chaos arms leases only for machine faults and the
+// estimator only for sensor faults, -sensor-naive keeps the estimator
+// off under any sensor faults -chaos injects, and -sensing arms it at
+// boot whatever the schedule.
+func TestSpecBuildChaos(t *testing.T) {
+	cases := []struct {
+		name          string
+		mut           func(*Spec)
+		window, lease int
+	}{
+		{"sensor faults", func(s *Spec) { s.Chaos = "sensor-heavy" }, 5, 0},
+		{"sensor faults, naive", func(s *Spec) { s.Chaos, s.SensorNaive = "sensor-heavy", true }, 0, 0},
+		{"machine faults", func(s *Spec) { s.Chaos = "light" }, 0, 8},
+		{"both, naive", func(s *Spec) { s.Chaos, s.SensorNaive = "light,sensor-light", true }, 0, 8},
+		{"sensing at boot, naive", func(s *Spec) { s.Chaos, s.SensorNaive, s.Sensing = "sensor-heavy", true, true }, 5, 0},
+	}
+	for _, c := range cases {
+		s := testSpec()
+		c.mut(&s)
+		cfg, err := s.Build()
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		if strings.Contains(s.Chaos, "sensor-") && len(cfg.Faults.SensorFaults) == 0 {
+			t.Errorf("%s: %q injects no sensor faults", c.name, s.Chaos)
+		}
+		if cfg.Core.SensorWindow != c.window || cfg.Core.BudgetLeaseTicks != c.lease {
+			t.Errorf("%s: estimator window %d and lease %d, want %d and %d",
+				c.name, cfg.Core.SensorWindow, cfg.Core.BudgetLeaseTicks, c.window, c.lease)
+		}
+	}
+}
+
 // TestSpecBuildRejectsBadModels: a power, thermal or supply model the
 // cluster cannot run is Build's error, naming the field at fault.
 func TestSpecBuildRejectsBadModels(t *testing.T) {
@@ -141,6 +175,7 @@ func TestSpecBuildRejectsBadModels(t *testing.T) {
 		{"ambient above limit", "ambient", func(s *Spec) { s.Ambient = 80 }},
 		{"unknown supply kind", "supply", func(s *Spec) { s.Supply = "???" }},
 		{"trace without samples", "supply_trace", func(s *Spec) { s.Supply = "trace" }},
+		{"non-finite chaos value", "finite", func(s *Spec) { s.Chaos = "server-mtbf=NaN" }},
 	}
 	for _, c := range cases {
 		s := testSpec()
@@ -195,13 +230,13 @@ func TestRegisterFlags(t *testing.T) {
 	s.RegisterFlags(fs)
 	n := 0
 	fs.VisitAll(func(*flag.Flag) { n++ })
-	if n != 16 {
-		t.Errorf("RegisterFlags defines %d flags, want the 16 scenario flags", n)
+	if n != 15 {
+		t.Errorf("RegisterFlags defines %d flags, want the 15 scenario flags", n)
 	}
 	err := fs.Parse([]string{
 		"-util", "0.7", "-fanout", "4, 4", "-ticks", "90", "-warmup", "10", "-seed", "5",
 		"-supply", "file:" + csv, "-hotzone=false", "-chaos", "light", "-chaos-seed", "3",
-		"-sensor-chaos", "heavy", "-sensor-naive", "-lease", "6", "-sensing", "-energy",
+		"-sensor-naive", "-lease", "6", "-sensing", "-energy",
 		"-tick-seconds", "0.5", "-policy", "mpc",
 	})
 	if err != nil {
@@ -210,7 +245,7 @@ func TestRegisterFlags(t *testing.T) {
 	want := Spec{
 		Util: 0.7, Fanout: []int{4, 4}, Ticks: 90, Warmup: 10, Seed: 5,
 		Supply: "trace", SupplyTrace: []float64{900, 700},
-		Chaos: "light", ChaosSeed: 3, SensorChaos: "heavy", SensorNaive: true,
+		Chaos: "light", ChaosSeed: 3, SensorNaive: true,
 		LeaseTicks: 6, Sensing: true, Energy: true, TickSeconds: 0.5, Policy: "mpc",
 	}
 	if !reflect.DeepEqual(s, want) {

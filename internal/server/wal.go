@@ -13,7 +13,7 @@ package server
 //
 // Format, all integers little-endian:
 //
-//	header:  8-byte magic "WILLOWAL" | uint32 version (2)
+//	header:  8-byte magic "WILLOWAL" | uint32 version (3)
 //	frame:   uint32 payload length | uint32 CRC32-IEEE(payload) | payload
 //
 // Each payload is one record as JSON: the spec, a mutation with its
@@ -53,7 +53,7 @@ import (
 
 const (
 	journalMagic   = "WILLOWAL"
-	journalVersion = 2
+	journalVersion = 3
 	// maxRecord bounds one record's payload, in the encoder and the
 	// decoder alike. The spec is the largest record: -supply file:PATH
 	// inlines its trace at about 11 bytes a point, so a trace of some

@@ -239,7 +239,8 @@ func corruptWALInputs(t testing.TB) []corruptInput {
 		{"empty file", nil, "short header"},
 		{"not a wal", []byte("definitely not a wal file, but long enough"), "bad magic"},
 		{"future version", version(99), "version 99"},
-		{"version-1 wal", cat(version(1), goodSpec), "version 1, want 2"},
+		{"version-1 wal", cat(version(1), goodSpec), "version 1, want 3"},
+		{"version-2 wal", cat(version(2), goodSpec), "version 2, want 3"},
 		{"header only", walHeader(), "no spec record"},
 		{"crc-valid garbage spec", cat(walHeader(), walRecord([]byte("{not json"))), fmt.Sprintf("record at offset %d", headerLen)},
 		{"spec with an unknown field", cat(walHeader(), unknownFieldSpec), `unknown field "hotzon"`},
@@ -414,13 +415,13 @@ func TestWALCreateFailureLeavesNoFile(t *testing.T) {
 	}
 }
 
-// TestWALFormatPin pins the durable format: testdata/v2.snap, written by
-// the version-2 encoder, decodes to fixed values and re-encodes byte for
+// TestWALFormatPin pins the durable format: testdata/v3.snap, written by
+// the version-3 encoder, decodes to fixed values and re-encodes byte for
 // byte, and its spec and mutation frames are exactly the bytes CreateWAL
 // writes for the same history. A change that breaks this pin changes the
 // format, and must bump journalVersion.
 func TestWALFormatPin(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "v2.snap"))
+	data, err := os.ReadFile(filepath.Join("testdata", "v3.snap"))
 	if err != nil {
 		t.Fatal(err)
 	}

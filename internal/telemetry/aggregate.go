@@ -136,14 +136,6 @@ func (a *Aggregator) Publish(e Event) {
 	}
 }
 
-// Count returns how many events of the given kind were observed.
-func (a *Aggregator) Count(k Kind) int64 {
-	if int(k) < 1 || int(k) > numKinds {
-		return 0
-	}
-	return a.counts[k]
-}
-
 // Total returns the number of events observed across all kinds.
 func (a *Aggregator) Total() int64 {
 	var n int64
@@ -161,9 +153,6 @@ func (a *Aggregator) TickSpan() int {
 	}
 	return a.lastTick - a.firstTick + 1
 }
-
-// MigrationBytes returns the summed VM footprint moved.
-func (a *Aggregator) MigrationBytes() float64 { return a.migrationBytes }
 
 // ThrottleDutyCycle returns the fraction of server-ticks on which the
 // thermal limit clamped a server's budget, over the observed tick span
@@ -186,38 +175,9 @@ func (a *Aggregator) servers() int {
 	return 0
 }
 
-// Failures returns the observed (server, PMU) crash counts.
-func (a *Aggregator) Failures() (servers, pmus int64) { return a.serverFails, a.pmuFails }
-
-// Repairs returns the observed (server, PMU) repair counts.
-func (a *Aggregator) Repairs() (servers, pmus int64) { return a.serverRepairs, a.pmuRepairs }
-
-// LeaseExpiries returns how many times a node entered budget-lease
-// degraded mode.
-func (a *Aggregator) LeaseExpiries() int64 { return a.leaseExpiries }
-
 // OrphanWattTicks returns the demand stranded awaiting restart, summed
 // over the per-tick "orphans" degradation records (watts × ticks).
 func (a *Aggregator) OrphanWattTicks() float64 { return a.orphanWatts }
-
-// SensorFaults returns the number of sensor faults injected.
-func (a *Aggregator) SensorFaults() int64 { return a.sensorInjects }
-
-// SensorGuardTicks returns the server-ticks on which control ran on the
-// model-predicted fallback temperature plus guard band.
-func (a *Aggregator) SensorGuardTicks() int64 { return a.sensorGuard }
-
-// WorkJoules returns the fleet-wide useful-work joules (dynamic power
-// serving demand × tick duration).
-func (a *Aggregator) WorkJoules() float64 { return a.workJ }
-
-// HeatJoules returns the fleet-wide heat dissipated to the environment,
-// in joules.
-func (a *Aggregator) HeatJoules() float64 { return a.heatJ }
-
-// ShedJoules returns the demand shed (dropped watt-ticks × tick
-// duration), in joules.
-func (a *Aggregator) ShedJoules() float64 { return a.shedJ }
 
 // WorkPerJoule returns useful work per joule consumed — the efficiency
 // scoreboard's headline figure — and ok=false when nothing was consumed.

@@ -65,9 +65,6 @@ func (h *Host) SetUtilization(u float64) {
 	h.utilization = u
 }
 
-// Utilization returns the current CPU utilization.
-func (h *Host) Utilization() float64 { return h.utilization }
-
 // PowerDraw returns the host's current true power draw in watts.
 func (h *Host) PowerDraw() float64 { return h.Power.Power(h.utilization) }
 

@@ -17,13 +17,13 @@ func TestHostPowerCurve(t *testing.T) {
 	if got := h.PowerDraw(); math.Abs(got-232) > 1e-9 {
 		t.Errorf("full draw = %v, want 232", got)
 	}
-	h.SetUtilization(2) // clamps
-	if got := h.Utilization(); got != 1 {
-		t.Errorf("utilization clamped to %v", got)
+	h.SetUtilization(2) // clamps to full load
+	if got := h.PowerDraw(); math.Abs(got-232) > 1e-9 {
+		t.Errorf("draw at utilization 2 = %v, want the full 232", got)
 	}
-	h.SetUtilization(-1)
-	if got := h.Utilization(); got != 0 {
-		t.Errorf("utilization clamped to %v", got)
+	h.SetUtilization(-1) // clamps to idle
+	if got := h.PowerDraw(); math.Abs(got-159.5) > 1e-9 {
+		t.Errorf("draw at utilization -1 = %v, want the idle 159.5", got)
 	}
 }
 

@@ -211,9 +211,6 @@ func (s *Smoother) Update(x float64) float64 {
 	return s.value
 }
 
-// Value returns the current smoothed value (zero before any update).
-func (s *Smoother) Value() float64 { return s.value }
-
 // Initialized reports whether the smoother has absorbed at least one
 // observation since construction or the last Reset. The controller's
 // fixed-point fast path needs it: only an initialized smoother fed the

@@ -199,8 +199,8 @@ func TestSmootherEquation(t *testing.T) {
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("Update = %v, want %v", got, want)
 	}
-	if s.Value() != got {
-		t.Errorf("Value = %v, want %v", s.Value(), got)
+	if s.value != got {
+		t.Errorf("value = %v, want %v", s.value, got)
 	}
 }
 
@@ -227,8 +227,8 @@ func TestSmootherReset(t *testing.T) {
 	s, _ := NewSmoother(0.5)
 	s.Update(10)
 	s.Reset()
-	if s.Value() != 0 {
-		t.Errorf("Value after Reset = %v", s.Value())
+	if s.value != 0 {
+		t.Errorf("value after Reset = %v", s.value)
 	}
 	if got := s.Update(40); got != 40 {
 		t.Errorf("first Update after Reset = %v, want 40", got)
@@ -259,7 +259,7 @@ func TestSmootherBoundsQuick(t *testing.T) {
 		for i := 0; i < 2000; i++ {
 			s.Update(42)
 		}
-		return math.Abs(s.Value()-42) < 1e-6
+		return math.Abs(s.value-42) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -282,12 +282,12 @@ func TestSmootherBias(t *testing.T) {
 	s, _ := NewSmoother(0.5)
 	s.Update(100)
 	s.Bias(-30)
-	if got := s.Value(); got != 70 {
+	if got := s.value; got != 70 {
 		t.Errorf("Value after Bias(-30) = %v, want 70", got)
 	}
 	// Bias never drives the state negative.
 	s.Bias(-1000)
-	if got := s.Value(); got != 0 {
+	if got := s.value; got != 0 {
 		t.Errorf("Value after huge negative Bias = %v, want 0", got)
 	}
 	// Bias on a fresh smoother initializes it (the next Update smooths
