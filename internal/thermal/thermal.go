@@ -69,7 +69,8 @@ func (m Model) Step(t0, p, dt float64) float64 {
 }
 
 // SteadyState returns the temperature the device converges to if power p
-// is held forever: Ta + c1·p/c2.
+// is held forever: Ta + c1·p/c2. Only tests call it: it is the fixed
+// point TestStepHeatsTowardSteadyState checks Step against.
 func (m Model) SteadyState(p float64) float64 {
 	return m.Ambient + m.C1*p/m.C2
 }
