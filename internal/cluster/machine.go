@@ -377,7 +377,6 @@ func (m *Machine) tickBody(now int) {
 // accumulators, and leaves the shard's maxima in its partial.
 func (m *Machine) measureShard(shard, lo, hi int) {
 	ctrl, res := m.ctrl, m.res
-	window := ctrl.Cfg.ThermalWindow
 	p := shardPartial{maxTemp: res.MaxTemp, maxObsTemp: res.MaxObsTemp}
 	for i := lo; i < hi; i++ {
 		s := ctrl.Servers[i]
@@ -400,10 +399,10 @@ func (m *Machine) measureShard(shard, lo, hi int) {
 		sl.consumed = consumed
 		m.powerAcc[i].Add(consumed)
 		m.tempAcc[i].Add(t)
-		if d := s.Deficit(window); d > p.deficit {
+		if d := s.Deficit(); d > p.deficit {
 			p.deficit = d
 		}
-		if v := s.Surplus(window); v > p.surplus {
+		if v := s.Surplus(); v > p.surplus {
 			p.surplus = v
 		}
 		sl.awake = !s.Asleep()

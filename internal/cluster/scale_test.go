@@ -173,7 +173,7 @@ func TestShardInvariance(t *testing.T) {
 						shed[e.Server] = true
 					}
 				}
-				tick.Reset()
+				tick.Events = tick.Events[:0]
 				awake := len(m.Controller().Servers) - m.Controller().AsleepCount()
 				if m.NextTick() <= at && len(shed) > 0 && len(shed) < awake {
 					interleaved = true

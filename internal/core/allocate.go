@@ -493,8 +493,7 @@ func (c *Controller) sumChildren(n *topo.Node) {
 // serverCapFloor returns server j's hard constraint and static floor as
 // its rack divides budget: its hard cap and static power, or nothing
 // while it sleeps — a sleeping server cannot spend budget and burns no
-// static power. Its cached hard cap is the one for Cfg.ThermalWindow
-// (see fleetHot).
+// static power.
 func (c *Controller) serverCapFloor(j int) (cap, floor float64) {
 	h := c.hot
 	if h.asleep[j] {

@@ -118,25 +118,7 @@ func (c *Controller) viewDynamic(s *Server) float64 {
 }
 
 // viewDeficit is Eq. 5 evaluated on the parent's (possibly stale) view.
-func (c *Controller) viewDeficit(s *Server, window float64) float64 {
-	if s.Asleep() {
-		return 0
-	}
-	d := c.viewCP(s) - s.EffectiveBudget(window)
-	if d < 0 {
-		return 0
-	}
-	return d
-}
+func (c *Controller) viewDeficit(s *Server) float64 { return c.hot.deficit(s.idx, c.viewCP(s)) }
 
 // viewSurplus is Eq. 6 evaluated on the parent's view.
-func (c *Controller) viewSurplus(s *Server, window float64) float64 {
-	if s.Asleep() {
-		return 0
-	}
-	d := s.EffectiveBudget(window) - c.viewCP(s)
-	if d < 0 {
-		return 0
-	}
-	return d
-}
+func (c *Controller) viewSurplus(s *Server) float64 { return c.hot.surplus(s.idx, c.viewCP(s)) }

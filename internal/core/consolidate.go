@@ -15,7 +15,6 @@ import "sort"
 // utilization the pass packs many servers onto few rather than refusing
 // to act because "everyone is a candidate".
 func (c *Controller) consolidate(t int) {
-	window := c.Cfg.ThermalWindow
 	dynCap := func(s *Server) float64 { return s.Power.Peak - s.Power.Static }
 
 	utilization := func(s *Server) float64 {
@@ -75,14 +74,14 @@ func (c *Controller) consolidate(t int) {
 		if len(c.Servers)-c.AsleepCount() <= 1 {
 			break // never consolidate the last server away
 		}
-		if c.viewDeficit(victim, window) > tolerance {
+		if c.viewDeficit(victim) > tolerance {
 			continue // a struggling server is the demand pass's problem
 		}
 		if c.transferTouches(victim) {
 			continue // an endpoint of an in-flight transfer must stay up
 		}
 
-		ws := c.workingSurpluses(window)
+		ws := c.workingSurpluses()
 		ws.cand[victim.Node.ServerIndex] = false
 		items := make([]item, 0, victim.Apps.Len())
 		for _, a := range victim.Apps.Apps {

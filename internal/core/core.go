@@ -342,44 +342,20 @@ type Server struct {
 	leaseTick    int
 	lastParentTP float64
 
-	// capDecay / capDen / capWindow cache the constants of the Eq. 3
-	// power limit over the configured adjustment window:
-	// capDecay = e^(−c2·Δs), capDen = c1·(1−capDecay). They make the
-	// cached hard cap (state.go) a few multiplications instead of a
-	// transcendental per server per tick.
-	capDecay, capDen, capWindow float64
-}
-
-// EffectiveBudget returns min(TP, hard cap): the power the server may
-// actually draw this window. The hard cap combines the thermal limit of
-// Eq. 3 with the circuit limit (Section IV-D's hard constraints).
-func (s *Server) EffectiveBudget(windowDt float64) float64 {
-	cap := s.HardCap(windowDt)
-	if tp := s.hot.tp[s.idx]; tp < cap {
-		return tp
-	}
-	return cap
+	// capDecay / capDen cache the constants of the Eq. 3 power limit
+	// over the configured adjustment window Δs: capDecay = e^(−c2·Δs),
+	// capDen = c1·(1−capDecay). They make the cached hard cap (state.go)
+	// a few multiplications instead of a transcendental per server per
+	// tick.
+	capDecay, capDen float64
 }
 
 // HardCap returns the hard constraint: min(thermal power limit over the
-// next adjustment window, circuit limit, rated peak). The Eq. 3 limit
-// is computed from the observed temperature TObs — the controller can
-// only act on what its instruments report (see sensing.go). For the
-// configured adjustment window the cached value is returned (refreshed
-// on every TObs write); other windows compute from scratch.
-func (s *Server) HardCap(windowDt float64) float64 {
-	if windowDt == s.capWindow {
-		return s.hot.hardCap[s.idx]
-	}
-	cap := s.Thermal.Model.PowerLimit(s.hot.tobs[s.idx], windowDt)
-	if s.CircuitLimit > 0 && s.CircuitLimit < cap {
-		cap = s.CircuitLimit
-	}
-	if s.Power.Peak < cap {
-		cap = s.Power.Peak
-	}
-	return cap
-}
+// configured adjustment window, circuit limit, rated peak). The Eq. 3
+// limit is computed from the observed temperature TObs — the controller
+// can only act on what its instruments report (see sensing.go) — and
+// cached on every TObs write.
+func (s *Server) HardCap() float64 { return s.hot.hardCap[s.idx] }
 
 // Utilization returns the server's current utilization as implied by its
 // consumed power.
@@ -390,23 +366,8 @@ func (s *Server) Utilization() float64 {
 	return s.Power.Utilization(s.hot.consumed[s.idx])
 }
 
-// Deficit returns [CP − effective budget]+ (Eq. 5).
-func (s *Server) Deficit(windowDt float64) float64 {
-	d := s.hot.cp[s.idx] - s.EffectiveBudget(windowDt)
-	if d < 0 || s.hot.asleep[s.idx] {
-		return 0
-	}
-	return d
-}
+// Deficit returns [CP − min(TP, hard cap)]+ (Eq. 5).
+func (s *Server) Deficit() float64 { return s.hot.deficit(s.idx, s.hot.cp[s.idx]) }
 
-// Surplus returns [effective budget − CP]+ (Eq. 6).
-func (s *Server) Surplus(windowDt float64) float64 {
-	if s.hot.asleep[s.idx] {
-		return 0
-	}
-	d := s.EffectiveBudget(windowDt) - s.hot.cp[s.idx]
-	if d < 0 {
-		return 0
-	}
-	return d
-}
+// Surplus returns [min(TP, hard cap) − CP]+ (Eq. 6).
+func (s *Server) Surplus() float64 { return s.hot.surplus(s.idx, s.hot.cp[s.idx]) }

@@ -242,7 +242,7 @@ func (c *Controller) clearPMUDegraded(out *shardOut, n *topo.Node, t int) {
 // the hard cap (Eq. 3 thermal limit, circuit limit, rated peak).
 func (c *Controller) serverFloor(s *Server) float64 {
 	floor := s.Power.Static + c.fairShare(s.Node, s.lastParentTP)
-	if cap := s.HardCap(c.Cfg.ThermalWindow); cap < floor {
+	if cap := s.HardCap(); cap < floor {
 		floor = cap
 	}
 	return floor

@@ -227,7 +227,7 @@ func TestMidTreePMUKillSafety(t *testing.T) {
 			if s.Asleep() {
 				continue
 			}
-			if cap := s.HardCap(c.Cfg.ThermalWindow); s.Consumed() > cap+tolerance {
+			if cap := s.HardCap(); s.Consumed() > cap+tolerance {
 				t.Fatalf("tick %d: server %d consumed %v above hard cap %v",
 					tick, s.Node.ServerIndex, s.Consumed(), cap)
 			}

@@ -147,7 +147,7 @@ func (c *Controller) restartOrphans(t int) {
 			Cause: "orphans", Count: len(c.orphans), Watts: stranded,
 		})
 	}
-	ws := c.workingSurpluses(c.Cfg.ThermalWindow)
+	ws := c.workingSurpluses()
 	var waiting []orphan
 	for _, o := range c.orphans {
 		scope := c.Tree.Root

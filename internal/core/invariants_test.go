@@ -399,7 +399,7 @@ func TestFaultScheduleInvariants(t *testing.T) {
 					}
 					continue
 				}
-				if cap := s.HardCap(c.Cfg.ThermalWindow); s.Consumed() > cap+1e-6 {
+				if cap := s.HardCap(); s.Consumed() > cap+1e-6 {
 					t.Fatalf("seed %d tick %d: server %d consumed %v above hard cap %v",
 						seed, tick, si, s.Consumed(), cap)
 				}

@@ -45,7 +45,7 @@ func (c *Controller) migrateDemand(t int) {
 		return
 	}
 
-	ws := c.workingSurpluses(c.Cfg.ThermalWindow)
+	ws := c.workingSurpluses()
 	plan, unplaced := c.planPlacement(items, ws, false, false)
 	c.applyAssignments(plan, CauseDemand, t)
 
@@ -68,20 +68,17 @@ func (c *Controller) migrateDemand(t int) {
 func (c *Controller) scanShard(shard, lo, hi int) {
 	out := &c.out[shard]
 	items := out.items[:0]
-	window := c.Cfg.ThermalWindow
-	// With synchronous reporting a parent sees each server's own CP, so
-	// Eq. 5 reads straight off the slab; the asynchronous plane reads the
-	// server through its report pipe.
+	// Eq. 5 is judged on the CP the parent sees: with synchronous
+	// reporting the server's own, off the slab; on the asynchronous plane
+	// the one its report pipe delivered.
 	async, h := c.asyncEnabled(), c.hot
 	for i := lo; i < hi; i++ {
 		s := c.Servers[i]
-		var def float64
+		cp := h.cp[i]
 		if async {
-			def = c.viewDeficit(s, window)
-		} else {
-			def = h.deficit(i)
+			cp = c.viewCP(s)
 		}
-		def -= c.outboundFor(s)
+		def := h.deficit(i, cp) - c.outboundFor(s)
 		// Migration-trigger seam (policy.go): the built-in rule peels
 		// when the deficit exceeds P_min, targeting deficit + P_min.
 		target := c.peelTarget(s, def)
@@ -130,13 +127,13 @@ func (ws *surplusSet) add(i int, v float64) {
 
 // workingSurpluses returns, per eligible receiving server, the watts it
 // can absorb while keeping the P_min margin.
-func (c *Controller) workingSurpluses(window float64) *surplusSet {
+func (c *Controller) workingSurpluses() *surplusSet {
 	ws := c.ws.reset(len(c.Servers))
 	for i, s := range c.Servers {
 		if !c.receiverEligible(s) {
 			continue
 		}
-		v := c.viewSurplus(s, window) - c.Cfg.PMin - c.reservedFor(s)
+		v := c.viewSurplus(s) - c.Cfg.PMin - c.reservedFor(s)
 		if v > tolerance {
 			ws.add(i, v)
 		}
@@ -422,7 +419,7 @@ func (c *Controller) drainToSleep(unplaced []item, t int) []item {
 			if c.failedPMUCount > 0 && c.underDeadPMU(s.Node) {
 				continue
 			}
-			room := s.HardCap(c.Cfg.ThermalWindow) - c.viewCP(s) - c.Cfg.PMin - c.reservedFor(s)
+			room := s.HardCap() - c.viewCP(s) - c.Cfg.PMin - c.reservedFor(s)
 			if room > tolerance {
 				ws.add(s.Node.ServerIndex, room)
 			}
@@ -450,7 +447,7 @@ func (c *Controller) drainToSleep(unplaced []item, t int) []item {
 
 	// The original unplaced items may now fit: retry against fresh
 	// budget surpluses.
-	ws := c.workingSurpluses(c.Cfg.ThermalWindow)
+	ws := c.workingSurpluses()
 	var still []item
 	for _, it := range unplaced {
 		if drained[it.src] {

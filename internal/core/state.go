@@ -30,7 +30,6 @@ import (
 	"math"
 	"sync"
 
-	"willow/internal/telemetry"
 	"willow/internal/topo"
 )
 
@@ -44,10 +43,8 @@ type fleetHot struct {
 	consumed  []float64 // power actually drawn this tick
 	dropped   []float64 // demand shed this tick
 	tobs      []float64 // observed (control) temperature
-	// hardCap caches min(Eq. 3 limit at tobs, circuit, peak) for
-	// Cfg.ThermalWindow, the window every control decision reads it at.
-	// Nothing writes Cfg.ThermalWindow after New, so slab readers need
-	// not go through Server.HardCap's window check.
+	// hardCap caches min(Eq. 3 limit at tobs, circuit, peak) over the
+	// configured adjustment window, refreshed on every tobs write.
 	hardCap  []float64
 	thermLim []float64 // cached raw Eq. 3 limit at tobs (pre-min)
 	static   []float64 // Power.Static, never written after New
@@ -136,7 +133,6 @@ func (s *Server) Degraded() bool { return s.hot.degraded[s.idx] }
 func (s *Server) setRawDemand(v float64) { s.hot.rawDemand[s.idx] = v }
 func (s *Server) setTP(v float64)        { s.hot.tp[s.idx] = v }
 func (s *Server) setConsumed(v float64)  { s.hot.consumed[s.idx] = v }
-func (s *Server) setDropped(v float64)   { s.hot.dropped[s.idx] = v }
 func (s *Server) setAsleep(v bool)       { s.hot.asleep[s.idx] = v }
 func (s *Server) setDegraded(v bool)     { s.hot.degraded[s.idx] = v }
 
@@ -210,19 +206,37 @@ func (s *Server) Eq3Limit(tobs float64) float64 {
 	return lim
 }
 
-// deficit is Eq. 5 for server i read off the slab: Server.Deficit at
-// the configured adjustment window, whose hard cap is the cached one,
-// with EffectiveBudget's own tp < cap comparison (the builtin min
-// differs on NaN and signed zeros).
-func (h *fleetHot) deficit(i int) float64 {
+// effBudget is min(tp, hard cap) for server i: the power it may actually
+// draw this window, under Section IV-D's hard constraints. The tp < cap
+// comparison, not the builtin min, decides which operand a NaN or a
+// signed zero yields.
+func (h *fleetHot) effBudget(i int) float64 {
+	if tp := h.tp[i]; tp < h.hardCap[i] {
+		return tp
+	}
+	return h.hardCap[i]
+}
+
+// deficit is Eq. 5, [cp − effBudget]+, for server i at demand cp: its
+// own CP, or its parent's view of it (viewCP). An asleep server has
+// none.
+func (h *fleetHot) deficit(i int, cp float64) float64 {
 	if h.asleep[i] {
 		return 0
 	}
-	eff := h.hardCap[i]
-	if tp := h.tp[i]; tp < eff {
-		eff = tp
+	d := cp - h.effBudget(i)
+	if d < 0 {
+		return 0
 	}
-	d := h.cp[i] - eff
+	return d
+}
+
+// surplus is Eq. 6, [effBudget − cp]+, for server i at demand cp.
+func (h *fleetHot) surplus(i int, cp float64) float64 {
+	if h.asleep[i] {
+		return 0
+	}
+	d := h.effBudget(i) - cp
 	if d < 0 {
 		return 0
 	}
@@ -359,47 +373,6 @@ func (c *Controller) recountLiveUpLinks() {
 		}
 	}
 	c.liveUpLinks = count
-}
-
-// --- Telemetry batching -----------------------------------------------
-
-// publish delivers one telemetry event. During a Step events buffer and
-// flush at the step boundary in publication order (so emission amortizes
-// across servers); outside a Step — public mutators like FailServer
-// called between ticks — they pass straight through, preserving the
-// seed's ordering relative to the tick body.
-func (c *Controller) publish(e telemetry.Event) {
-	if c.Sink == nil {
-		return
-	}
-	if c.inStep {
-		c.eventBuf = append(c.eventBuf, e)
-		return
-	}
-	c.Sink.Publish(e)
-}
-
-// publishAll delivers events in order, as publish delivers each.
-func (c *Controller) publishAll(events []telemetry.Event) {
-	if c.Sink == nil {
-		return
-	}
-	if c.inStep {
-		c.eventBuf = append(c.eventBuf, events...)
-		return
-	}
-	for _, e := range events {
-		c.Sink.Publish(e)
-	}
-}
-
-// flushEvents hands the step's buffered events to the sink as one batch.
-func (c *Controller) flushEvents() {
-	if len(c.eventBuf) == 0 {
-		return
-	}
-	telemetry.PublishAll(c.Sink, c.eventBuf)
-	c.eventBuf = c.eventBuf[:0]
 }
 
 // --- Sharded tick execution -------------------------------------------

@@ -33,7 +33,7 @@ func (c *Controller) subtreeCap(n *topo.Node) float64 {
 		if s.Asleep() {
 			return 0
 		}
-		return s.HardCap(c.Cfg.ThermalWindow)
+		return s.HardCap()
 	}
 	var sum float64
 	for _, ch := range n.Children {

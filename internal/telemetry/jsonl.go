@@ -95,17 +95,6 @@ func (jw *Writer) Publish(e Event) {
 	jw.err = jw.w.WriteByte('\n')
 }
 
-// PublishBatch implements BatchSink: one encode loop into the buffered
-// writer, byte-identical to publishing each event individually.
-func (jw *Writer) PublishBatch(events []Event) {
-	for _, e := range events {
-		if jw.err != nil {
-			return
-		}
-		jw.Publish(e)
-	}
-}
-
 // Flush drains the internal buffer and returns the sticky error, if any.
 func (jw *Writer) Flush() error {
 	if jw.err != nil {

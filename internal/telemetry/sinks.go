@@ -39,54 +39,6 @@ func (m multi) Publish(e Event) {
 	}
 }
 
-// BatchSink is an optional extension a Sink may implement to accept a
-// whole tick's worth of events in one call. The controller buffers the
-// events it publishes during a step and hands the batch over at the
-// step boundary, so sinks that can amortize per-event overhead (an
-// append loop, one buffered write) get the chance to. PublishBatch must
-// behave exactly like publishing each event in slice order; the slice
-// is owned by the caller and must not be retained.
-type BatchSink interface {
-	Sink
-	PublishBatch([]Event)
-}
-
-// PublishAll delivers events to s in order, using the batch fast path
-// when s implements BatchSink. A nil sink or empty batch is a no-op.
-func PublishAll(s Sink, events []Event) {
-	if s == nil || len(events) == 0 {
-		return
-	}
-	if bs, ok := s.(BatchSink); ok {
-		bs.PublishBatch(events)
-		return
-	}
-	for _, e := range events {
-		s.Publish(e)
-	}
-}
-
-// PublishBatch implements BatchSink by fanning the whole batch out to
-// each sink in turn, preserving per-sink event order.
-func (m multi) PublishBatch(events []Event) {
-	for _, s := range m {
-		PublishAll(s, events)
-	}
-}
-
-// Filter passes only events whose kind is in Keep through to Next.
-type Filter struct {
-	Next Sink
-	Keep KindSet
-}
-
-// Publish implements Sink.
-func (f *Filter) Publish(e Event) {
-	if f.Keep.Has(e.Kind) {
-		f.Next.Publish(e)
-	}
-}
-
 // Buffer is an unbounded in-memory sink. Parallel harnesses give each
 // simulation run its own Buffer and replay the buffers in a
 // deterministic order afterwards — that is how cluster.RunAll merges
@@ -98,9 +50,6 @@ type Buffer struct {
 // Publish implements Sink.
 func (b *Buffer) Publish(e Event) { b.Events = append(b.Events, e) }
 
-// PublishBatch implements BatchSink with a single append.
-func (b *Buffer) PublishBatch(events []Event) { b.Events = append(b.Events, events...) }
-
 // ReplayTo republishes every buffered event into dst in order.
 func (b *Buffer) ReplayTo(dst Sink) {
 	if dst == nil {
@@ -110,6 +59,3 @@ func (b *Buffer) ReplayTo(dst Sink) {
 		dst.Publish(e)
 	}
 }
-
-// Reset drops the buffered events, keeping the capacity.
-func (b *Buffer) Reset() { b.Events = b.Events[:0] }

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 )
@@ -92,7 +93,7 @@ func TestWriterReadAll(t *testing.T) {
 	}
 }
 
-func TestMultiAndFilter(t *testing.T) {
+func TestMulti(t *testing.T) {
 	if Multi(nil, nil) != nil {
 		t.Error("Multi of nils must be nil")
 	}
@@ -100,16 +101,85 @@ func TestMultiAndFilter(t *testing.T) {
 	if Multi(nil, &b) != Sink(&b) {
 		t.Error("Multi of one sink must be that sink")
 	}
-	var kept Buffer
-	f := &Filter{Next: &kept, Keep: KindSet(0).With(KindFailure)}
-	m := Multi(f, &b)
+	var other Buffer
+	m := Multi(&other, &b)
 	m.Publish(Event{Kind: KindMigration})
 	m.Publish(Event{Kind: KindFailure})
-	if len(b.Events) != 2 {
-		t.Errorf("unfiltered sink saw %d events, want 2", len(b.Events))
+	for name, got := range map[string]*Buffer{"first": &other, "second": &b} {
+		if len(got.Events) != 2 || got.Events[0].Kind != KindMigration || got.Events[1].Kind != KindFailure {
+			t.Errorf("%s sink saw %+v", name, got.Events)
+		}
 	}
-	if len(kept.Events) != 1 || kept.Events[0].Kind != KindFailure {
-		t.Errorf("filtered sink saw %+v", kept.Events)
+}
+
+// TestFileSinkKindFilter pins the -events-filter contract: the JSONL
+// file holds exactly the kept kinds' lines, in publication order, while
+// the summary describes every event published.
+func TestFileSinkKindFilter(t *testing.T) {
+	events := []Event{
+		{Tick: 0, Kind: KindBudgetChange, Level: 1, Watts: 100, Demand: 80},
+		{Tick: 0, Kind: KindMigration, App: 3, From: 1, To: 2, Watts: 40, Bytes: 1, Local: true},
+		{Tick: 1, Kind: KindThermalThrottle, Server: 2, Watts: 90, Prev: 120, Demand: 110},
+		{Tick: 1, Kind: KindQoSViolation, Server: 1, App: 4, Cause: "degraded", Watts: 10, Demand: 25},
+		{Tick: 2, Kind: KindMigration, App: 5, From: 2, To: 0, Watts: 30, Bytes: 2},
+		{Tick: 3, Kind: KindFailure, Server: 0, Cause: "fail", Count: 1, Watts: 30},
+		{Tick: 3, Kind: KindThermalThrottle, Server: 1, Watts: 70, Prev: 95, Demand: 99},
+	}
+	keep := KindSet(0).With(KindMigration).With(KindThermalThrottle)
+	dir := t.TempDir()
+	stream, summary := dir+"/run.jsonl", dir+"/run.summary.txt"
+	fs, err := OpenFileSink(stream, summary, "run", keep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all Aggregator
+	for _, e := range events {
+		fs.Publish(e)
+		all.Publish(e)
+	}
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var want bytes.Buffer
+	kept := 0
+	for _, e := range events {
+		if !keep.Has(e.Kind) {
+			continue
+		}
+		line, err := Encode(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Write(line)
+		want.WriteByte('\n')
+		kept++
+	}
+	got, err := os.ReadFile(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kept != 4 || !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("stream holds\n%s\nwant the %d kept events\n%s", got, kept, want.Bytes())
+	}
+
+	report, err := os.ReadFile(summary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(report) != all.Table("run").String() {
+		t.Errorf("summary differs from the unfiltered stream's:\n%s", report)
+	}
+	rows := map[string]string{}
+	for _, line := range strings.Split(string(report), "\n") {
+		if f := strings.Fields(line); len(f) == 2 {
+			rows[f[0]] = f[1]
+		}
+	}
+	for metric, want := range map[string]string{"events.budget": "1", "events.migration": "2", "events.throttle": "2", "events.failure": "1", "events.qos": "1"} {
+		if rows[metric] != want {
+			t.Errorf("summary row %s = %q, want %q:\n%s", metric, rows[metric], want, report)
+		}
 	}
 }
 
@@ -120,12 +190,8 @@ func TestBufferReplay(t *testing.T) {
 	var dst Buffer
 	b.ReplayTo(&dst)
 	b.ReplayTo(nil) // must not panic
-	if len(dst.Events) != 2 || dst.Events[0].Tick != 1 {
+	if len(dst.Events) != 2 || dst.Events[0].Tick != 1 || dst.Events[1].Tick != 2 {
 		t.Errorf("replayed %+v", dst.Events)
-	}
-	b.Reset()
-	if len(b.Events) != 0 {
-		t.Error("Reset left events behind")
 	}
 }
 
