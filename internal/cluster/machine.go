@@ -66,13 +66,12 @@ type Machine struct {
 	measured          int
 	baseMeans         map[*workload.App]float64
 
-	// The sharded measurement phase (measureShard): measuring is the
-	// tick's past-warm-up flag, slots and partials what each shard
-	// writes for the sequential fold, measureFn the phase bound once.
+	// The measurement, as the controller's settle observer (Settled and
+	// Fold): measuring is the tick's past-warm-up flag, slots and
+	// partials what Settled writes per server and per shard for Fold.
 	measuring bool
 	slots     []serverSlot
 	partials  []shardPartial
-	measureFn func(shard, lo, hi int)
 
 	stepped int // ticks executed; the next Step runs tick `stepped`
 
@@ -229,6 +228,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 	// The caller's sink is the controller's: with none attached, the
 	// controller builds no events at all.
 	ctrl.Sink = cfg.Sink
+	ctrl.Settle = m
 
 	m.powerAcc = make([]metrics.Welford, m.n)
 	m.tempAcc = make([]metrics.Welford, m.n)
@@ -236,7 +236,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 	m.asleep = make([]int, m.n)
 	m.slots = make([]serverSlot, m.n)
 	m.partials = make([]shardPartial, ctrl.Shards())
-	m.measureFn = m.measureShard
 	slo := cfg.SLO
 	if slo.Service <= 0 {
 		slo = queueing.SLO{Service: 1, Target: 10}
@@ -280,8 +279,8 @@ func (m *Machine) attachSensors() {
 	m.sensorsAttached = true
 }
 
-// serverSlot is what the measurement phase records for one server, for
-// the sequential fold to add in server order.
+// serverSlot is what Settled records for one server, for Fold to add
+// in server order.
 type serverSlot struct {
 	util     float64 // utilization, the server's switch traffic driver
 	consumed float64
@@ -290,24 +289,26 @@ type serverSlot struct {
 }
 
 // shardPartial is one shard's share of the tick's order-free
-// reductions: maxima and a count.
+// reductions: maxima and a count. Settled writes it once per server, so
+// padding keeps the next shard's partial off its cache line.
 type shardPartial struct {
 	maxTemp, maxObsTemp float64
 	violations          int
 	deficit, surplus    float64 // level-0 maxima, Eqs. 7–8
+	_                   [64]byte
 }
 
 // tickBody is one demand tick Δ_D: the controller step plus every
 // per-tick measurement.
 //
-// The measurements run as one more sharded phase on the controller's
-// plan (measureShard), writing only per-server slots and per-shard
-// partials. Maxima and counts fold in any order; the float sums whose
-// bits depend on order — switch traffic, total energy, the latency
-// tracker — then fold sequentially in server order, so the result is
-// the same for any shard count.
+// The measurements run inside the step as its settle observer: Settled
+// writes per-server slots and per-shard partials on the settling shard,
+// and Fold folds them beside the controller's serial tail. Maxima and
+// counts fold in any order; the float sums whose bits depend on order —
+// switch traffic, total energy, the latency tracker — fold in server
+// order, so the result is the same for any shard count.
 func (m *Machine) tickBody(now int) {
-	cfg, ctrl, net, res := m.cfg, m.ctrl, m.net, m.res
+	cfg, ctrl, net := m.cfg, m.ctrl, m.net
 	if m.baseMeans != nil {
 		factor := cfg.DemandProfile.At(now / ctrl.Cfg.Eta1)
 		if factor < 0 {
@@ -317,6 +318,8 @@ func (m *Machine) tickBody(now int) {
 			a.Mean = base * factor
 		}
 	}
+	m.measuring = now >= cfg.Warmup
+	clear(m.partials)
 	ctrl.Step()
 	// Take in this tick's migrations in the order the controller applied
 	// them.
@@ -327,11 +330,70 @@ func (m *Machine) tickBody(now int) {
 		}
 	}
 	m.migSeen = len(ctrl.Stats.Migrations)
+	if len(m.flows) > 0 {
+		net.RecordFlows(m.flows, m.location)
+	}
+	net.EndTick()
+	if !m.measuring {
+		return
+	}
+	m.measured++
+	for level := 1; level <= m.tree.Height; level++ {
+		_, _, imb := ctrl.LevelImbalance(level)
+		m.imbAcc[level].Add(imb)
+	}
+}
 
-	m.measuring = now >= cfg.Warmup
-	ctrl.ForEachShard(m.measureFn)
+// Settled and Fold make the Machine its controller's settle observer
+// (core.SettleObserver); only ctrl.Step calls them. Settled measures s
+// into its slot, its accumulators and the shard's partial.
+func (m *Machine) Settled(shard int, s *core.Server) {
+	p, i := &m.partials[shard], s.Index()
+	sl := &m.slots[i]
+	sl.util = s.Utilization()
+	t := s.Thermal.T
+	if t > p.maxTemp {
+		p.maxTemp = t
+	}
+	if obs := s.TObs(); obs > p.maxObsTemp {
+		p.maxObsTemp = obs
+	}
+	if t > s.Thermal.Model.Limit+1e-6 {
+		p.violations++
+	}
+	if !m.measuring {
+		return
+	}
+	consumed := s.Consumed()
+	sl.consumed = consumed
+	m.powerAcc[i].Add(consumed)
+	m.tempAcc[i].Add(t)
+	if d := s.Deficit(); d > p.deficit {
+		p.deficit = d
+	}
+	if v := s.Surplus(); v > p.surplus {
+		p.surplus = v
+	}
+	sl.awake = !s.Asleep()
+	if !sl.awake {
+		m.asleep[i]++
+		return
+	}
+	servedDyn := consumed - s.Power.Static
+	if servedDyn < 0 {
+		servedDyn = 0
+	}
+	sl.latency = m.latency.Sample(sl.util, servedDyn, s.Dropped())
+}
+
+// Fold folds the tick's partials and slots into the Result, the switch
+// traffic, the latency tracker and the level-0 imbalance. It touches
+// only Machine state, so it runs beside the controller's serial tail.
+func (m *Machine) Fold() {
+	res, net := m.res, m.net
 	var def, sur float64
-	for _, p := range m.partials {
+	for k := range m.partials {
+		p := &m.partials[k]
 		if p.maxTemp > res.MaxTemp {
 			res.MaxTemp = p.maxTemp
 		}
@@ -357,66 +419,9 @@ func (m *Machine) tickBody(now int) {
 			m.latency.Add(sl.latency)
 		}
 	}
-	if len(m.flows) > 0 {
-		net.RecordFlows(m.flows, m.location)
+	if m.measuring {
+		m.imbAcc[0].Add(core.Imbalance(def, sur))
 	}
-	net.EndTick()
-	if !m.measuring {
-		return
-	}
-	m.measured++
-	m.imbAcc[0].Add(core.Imbalance(def, sur))
-	for level := 1; level <= m.tree.Height; level++ {
-		_, _, imb := ctrl.LevelImbalance(level)
-		m.imbAcc[level].Add(imb)
-	}
-}
-
-// measureShard is tickBody's parallel phase over servers [lo, hi): it
-// reads the settled controller, writes the servers' slots and
-// accumulators, and leaves the shard's maxima in its partial.
-func (m *Machine) measureShard(shard, lo, hi int) {
-	ctrl, res := m.ctrl, m.res
-	p := shardPartial{maxTemp: res.MaxTemp, maxObsTemp: res.MaxObsTemp}
-	for i := lo; i < hi; i++ {
-		s := ctrl.Servers[i]
-		sl := &m.slots[i]
-		sl.util = s.Utilization()
-		t := s.Thermal.T
-		if t > p.maxTemp {
-			p.maxTemp = t
-		}
-		if obs := s.TObs(); obs > p.maxObsTemp {
-			p.maxObsTemp = obs
-		}
-		if t > s.Thermal.Model.Limit+1e-6 {
-			p.violations++
-		}
-		if !m.measuring {
-			continue
-		}
-		consumed := s.Consumed()
-		sl.consumed = consumed
-		m.powerAcc[i].Add(consumed)
-		m.tempAcc[i].Add(t)
-		if d := s.Deficit(); d > p.deficit {
-			p.deficit = d
-		}
-		if v := s.Surplus(); v > p.surplus {
-			p.surplus = v
-		}
-		sl.awake = !s.Asleep()
-		if !sl.awake {
-			m.asleep[i]++
-			continue
-		}
-		servedDyn := consumed - s.Power.Static
-		if servedDyn < 0 {
-			servedDyn = 0
-		}
-		sl.latency = m.latency.Sample(sl.util, servedDyn, s.Dropped())
-	}
-	m.partials[shard] = p
 }
 
 // Step advances the simulation by one demand tick t = NextTick(). It

@@ -40,11 +40,12 @@ func fleetConfig(fanout []int, supplyFrac float64) Config {
 // chaos plan, with the naive instruments and with the robust estimator
 // armed, whose sensing and estimator updates run in the sharded settle.
 // The consolidating variant runs a lightly loaded fleet that sleeps
-// most of its servers within the run, so the Machine's sharded
-// measurement phase compares its asleep branch and its level-0
-// imbalance across shard counts too. The deficit variant runs the
-// deficit-steps supply trace with 8-tick leases and the estimator
-// armed, so servers shed and run the estimator in the same tick. The
+// most of its servers within the run, so the Machine's measurement,
+// made in the settle on each server's own shard, compares its asleep
+// branch and its level-0 imbalance across shard counts too. The
+// deficit variant runs the deficit-steps supply trace with 8-tick
+// leases and the estimator armed, so servers shed and run the
+// estimator in the same tick. The
 // QoS-shedding variant has servers shed and servers served in full
 // within one tick (see TestShardInvariance/1k-qos-shedding). Every
 // variant compares shards 2, 3, 4 and 8 against one; 3 splits the

@@ -85,7 +85,7 @@ func (c *Controller) allocateResilient(t int, window bool) {
 		}
 	}
 
-	c.ForEachShard(c.allocateRacksFn)
+	c.shards.run(c.allocateRacksFn)
 	c.mergeAllocation()
 }
 
@@ -454,7 +454,7 @@ func (c *Controller) computeChildAllocations(sc *allocScratch, node *topo.Node, 
 // allocation pass does (budgets, reduced flags, lease state) moves a
 // hard cap or a sleep flag, so the sums hold for the whole pass.
 func (c *Controller) sumSubtrees() {
-	c.ForEachShard(c.sumRacksFn)
+	c.shards.run(c.sumRacksFn)
 	for level := 2; level <= c.Tree.Height; level++ {
 		for _, n := range c.levels[level] {
 			c.sumChildren(n)

@@ -15,31 +15,14 @@ import "sort"
 // utilization the pass packs many servers onto few rather than refusing
 // to act because "everyone is a candidate".
 func (c *Controller) consolidate(t int) {
-	dynCap := func(s *Server) float64 { return s.Power.Peak - s.Power.Static }
-
-	utilization := func(s *Server) float64 {
-		d := dynCap(s)
-		if d <= 0 {
-			return 0
-		}
-		return c.viewDynamic(s) / d
+	// The scan runs sharded; joined in shard order, which is server
+	// order, the candidates reach the sort the same for any shard count.
+	c.shards.run(c.candidatesFn)
+	candidates := c.out[0].candidates
+	for k := 1; k < len(c.out); k++ {
+		candidates = append(candidates, c.out[k].candidates...)
 	}
-
-	candidates := c.candidates[:0]
-	for _, s := range c.Servers {
-		if s.Asleep() || s.wakeAt >= 0 {
-			continue
-		}
-		if c.failedPMUCount > 0 && c.underDeadPMU(s.Node) {
-			continue // a dead span cannot coordinate its own drain
-		}
-		// Consolidation-trigger seam (policy.go): the built-in rule
-		// drains servers running below the utilization threshold.
-		if c.consolidateEligible(s, utilization(s)) {
-			candidates = append(candidates, s)
-		}
-	}
-	c.candidates = candidates
+	c.out[0].candidates = candidates
 	// Thermally squeezed servers first — "Willow tries to move as much
 	// work away from these servers as possible due to their high
 	// temperatures" (the paper's Fig. 7 discussion) — then the biggest
@@ -68,7 +51,7 @@ func (c *Controller) consolidate(t int) {
 		// above the threshold, or slept it (it cannot have slept — only
 		// candidates sleep and each is visited once — but demand may have
 		// landed on it).
-		if victim.Asleep() || !c.consolidateEligible(victim, utilization(victim)) {
+		if victim.Asleep() || !c.consolidateEligible(victim, c.viewUtilization(victim)) {
 			continue
 		}
 		if len(c.Servers)-c.AsleepCount() <= 1 {
@@ -104,4 +87,35 @@ func (c *Controller) consolidate(t int) {
 		// sleeping servers freed their static floors for everyone else.
 		c.allocateResilient(t, false)
 	}
+}
+
+// candidateShard is consolidate's candidate scan over servers [lo, hi),
+// into the shard's buffer in server order. It writes nothing shared.
+func (c *Controller) candidateShard(shard, lo, hi int) {
+	out := &c.out[shard]
+	candidates := out.candidates[:0]
+	for _, s := range c.Servers[lo:hi] {
+		if s.Asleep() || s.wakeAt >= 0 {
+			continue
+		}
+		if c.failedPMUCount > 0 && c.underDeadPMU(s.Node) {
+			continue // a dead span cannot coordinate its own drain
+		}
+		// Consolidation-trigger seam (policy.go): the built-in rule
+		// drains servers running below the utilization threshold.
+		if c.consolidateEligible(s, c.viewUtilization(s)) {
+			candidates = append(candidates, s)
+		}
+	}
+	out.candidates = candidates
+}
+
+// viewUtilization is the server's dynamic utilization as its parent
+// sees it: the consolidation trigger's input.
+func (c *Controller) viewUtilization(s *Server) float64 {
+	d := s.Power.Peak - s.Power.Static
+	if d <= 0 {
+		return 0
+	}
+	return c.viewDynamic(s) / d
 }

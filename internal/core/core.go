@@ -152,13 +152,13 @@ type Config struct {
 	EnergyEvents bool
 	// Shards splits the per-server phases of each tick (demand
 	// observation, the allocation pass's rack level, the demand-
-	// migration deficit scan, consumption/heating, and any a caller
-	// runs through Controller.ForEachShard) across up to Shards
-	// goroutines, one per contiguous rack-aligned server range. Results
-	// are byte-identical for any shard count: parallel phases touch
-	// only per-server state and their own racks' node state, and every
-	// cross-rack accumulation runs sequentially in server order. 0 or 1
-	// runs the tick single-threaded.
+	// migration deficit scan, the consolidation candidate scan, and
+	// consumption/heating with a SettleObserver's Settled) across up
+	// to Shards goroutines, one per contiguous rack-aligned server
+	// range. Results are byte-identical for any shard count: parallel
+	// phases touch only per-server state and their own racks' node
+	// state, and every cross-rack accumulation runs sequentially in
+	// server order. 0 or 1 runs the tick single-threaded.
 	Shards int
 	// Policy plugs an alternative controller into the three control
 	// seams (see the Policy interface in policy.go). nil — the default

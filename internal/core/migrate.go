@@ -35,7 +35,7 @@ type assignment struct {
 func (c *Controller) migrateDemand(t int) {
 	// The deficit scan runs sharded; joining the shards' items in shard
 	// order, onto the first shard's buffer, gives them in server order.
-	c.ForEachShard(c.scanFn)
+	c.shards.run(c.scanFn)
 	items := c.out[0].items
 	for k := 1; k < len(c.out); k++ {
 		items = append(items, c.out[k].items...)

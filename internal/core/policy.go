@@ -19,15 +19,14 @@ package core
 //     which case the built-in Willow arithmetic runs bit-for-bit. A
 //     policy that declines everything — policy.Willow — is
 //     byte-identical to leaving Config.Policy nil.
-//   - Sharding. ThermalCap, PeelTarget and DivideBudget are called from
-//     the parallel tick phases: ThermalCap from the consume phase,
-//     PeelTarget from the demand-migration deficit scan, DivideBudget
-//     at rack PMUs (level 1) from the allocation pass's rack phase.
-//     ThermalCap and PeelTarget may touch only state private to the
-//     server passed in (per-server slots indexed by Server.Index);
+//   - Sharding. Every hook is called from the parallel tick phases:
+//     ThermalCap from the consume phase, PeelTarget from the
+//     demand-migration deficit scan, ConsolidateEligible from the
+//     consolidation candidate scan, DivideBudget at rack PMUs (level 1)
+//     from the allocation pass's rack phase. ThermalCap, PeelTarget and
+//     ConsolidateEligible may touch only state private to the server
+//     passed in (per-server slots indexed by Server.Index);
 //     DivideBudget may write only its alloc argument, at every level.
-//     ConsolidateEligible runs on the sequential control path and may
-//     keep shared scratch.
 //   - Ownership. A policy instance is stateful and owned by exactly one
 //     Controller: Bind is called once, during New. Never share an
 //     instance across controllers; rebuild from its Spec instead.
@@ -72,7 +71,8 @@ type Policy interface {
 	// ConsolidateEligible decides the consolidation trigger: whether an
 	// awake server running at the given dynamic utilization should be
 	// drained and slept this Δ_A pass. Returning ok=false keeps the
-	// built-in rule (utilization < ConsolidateBelow).
+	// built-in rule (utilization < ConsolidateBelow). The candidate scan
+	// runs sharded, so an implementation touches only s's own slots.
 	ConsolidateEligible(s *Server, util float64) (eligible bool, ok bool)
 }
 

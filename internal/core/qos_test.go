@@ -154,7 +154,9 @@ func TestNewRejectsNegativePriority(t *testing.T) {
 // TestConsumeAllocFree holds the consume phase to zero allocations once
 // its per-shard buffers are warm: every server sheds, the estimator is
 // armed with noisy sensors on two servers, a sink listens, and two
-// shards settle in parallel.
+// shards settle in parallel. Then a settle observer listens too: its
+// fold starts on a goroutine of its own in the consume phase and joins
+// at the end of Step, so whole Steps are measured.
 func TestConsumeAllocFree(t *testing.T) {
 	specs := make([]ServerSpec, 16)
 	for i := range specs {
@@ -192,4 +194,25 @@ func TestConsumeAllocFree(t *testing.T) {
 	if events == before {
 		t.Error("the measured calls published no event")
 	}
+
+	obs := &countingObserver{}
+	c.Settle = obs
+	c.Run(8)
+	if allocs := testing.AllocsPerRun(50, c.Step); allocs != 0 {
+		t.Errorf("Step with a settle observer allocated %v times per call, want 0", allocs)
+	}
+	// AllocsPerRun makes one warm-up call before the 50 it measures.
+	if want := 8 + 51; obs.folds != want || obs.settled[0]+obs.settled[1] != want*len(c.Servers) {
+		t.Errorf("observer heard %d folds and %v settles, want %d and %d", obs.folds, obs.settled, want, want*len(c.Servers))
+	}
 }
+
+// countingObserver is a settle observer that only counts its calls,
+// per shard so the settling goroutines write apart.
+type countingObserver struct {
+	settled [2]int
+	folds   int
+}
+
+func (o *countingObserver) Settled(shard int, _ *Server) { o.settled[shard]++ }
+func (o *countingObserver) Fold()                        { o.folds++ }

@@ -462,15 +462,5 @@ func (r *shardRunner) run(phase func(shard, lo, hi int)) {
 }
 
 // Shards returns the number of ranges in the controller's rack-aligned
-// shard plan (at most Config.Shards).
+// shard plan (at most Config.Shards), which number Settled's shards.
 func (c *Controller) Shards() int { return len(c.shards.plan) }
-
-// ForEachShard runs fn(shard, lo, hi) over every range of the shard plan
-// the controller's own parallel phases use: contiguous, rack-aligned
-// server spans [lo, hi) in shard order, in parallel when more than one
-// is planned. fn may write per-server slots within its range and
-// per-shard partials; a caller folds the partials afterwards, in shard
-// order, which is server order. Bind fn once (a method value allocates)
-// to keep the call allocation-free. Call it from the goroutine that
-// steps the controller, never from inside a running phase.
-func (c *Controller) ForEachShard(fn func(shard, lo, hi int)) { c.shards.run(fn) }
