@@ -32,13 +32,13 @@ func BenchmarkServerTick(b *testing.B) {
 	}
 }
 
-// BenchmarkEventsFanout measures Hub.Publish with 8 subscribers at
-// steady state (full buffers, drop path) — the cost one tick pays per
-// event when streams are attached. Must stay allocation-free: a
-// publish that allocates would put the tick loop at the mercy of the
-// garbage collector under high subscriber counts.
+// BenchmarkEventsFanout measures a lossy Hub's Publish with 8
+// subscribers at steady state (full buffers, drop path) — the cost one
+// tick pays per event when streams are attached. Must stay
+// allocation-free: a publish that allocates would put the tick loop at
+// the mercy of the garbage collector under high subscriber counts.
 func BenchmarkEventsFanout(b *testing.B) {
-	h := NewHub()
+	h := newHub[telemetry.Event](false)
 	defer h.Close()
 	for i := 0; i < 8; i++ {
 		h.Subscribe(64) // never read: exercises fill then sustained drop

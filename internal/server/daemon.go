@@ -115,21 +115,22 @@ func DecodeSnapshot(r io.Reader) (Snapshot, error) {
 // concurrent API handlers. One mutex serializes everything that
 // touches the machine, so every mutation lands at a tick boundary and
 // every read sees a consistent between-ticks state. Telemetry leaves
-// the lock through the Hub (bounded, non-blocking) and optionally
+// the lock through a lossy Hub (bounded, non-blocking) and optionally
 // through a lossless caller sink (SetSink).
 type Daemon struct {
 	mu      sync.Mutex
 	spec    Spec
 	m       *cluster.Machine
 	journal []Mutation
-	sink    telemetry.Sink // lossless, publishes under mu; may be nil
-	hub     *Hub
+	sink    telemetry.Sink        // lossless, publishes under mu; may be nil
+	hub     *Hub[telemetry.Event] // lossy: a full subscriber misses events
 	metrics *daemonMetrics
 	started time.Time
 
 	// rep streams durable journal records and tick heartbeats to
-	// /v1/replicate subscribers (hot standbys); see replication.go.
-	rep *repFeed
+	// /v1/replicate subscribers (hot standbys); see replication.go. It
+	// is lossless: a follower that overflows is disconnected.
+	rep *Hub[record]
 	// frozen marks a migration handoff: the tick loop steps no further
 	// and mutations are refused, so the journal is final (Freeze).
 	frozen bool
@@ -201,7 +202,8 @@ func New(spec Spec) (*Daemon, error) {
 func newDaemon(spec Spec, m *cluster.Machine, journal []Mutation) *Daemon {
 	d := &Daemon{
 		spec: spec, m: m, journal: journal,
-		hub: NewHub(), rep: newRepFeed(), metrics: newDaemonMetrics(),
+		hub: newHub[telemetry.Event](false), rep: newHub[record](true),
+		metrics: newDaemonMetrics(),
 		history: eventRing{buf: make([]telemetry.Event, eventHistory)},
 		started: time.Now(),
 	}
@@ -317,8 +319,8 @@ func (d *Daemon) SetSink(s telemetry.Sink) {
 	d.sink = s
 }
 
-// Hub returns the daemon's fan-out hub for event subscriptions.
-func (d *Daemon) Hub() *Hub { return d.hub }
+// Hub returns the daemon's lossy fan-out hub for event subscriptions.
+func (d *Daemon) Hub() *Hub[telemetry.Event] { return d.hub }
 
 // Spec returns the build spec.
 func (d *Daemon) Spec() Spec { return d.spec }
@@ -373,7 +375,7 @@ func (d *Daemon) afterTick() {
 	// follower that heard "tick T" may assume the primary's event file
 	// holds every completed tick before T, which is what makes the
 	// promoted follower's event stream splice byte-exact.
-	d.rep.publish(record{Type: recBoundary, boundary: d.boundary()})
+	d.rep.Publish(record{Type: recBoundary, boundary: d.boundary()})
 }
 
 // boundary is the tick boundary the daemon rests at. Called with d.mu
@@ -479,7 +481,7 @@ func (d *Daemon) journalMutation(mut Mutation) error {
 	// Replicate only after the mutation is durable (or durability is not
 	// armed): a follower must never hold a record the primary could
 	// still lose.
-	d.rep.publish(record{Type: recMut, Index: len(d.journal) - 1, Mut: &mut})
+	d.rep.Publish(record{Type: recMut, Index: len(d.journal) - 1, Mut: &mut})
 	return nil
 }
 
@@ -573,7 +575,7 @@ func (d *Daemon) Result() *cluster.Result {
 // itself needs no teardown.
 func (d *Daemon) Close() {
 	d.hub.Close()
-	d.rep.close()
+	d.rep.Close()
 }
 
 // SubscribeEvents registers a hub subscriber and, atomically with the
@@ -582,7 +584,7 @@ func (d *Daemon) Close() {
 // replays the history, then follows the live subscription — together a
 // gapless, duplicate-free resume as long as `from` is within the
 // retained window (eventHistory events, best effort beyond that).
-func (d *Daemon) SubscribeEvents(from, buffer int) ([]telemetry.Event, *Subscription) {
+func (d *Daemon) SubscribeEvents(from, buffer int) ([]telemetry.Event, *Subscription[telemetry.Event]) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.history.tail(from), d.hub.Subscribe(buffer)

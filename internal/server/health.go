@@ -106,7 +106,7 @@ func (d *Daemon) Health(gate *GateHealth) HealthView {
 		WalError:    errText(d.walErr),
 	}
 	d.mu.Unlock()
-	view.ReplicationSubscribers = d.rep.count()
+	_, _, view.ReplicationSubscribers = d.rep.Stats()
 	view.Gate = gate
 	return view
 }

@@ -190,12 +190,9 @@ func NewHandlerOpts(d *Daemon, opts HandlerOptions) http.Handler {
 // and the tick loop never blocks. With ?from=<tick>, retained history
 // from that tick on is replayed before the live feed — the resume path
 // a reconnecting subscriber (or follower surviving link loss) uses.
-//
-// Writes are batched per wake-up: after the event that woke it, the
-// handler also writes every event already queued on the subscription,
-// then flushes once, so a 1k-server tick's few hundred events cost one
-// write syscall rather than one each. The handler never waits for more
-// events, so a lone event is flushed at once.
+// The live feed goes out in batches, one flush each (see stream), so a
+// 1k-server tick's few hundred events cost one write syscall rather
+// than one each.
 func serveEvents(d *Daemon, w http.ResponseWriter, r *http.Request) {
 	keep := telemetry.AllKinds
 	if q := r.URL.Query().Get("kinds"); q != "" {
@@ -226,7 +223,7 @@ func serveEvents(d *Daemon, w http.ResponseWriter, r *http.Request) {
 	sse := r.Header.Get("Accept") == "text/event-stream"
 
 	var history []telemetry.Event
-	var sub *Subscription
+	var sub *Subscription[telemetry.Event]
 	if from >= 0 {
 		history, sub = d.SubscribeEvents(from, buffer)
 	} else {
@@ -241,10 +238,7 @@ func serveEvents(d *Daemon, w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	if flusher != nil {
-		flusher.Flush() // commit headers so clients see the stream open
-	}
+	flush(w) // commit headers so clients see the stream open
 
 	writeEvent := func(ev telemetry.Event) bool {
 		if !keep.Has(ev.Kind) {
@@ -255,20 +249,11 @@ func serveEvents(d *Daemon, w http.ResponseWriter, r *http.Request) {
 			return true
 		}
 		if sse {
-			if _, err := fmt.Fprintf(w, "data: %s\n\n", line); err != nil {
-				return false
-			}
+			_, err = fmt.Fprintf(w, "data: %s\n\n", line)
 		} else {
-			if _, err := w.Write(append(line, '\n')); err != nil {
-				return false
-			}
+			_, err = w.Write(append(line, '\n'))
 		}
-		return true
-	}
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
+		return err == nil
 	}
 
 	// Replay retained history first (?from=): the subscription was taken
@@ -280,33 +265,9 @@ func serveEvents(d *Daemon, w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if len(history) > 0 {
-		flush()
+		flush(w)
 	}
-
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-d.Hub().Done():
-			return
-		case ev, ok := <-sub.C:
-			if !ok {
-				return
-			}
-			if !writeEvent(ev) {
-				return
-			}
-			// This handler is the channel's only receiver, so the n
-			// events queued now are there to take, even if the hub
-			// closes the channel meanwhile.
-			for n := len(sub.C); n > 0; n-- {
-				if !writeEvent(<-sub.C) {
-					return
-				}
-			}
-			flush()
-		}
-	}
+	stream(w, r, sub.C, writeEvent)
 }
 
 func decodeJSON(r *http.Request, dst any) error {

@@ -401,11 +401,12 @@ func TestStateResponseCompactJSON(t *testing.T) {
 	}
 }
 
-// batchWriter is an http.ResponseWriter for serveEvents that counts
-// Flush calls. Its first body Write waits until release is closed, so a
-// test can queue a backlog on the subscription while the handler holds
-// its first event. Only the handler's goroutine writes and flushes; the
-// test reads body and flushes after the handler has returned.
+// batchWriter is an http.ResponseWriter for the streaming handlers
+// that counts Flush calls. Its first body Write waits until release is
+// closed, so a test can queue a backlog on the subscription while the
+// handler holds its first write. Only the handler's goroutine writes
+// and flushes; the test reads body and flushes after the handler has
+// returned.
 type batchWriter struct {
 	header  http.Header
 	release chan struct{} // the first Write waits for it

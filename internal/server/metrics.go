@@ -302,7 +302,8 @@ func (d *Daemon) WriteMetrics(w io.Writer) error {
 	e.Sample("willow_hub_subscribers", nil, float64(subscribers))
 
 	e.Family("willow_replication_subscribers", "gauge", "connected /v1/replicate followers")
-	e.Sample("willow_replication_subscribers", nil, float64(d.rep.count()))
+	_, _, followers := d.rep.Stats()
+	e.Sample("willow_replication_subscribers", nil, float64(followers))
 
 	subs := d.hub.SubscriberStats()
 	e.Family("willow_hub_subscriber_queue", "gauge", "buffered events per subscriber")

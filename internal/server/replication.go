@@ -24,113 +24,25 @@ package server
 // everything beyond it bit for bit (the PR 8 recovery argument, over
 // the network).
 //
-// Backpressure: each replication subscriber gets a bounded buffer. A
-// follower too slow to drain it is disconnected rather than silently
-// skipped — record loss must be visible as a dropped connection, which
-// the follower heals by reconnecting with ?from=<durable count>. The
-// resume cursor is a journal index, so catch-up never re-sends what
-// the follower already fsync'd. Records travel the feed unencoded and
-// each handler frames them, off the tick lock.
+// Backpressure: the feed is a lossless Hub (hub.go). Each replication
+// subscriber gets a bounded buffer, and a follower too slow to drain it
+// is disconnected rather than silently skipped — record loss must be
+// visible as a dropped connection, which the follower heals by
+// reconnecting with ?from=<durable count>. The resume cursor is a
+// journal index, so catch-up never re-sends what the follower already
+// fsync'd. Records travel the feed unencoded and each handler frames
+// them, off the tick lock.
 
 import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync"
 )
 
 // repBuffer bounds one replication subscriber's in-flight records. A
 // burst larger than this (a follower stalled mid-catch-up) drops the
 // connection; the follower resumes from its durable cursor.
 const repBuffer = 256
-
-// repFeed fans replication records out to the /v1/replicate handlers.
-// Like the telemetry Hub it never blocks the tick loop, but unlike the
-// Hub it may not silently drop: an overflowing subscriber is closed, so
-// the follower sees a broken stream and reconnects from its cursor.
-type repFeed struct {
-	mu     sync.Mutex
-	subs   map[*repSub]struct{}
-	closed bool
-}
-
-// repSub is one replication subscriber's bounded record feed; C closes
-// on overflow or feed shutdown.
-type repSub struct {
-	C chan record
-}
-
-func newRepFeed() *repFeed {
-	return &repFeed{subs: map[*repSub]struct{}{}}
-}
-
-// publish delivers rec to every subscriber, disconnecting any whose
-// buffer is full. Called under the daemon's tick lock, so records reach
-// every subscriber in journal order.
-func (f *repFeed) publish(rec record) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return
-	}
-	for s := range f.subs {
-		select {
-		case s.C <- rec:
-		default:
-			// Slow follower: a gap would be silent corruption, a closed
-			// stream is a visible retry. Close wins.
-			delete(f.subs, s)
-			close(s.C)
-		}
-	}
-}
-
-// subscribe registers a new bounded subscriber.
-func (f *repFeed) subscribe() *repSub {
-	s := &repSub{C: make(chan record, repBuffer)}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		close(s.C)
-		return s
-	}
-	f.subs[s] = struct{}{}
-	return s
-}
-
-// unsubscribe removes a subscriber; harmless if already disconnected.
-func (f *repFeed) unsubscribe(s *repSub) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if _, ok := f.subs[s]; !ok {
-		return
-	}
-	delete(f.subs, s)
-	close(s.C)
-}
-
-// close terminates every subscriber; idempotent. Part of Daemon.Close,
-// which must run before http.Server.Shutdown so a connected follower
-// cannot hold the drain open.
-func (f *repFeed) close() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return
-	}
-	f.closed = true
-	for s := range f.subs {
-		delete(f.subs, s)
-		close(s.C)
-	}
-}
-
-// count returns the live replication subscriber count.
-func (f *repFeed) count() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.subs)
-}
 
 // repSnapshot is the consistent view a new replication subscriber
 // starts from: everything it must send before switching to the live
@@ -146,7 +58,7 @@ type repSnapshot struct {
 // index `from` and registers a live subscriber, under the tick lock so
 // no mutation can land between the two — the snapshot plus the feed is
 // gapless and duplicate records are detectable by index alone.
-func (d *Daemon) subscribeReplication(from int) (repSnapshot, *repSub, error) {
+func (d *Daemon) subscribeReplication(from int) (repSnapshot, *Subscription[record], error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if from < 0 || from > len(d.journal) {
@@ -158,7 +70,7 @@ func (d *Daemon) subscribeReplication(from int) (repSnapshot, *repSub, error) {
 		from:    from,
 		at:      d.boundary(),
 	}
-	return snap, d.rep.subscribe(), nil
+	return snap, d.rep.Subscribe(repBuffer), nil
 }
 
 // Freeze stops the daemon at the current tick boundary for a migration
@@ -172,7 +84,7 @@ func (d *Daemon) Freeze() (tick, records int) {
 	defer d.mu.Unlock()
 	d.frozen = true
 	b := d.boundary()
-	d.rep.publish(record{Type: recBoundary, boundary: b})
+	d.rep.Publish(record{Type: recBoundary, boundary: b})
 	return b.Tick, b.Records
 }
 
@@ -186,7 +98,7 @@ func (d *Daemon) Frozen() bool {
 // serveReplicate streams the run's durable history — spec, journal
 // backlog from ?from, the current boundary, then live records — until
 // the client disconnects, the subscriber overflows, or the daemon
-// drains.
+// drains. Live records go out in batches, one flush each (see stream).
 func serveReplicate(d *Daemon, w http.ResponseWriter, r *http.Request) {
 	from := 0
 	if q := r.URL.Query().Get("from"); q != "" {
@@ -202,21 +114,11 @@ func serveReplicate(d *Daemon, w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	defer d.rep.unsubscribe(sub)
+	defer d.rep.Unsubscribe(sub)
 
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	send := func(frames []byte, err error) bool {
-		if err == nil {
-			_, err = w.Write(frames)
-		}
-		if err == nil && flusher != nil {
-			flusher.Flush()
-		}
-		return err == nil
-	}
 
 	// The opening boundary tells the follower the primary's position
 	// even on a quiet run, so resume ticks advance without waiting for
@@ -225,33 +127,35 @@ func serveReplicate(d *Daemon, w http.ResponseWriter, r *http.Request) {
 	if err == nil {
 		opening, err = appendFrame(opening, record{Type: recBoundary, boundary: snap.at})
 	}
-	if !send(opening, err) {
+	if err == nil {
+		_, err = w.Write(opening)
+	}
+	if err != nil {
 		return
 	}
+	flush(w)
 	sent := snap.from + len(snap.backlog)
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case rec, ok := <-sub.C:
-			if !ok {
-				return // feed closed (drain) or this subscriber overflowed
+	// The live frames get a buffer of their own: the opening may hold
+	// the whole journal and a megabytes-long spec, which a long-lived
+	// stream must not keep alive.
+	var buf []byte
+	stream(w, r, sub.C, func(rec record) bool {
+		if rec.Type == recMut {
+			if rec.Index < sent {
+				return true // already sent from the backlog snapshot
 			}
-			if rec.Type == recMut {
-				if rec.Index < sent {
-					continue // already sent from the backlog snapshot
-				}
-				if rec.Index > sent {
-					// A gap can only mean this subscriber missed records
-					// (should be impossible — overflow closes the channel);
-					// drop the connection rather than ship a hole.
-					return
-				}
-				sent++
+			if rec.Index > sent {
+				// A gap can only mean this subscriber missed records
+				// (impossible: overflow closes the channel); drop the
+				// connection rather than ship a hole.
+				return false
 			}
-			if !send(appendFrame(nil, rec)) {
-				return
-			}
+			sent++
 		}
-	}
+		buf, err = appendFrame(buf[:0], rec)
+		if err == nil {
+			_, err = w.Write(buf)
+		}
+		return err == nil
+	})
 }

@@ -58,6 +58,14 @@ func (r *repDecoder) next() record {
 	return rec
 }
 
+// waitFollower returns once a /v1/replicate handler has subscribed to
+// d's replication feed.
+func waitFollower(d *Daemon) {
+	for _, _, n := d.rep.Stats(); n == 0; _, _, n = d.rep.Stats() {
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // recordStream records a /v1/replicate body: the opening (spec, a
 // one-mutation backlog, the boundary), then a live mutation and two
 // ticks, ended by the daemon draining.
@@ -76,9 +84,7 @@ func recordStream(t testing.TB) []byte {
 		defer close(served)
 		serveReplicate(d, rec, httptest.NewRequest(http.MethodGet, "/v1/replicate?from=0", nil))
 	}()
-	for d.rep.count() == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	waitFollower(d)
 	if _, err := d.ScaleDemand(2, 0.9); err != nil {
 		t.Fatal(err)
 	}
@@ -435,6 +441,122 @@ func TestReplicationFrameIdentity(t *testing.T) {
 				t.Fatalf("mutation %d's frame is not in the %s", i, place.name)
 			}
 		}
+	}
+}
+
+// TestReplicationOverflowRules pins both overflow rules of the one
+// fan-out type. A lossy hub (the event stream) drops and counts, and
+// the full subscriber stays. A lossless hub (the replication feed)
+// hands the full subscriber what it had buffered, then closes its
+// channel and removes it, so a follower sees a broken stream, never a
+// gap.
+func TestReplicationOverflowRules(t *testing.T) {
+	cases := []struct {
+		name     string
+		lossless bool
+		// After four publishes into buffers of two and sixteen:
+		dropped int64 // the hub's drop count
+		subs    int   // live subscribers
+	}{
+		{name: "lossy", dropped: 2, subs: 2},
+		{name: "lossless", lossless: true, dropped: 1, subs: 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHub[int](tc.lossless)
+			defer h.Close()
+			small, big := h.Subscribe(2), h.Subscribe(16)
+			for i := 0; i < 4; i++ {
+				h.Publish(i)
+			}
+			if _, dropped, subs := h.Stats(); dropped != tc.dropped || subs != tc.subs {
+				t.Fatalf("dropped=%d subs=%d, want %d and %d", dropped, subs, tc.dropped, tc.subs)
+			}
+			for want := 0; want < 2; want++ {
+				if got := <-small.C; got != want {
+					t.Fatalf("full subscriber read %d, want its buffered %d", got, want)
+				}
+			}
+
+			// A later publish reaches a lossy subscriber that has
+			// drained, and never a disconnected one.
+			h.Publish(4)
+			select {
+			case got, open := <-small.C:
+				if tc.lossless && open {
+					t.Fatalf("disconnected subscriber received %d", got)
+				}
+				if !tc.lossless && (!open || got != 4) {
+					t.Fatalf("drained lossy subscriber read (%d, %v), want (4, true)", got, open)
+				}
+			default:
+				t.Fatal("full subscriber's channel is neither fed nor closed")
+			}
+			h.Unsubscribe(small) // harmless after a disconnect too
+			if _, _, subs := h.Stats(); subs != 1 {
+				t.Fatalf("%d subscribers after Unsubscribe, want 1", subs)
+			}
+			for want := 0; want <= 4; want++ {
+				if got := <-big.C; got != want {
+					t.Fatalf("roomy subscriber read %d, want %d", got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestReplicationStreamOneFlushPerBatch pins the batched replication
+// stream: records queued while the handler is busy go out in one flush
+// after the opening's, and the body is byte for byte the opening (spec,
+// backlog, boundary) and then one frame per record, in journal order.
+func TestReplicationStreamOneFlushPerBatch(t *testing.T) {
+	d := newTestDaemon(t, testSpec())
+	d.StepN(5)
+	if _, err := d.ScaleDemand(-1, 1.1); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req := httptest.NewRequest(http.MethodGet, "/v1/replicate?from=0", nil).WithContext(ctx)
+	w := newBatchWriter()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		NewHandlerOpts(d, HandlerOptions{}).ServeHTTP(w, req)
+	}()
+	// The handler subscribed before writing its opening, and that first
+	// Write waits for release: everything below queues on the feed.
+	waitFollower(d)
+	if _, err := d.ScaleDemand(2, 0.9); err != nil {
+		t.Fatal(err)
+	}
+	d.StepN(20)
+
+	journal := d.Snapshot().Journal
+	want, err := encodeJournal(d.Spec(), 0, journal[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = cat(want,
+		walFrame(t, record{Type: recBoundary, boundary: boundary{Tick: 5, Records: 1}}),
+		walFrame(t, record{Type: recMut, Index: 1, Mut: &journal[1]}))
+	for tick := 6; tick <= 25; tick++ {
+		want = append(want, walFrame(t, record{Type: recBoundary, boundary: boundary{Tick: tick, Records: 2}})...)
+	}
+	w.want = len(want)
+	close(w.release)
+	select {
+	case <-w.full:
+	case <-time.After(10 * time.Second):
+	}
+	cancel()
+	<-served
+
+	if !bytes.Equal(w.body.Bytes(), want) {
+		t.Fatalf("streamed %d bytes, want the %d bytes of the opening and 21 records", w.body.Len(), len(want))
+	}
+	if w.flushes > 2 {
+		t.Fatalf("%d flushes for the opening and 21 queued records, want at most 2", w.flushes)
 	}
 }
 
