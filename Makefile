@@ -104,10 +104,10 @@ scale-smoke:
 
 # Chaos gate: the end-to-end failure-tolerance scenarios — a seeded
 # mid-tree PMU kill/repair run inside its hard constraints, the chaos
-# plan plumbing, and worker-invariant event streams under fault
-# injection.
+# plan plumbing, worker-invariant event streams under fault injection,
+# and the plan's order against the reference stable sort.
 chaos-smoke:
-	$(GO) test -run 'TestChaosSmoke|TestMidTreePMUKillSafety|TestChaosEventStreamsWorkerInvariant' -count=1 ./internal/cluster ./internal/core ./internal/exp
+	$(GO) test -run 'TestChaosSmoke|TestMidTreePMUKillSafety|TestChaosEventStreamsWorkerInvariant|TestExpandSortMatchesSliceStable' -count=1 ./internal/chaos ./internal/cluster ./internal/core ./internal/exp
 
 # Sensing gate: corrupted telemetry in, safe thermal decisions out —
 # the robust estimator holds the true-temperature cap under heavy

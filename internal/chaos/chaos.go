@@ -13,9 +13,10 @@
 package chaos
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"willow/internal/dist"
 	"willow/internal/sensor"
@@ -153,15 +154,37 @@ func (s Schedule) Validate() error {
 	return nil
 }
 
-// Expand derives the concrete fault plan for one seed. The expansion
-// forks one random stream per process class, in fixed order, so the
-// classes perturb neither each other nor the simulation's own streams.
-// The sensor stream forks last: schedules without sensor faults expand
-// to plans byte-identical to those of earlier versions of this package.
+// Expand derives the concrete fault plan for one seed: draw's events,
+// each list stably sorted by its start tick and then its server or
+// node.
 func (s Schedule) Expand(seed uint64) (Plan, error) {
 	if err := s.Validate(); err != nil {
 		return Plan{}, err
 	}
+	plan := s.draw(seed)
+	slices.SortStableFunc(plan.ServerFailures, func(a, b ServerFailure) int {
+		return cmp.Or(cmp.Compare(a.Tick, b.Tick), cmp.Compare(a.Server, b.Server))
+	})
+	slices.SortStableFunc(plan.PMUFailures, func(a, b PMUFailure) int {
+		return cmp.Or(cmp.Compare(a.Tick, b.Tick), cmp.Compare(a.Node, b.Node))
+	})
+	slices.SortStableFunc(plan.LossWindows, func(a, b LossWindow) int {
+		return cmp.Compare(a.Start, b.Start)
+	})
+	slices.SortStableFunc(plan.SensorFaults, func(a, b SensorFault) int {
+		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.Server, b.Server))
+	})
+	return plan, nil
+}
+
+// draw expands a valid schedule into its events, unsorted: each
+// server's and each PMU's renewal process in index order, then the
+// rack bursts, the loss windows and the sensor faults. It forks one
+// random stream per process class, in fixed order, so the classes
+// perturb neither each other nor the simulation's own streams. The
+// sensor stream forks last: schedules without sensor faults expand to
+// plans byte-identical to those of earlier versions of this package.
+func (s Schedule) draw(seed uint64) Plan {
 	src := dist.NewSource(seed)
 	srvSrc, pmuSrc, burstSrc, lossSrc := src.Fork(), src.Fork(), src.Fork(), src.Fork()
 	sensorSrc := src.Fork()
@@ -229,31 +252,7 @@ func (s Schedule) Expand(seed uint64) (Plan, error) {
 		}
 	}
 
-	sort.SliceStable(plan.ServerFailures, func(i, j int) bool {
-		a, b := plan.ServerFailures[i], plan.ServerFailures[j]
-		if a.Tick != b.Tick {
-			return a.Tick < b.Tick
-		}
-		return a.Server < b.Server
-	})
-	sort.SliceStable(plan.PMUFailures, func(i, j int) bool {
-		a, b := plan.PMUFailures[i], plan.PMUFailures[j]
-		if a.Tick != b.Tick {
-			return a.Tick < b.Tick
-		}
-		return a.Node < b.Node
-	})
-	sort.SliceStable(plan.LossWindows, func(i, j int) bool {
-		return plan.LossWindows[i].Start < plan.LossWindows[j].Start
-	})
-	sort.SliceStable(plan.SensorFaults, func(i, j int) bool {
-		a, b := plan.SensorFaults[i], plan.SensorFaults[j]
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		return a.Server < b.Server
-	})
-	return plan, nil
+	return plan
 }
 
 // sensorModes returns the enabled sensor fault modes and their draw

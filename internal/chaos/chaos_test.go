@@ -3,6 +3,7 @@ package chaos
 import (
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -46,6 +47,78 @@ func TestExpandDeterministic(t *testing.T) {
 	if reflect.DeepEqual(a, c) {
 		t.Fatal("different seeds expanded to identical plans")
 	}
+}
+
+// TestExpandSortMatchesSliceStable checks Expand's four orders against
+// the reflection-based stable sort it replaced, applied to the same
+// draws with the same keys. Both sorts are stable, so the plans must be
+// identical, including the order of a renewal failure and a rack burst
+// that hit one server at one tick. The last spec makes such ties
+// common, and the test requires that some occur.
+func TestExpandSortMatchesSliceStable(t *testing.T) {
+	ties := 0
+	for _, spec := range []string{
+		"light", "medium", "heavy",
+		"sensor-light", "sensor-medium", "sensor-heavy",
+		"heavy,sensor-heavy",
+		"heavy,server-mtbf=6,server-mttr=2,burst-every=4,burst-mttr=3,loss-every=5,loss-ticks=2",
+	} {
+		s, err := ParseSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		topo := testSchedule()
+		s.Ticks, s.Servers, s.PMUs, s.Racks = topo.Ticks, topo.Servers, topo.PMUs, topo.Racks
+		for seed := uint64(0); seed < 100; seed++ {
+			got, err := s.Expand(seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := s.draw(seed)
+			sliceStableSort(&want)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, seed %d: Expand's plan differs from sort.SliceStable's", spec, seed)
+			}
+			for i := 1; i < len(got.ServerFailures); i++ {
+				a, b := got.ServerFailures[i-1], got.ServerFailures[i]
+				if a.Tick == b.Tick && a.Server == b.Server {
+					ties++
+				}
+			}
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no (tick, server) tie among the server failures: the test never exercised stability")
+	}
+}
+
+// sliceStableSort is the sort Expand ran before it sorted without
+// reflection: the reference TestExpandSortMatchesSliceStable keeps.
+func sliceStableSort(plan *Plan) {
+	sort.SliceStable(plan.ServerFailures, func(i, j int) bool {
+		a, b := plan.ServerFailures[i], plan.ServerFailures[j]
+		if a.Tick != b.Tick {
+			return a.Tick < b.Tick
+		}
+		return a.Server < b.Server
+	})
+	sort.SliceStable(plan.PMUFailures, func(i, j int) bool {
+		a, b := plan.PMUFailures[i], plan.PMUFailures[j]
+		if a.Tick != b.Tick {
+			return a.Tick < b.Tick
+		}
+		return a.Node < b.Node
+	})
+	sort.SliceStable(plan.LossWindows, func(i, j int) bool {
+		return plan.LossWindows[i].Start < plan.LossWindows[j].Start
+	})
+	sort.SliceStable(plan.SensorFaults, func(i, j int) bool {
+		a, b := plan.SensorFaults[i], plan.SensorFaults[j]
+		if a.Start != b.Start {
+			return a.Start < b.Start
+		}
+		return a.Server < b.Server
+	})
 }
 
 func checkPlanInRange(t *testing.T, s Schedule, p Plan) {
