@@ -5,7 +5,6 @@ import (
 
 	"willow/internal/cluster"
 	"willow/internal/metrics"
-	"willow/internal/telemetry"
 )
 
 func init() {
@@ -66,8 +65,6 @@ func runResilience(opts Options) (*Result, error) {
 				return nil, err
 			}
 		}
-		agg := &telemetry.Aggregator{Servers: 18}
-		cfg.Sink = telemetry.Multi(agg, cfg.Sink)
 		r, err := cluster.Run(cfg)
 		if err != nil {
 			return nil, err
@@ -79,7 +76,7 @@ func runResilience(opts Options) (*Result, error) {
 			fmt.Sprintf("%d", r.Stats.DegradedTicks),
 			fmt.Sprintf("%d", r.Stats.Restarts),
 			fmt.Sprintf("%.0f", r.DroppedWattTicks),
-			fmt.Sprintf("%.0f", agg.OrphanWattTicks()),
+			fmt.Sprintf("%.0f", r.Stats.OrphanWattTicks),
 			fmt.Sprintf("%.1f", r.MaxTemp))
 		if v.spec == "" {
 			base = r

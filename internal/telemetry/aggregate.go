@@ -175,10 +175,6 @@ func (a *Aggregator) servers() int {
 	return 0
 }
 
-// OrphanWattTicks returns the demand stranded awaiting restart, summed
-// over the per-tick "orphans" degradation records (watts × ticks).
-func (a *Aggregator) OrphanWattTicks() float64 { return a.orphanWatts }
-
 // WorkPerJoule returns useful work per joule consumed — the efficiency
 // scoreboard's headline figure — and ok=false when nothing was consumed.
 func (a *Aggregator) WorkPerJoule() (float64, bool) {
