@@ -21,10 +21,13 @@ package server
 //     makes the re-execution bit-identical, so the run's final state is
 //     byte-identical to one that never died.
 //
-// The base snapshot never changes the outcome — Restore replays the
-// same journal either way — it only documents the operator workflow
-// (periodic snapshots bound WAL replay cost at scale). Recovery
-// verifies the pair agrees instead of trusting either alone.
+// The base snapshot never changes the outcome and never shortens the
+// replay: a snapshot holds no machine state, so Restore rebuilds from
+// tick 0 through replayMachine either way, and recovery costs time
+// linear in the recovery tick. What the snapshot adds is a cross-check
+// of the WAL (recovery verifies the pair agrees instead of trusting
+// either alone) and a named boundary the recovery tick may not fall
+// short of.
 
 import (
 	"fmt"

@@ -100,7 +100,7 @@ func TestRecoverMatchesUninterrupted(t *testing.T) {
 }
 
 // TestRecoverWithBaseSnapshot covers the operator workflow: a periodic
-// snapshot bounds replay cost, and recovery cross-checks it against the
+// snapshot names a boundary, and recovery cross-checks it against the
 // WAL instead of trusting either alone.
 func TestRecoverWithBaseSnapshot(t *testing.T) {
 	spec := testSpec()
