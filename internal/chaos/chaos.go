@@ -155,8 +155,8 @@ func (s Schedule) Validate() error {
 }
 
 // Expand derives the concrete fault plan for one seed: draw's events,
-// each list stably sorted by its start tick and then its server or
-// node.
+// each list stably sorted by its start tick, then by server or node
+// where the event names one.
 func (s Schedule) Expand(seed uint64) (Plan, error) {
 	if err := s.Validate(); err != nil {
 		return Plan{}, err
